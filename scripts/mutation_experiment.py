@@ -2,7 +2,9 @@
 """Tampering-detection experiment.
 
 Perturbs one random constant at a time and reports which checks catch
-each perturbation.  Usage: mutation_experiment.py [N_MUTATIONS] [SEED].
+each perturbation.  A mutant is killed by a fail when some check fails,
+killed only by an error when checks error but none fails, and missed
+when every check passes.  Usage: mutation_experiment.py [N_MUTATIONS] [SEED].
 """
 
 import random
@@ -16,22 +18,29 @@ def main(argv: list[str]) -> int:
     count = int(argv[0]) if argv else 20
     seed = int(argv[1]) if len(argv) > 1 else 20260823
     rng = random.Random(seed)
-    missed = 0
+    outcomes = {"killed_by_fail": 0, "error_only": 0, "missed": 0}
     start = time.perf_counter()
     for i in range(count):
         key, raw = random_mutation(rng)
         reports = run_all(SuiteConfig(constants=PaperConstants(raw=raw)))
-        caught = [f"{r.suite}/{c.id}[{c.status}]"
+        caught = [(f"{r.suite}/{c.id}[{c.status}]", c.status)
                   for r in reports for c in r.checks if c.status != "pass"]
-        if caught:
-            print(f"#{i:02d} {key}: detected by {len(caught)} checks, "
-                  f"first: {caught[0]}")
+        fails = [name for name, status in caught if status == "fail"]
+        if fails:
+            outcomes["killed_by_fail"] += 1
+            print(f"#{i:02d} {key}: killed by fail in {len(fails)} of "
+                  f"{len(caught)} checks, first: {fails[0]}")
+        elif caught:
+            outcomes["error_only"] += 1
+            print(f"#{i:02d} {key}: killed only by error in {len(caught)} "
+                  f"checks, first: {caught[0][0]}")
         else:
-            missed += 1
+            outcomes["missed"] += 1
             print(f"#{i:02d} {key}: NOT DETECTED")
     elapsed = time.perf_counter() - start
-    print(f"{count - missed}/{count} mutations detected in {elapsed:.1f}s")
-    return 0 if missed == 0 else 1
+    print(", ".join(f"{name} {n}" for name, n in outcomes.items())
+          + f" of {count} mutations in {elapsed:.1f}s")
+    return 0 if outcomes["missed"] == 0 else 1
 
 
 if __name__ == "__main__":

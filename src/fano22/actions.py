@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, coefficient_matrix, combine
 from .poly import Derivation, Polynomial, Registry
 from .sections import SectionSpace, coords_in_space
 
@@ -159,16 +159,12 @@ def semi_invariant_lines(
     lines: list[Polynomial] = []
     for _, elems in sorted(buckets.items()):
         images = [nilpotent_derivation(b) for b in elems]
-        monomials = sorted({e for img in images for e in img.terms})
+        monomials, matrix = coefficient_matrix(reg, images)
         if not monomials:
             lines.extend(b.primitive_normal() for b in elems)
             continue
-        rows = [[img.terms.get(e, Fraction(0)) for img in images] for e in monomials]
-        for vec in ExactMatrix(reg, rows).kernel():
-            combo = reg.zero
-            for coeff, b in zip(vec, elems):
-                combo = combo + coeff * b
-            lines.append(combo.primitive_normal())
+        for vec in matrix.kernel():
+            lines.append(combine(reg, vec, elems).primitive_normal())
     return lines
 
 
@@ -185,23 +181,6 @@ class StabilizerConditions:
 
     def is_trivial(self) -> bool:
         return not self.generators
-
-    def reduced_mod(self, modulus: Polynomial, variable: str) -> list[Polynomial]:
-        """Remainders of the generators after dividing out `modulus` in `variable`."""
-        out = []
-        for g in self.generators:
-            rem = g
-            d = modulus.degree_in(variable)
-            lead = modulus.coefficient_of(variable, d)
-            # univariate-style reduction in `variable`; lead must be rational
-            lc = lead.constant_value()
-            while rem.degree_in(variable) >= d and not rem.is_zero():
-                k = rem.degree_in(variable)
-                top = rem.coefficient_of(variable, k)
-                shift = rem.registry.var(variable) ** (k - d)
-                rem = rem - top.scale(Fraction(1) / lc) * shift * modulus
-            out.append(rem)
-        return out
 
 
 def stabilizer_conditions(

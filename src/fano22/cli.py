@@ -137,9 +137,5 @@ def main(argv: list[str] | None = None) -> int:
     return _run_verify(argv)
 
 
-def console() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -181,9 +181,6 @@ class PaperConstants:
         reg = self.reg_w
         return Derivation(reg, {"x1": reg.var("x1"), "x2": reg.var("x2")})
 
-    def w_torus_weights(self) -> dict[str, int]:
-        return {"x1": 1, "x2": 1, "y1": 0, "y2": 0}
-
     # -- the Hirzebruch surface side -----------------------------------------
 
     def f3_grading(self) -> Grading:
@@ -354,7 +351,6 @@ def mobius_projective(
     if p == 0 and q == 0:
         raise ValueError("not a projective point")
     d = max(num.degree_in(var), den.degree_in(var))
-    reg = num.registry
 
     def homog_eval(poly: Polynomial) -> Fraction:
         acc = Fraction(0)
@@ -365,7 +361,6 @@ def mobius_projective(
             acc += coeff.constant_value() * p**k * q ** (d - k)
         return acc
 
-    del reg
     a, b = homog_eval(num), homog_eval(den)
     if a == 0 and b == 0:
         raise ValueError("map is undefined at the point")
@@ -420,6 +415,6 @@ def random_mutation(rng, raw: dict[str, str] | None = None) -> tuple[str, dict[s
     factors = [f"{n}^{rng.randint(1, 4)}" for n in names]
     num = rng.choice([n for n in range(-5, 6) if n != 0])
     den = rng.randint(1, 3)
-    term = f"{num}/{den}*" + "*".join(factors)
-    base[key] = f"({base[key]}) + {term}"
+    sign = "-" if num < 0 else "+"
+    base[key] = f"({base[key]}) {sign} {abs(num)}/{den}*" + "*".join(factors)
     return key, base

@@ -1,17 +1,23 @@
 """Exact fraction-free linear algebra over polynomial entries.
 
-Rank and determinants use Bareiss elimination (all intermediate
-divisions are exact by Sylvester's identity), so the routines work
-verbatim over Q and over polynomial rings in family parameters: pivots
-are nonzero polynomials and no entry is ever evaluated.
+Everything is read off one fraction-free Gauss–Jordan elimination (Bareiss
+1968; Nakos–Turner–Williams 1997).  A pivot step replaces every other row
+by (pivot * row - head * pivot row) / previous pivot; by Sylvester's
+identity every division is exact, so the routine works verbatim over Q and
+over polynomial rings in family parameters, and no entry is ever
+evaluated.  At the end every pivot equals the determinant of the pivot
+block and every other entry of a pivot row is a maximal minor, which gives
+rank, determinant, kernel (Cramer's rule) and solutions of linear systems.
 
-Kernels are assembled from maximal minors (Cramer), which keeps every
-entry inside the polynomial ring.
+Matrices whose entries are all constant are reduced in plain `Fraction`s;
+any other matrix in polynomials, with `Polynomial.exact_divide`.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .poly import Polynomial, Registry
@@ -40,142 +46,147 @@ class ExactMatrix:
         self.rows: list[list[Polynomial]] = coerced
         self.nrows = len(coerced)
         self.ncols = width if width is not None else 0
+        self._solver = None
 
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
 
-    def _echelon(self):
-        """Fraction-free forward elimination on a copy.
+    def _reduce(self, augment: bool = False):
+        """Fraction-free Gauss–Jordan on a copy; of [A | I] when `augment`.
 
-        Returns (working rows, pivot (row, col) pairs).
+        Pivots are taken in the columns of A only.  Returns (reduced rows,
+        pivot columns in row order, last pivot d, sign of the row
+        permutation); every pivot entry then equals d, the determinant of
+        the pivot block up to that sign.
         """
-        m = [row[:] for row in self.rows]
-        pivots: list[tuple[int, int]] = []
-        prev = self.registry.one
-        r = 0
+        if all(e.is_constant() for row in self.rows for e in row):
+            m = [[e.constant_value() for e in row] for row in self.rows]
+            zero, one, divide = Fraction(0), Fraction(1), operator.truediv
+        else:
+            m = [row[:] for row in self.rows]
+            zero, one, divide = self.registry.zero, self.registry.one, _exact_divide
+        if augment:
+            for i, row in enumerate(m):
+                row.extend(one if j == i else zero for j in range(self.nrows))
+        pivots: list[int] = []
+        prev = one
+        sign = 1
         for c in range(self.ncols):
-            pivot_row = None
-            for i in range(r, self.nrows):
-                if not m[i][c].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            for i in range(r + 1, self.nrows):
-                head = m[i][c]  # captured before the row is overwritten
-                for j in range(self.ncols):
-                    num = m[r][c] * m[i][j] - head * m[r][j]
-                    q = num.exact_divide(prev)
-                    assert q is not None, "Bareiss division must be exact"
-                    m[i][j] = q
-            prev = m[r][c]
-            pivots.append((r, c))
-            r += 1
+            r = len(pivots)
             if r == self.nrows:
                 break
-        return m, pivots
+            pivot_row = next((i for i in range(r, self.nrows) if m[i][c] != 0), None)
+            if pivot_row is None:
+                continue
+            if pivot_row != r:
+                m[r], m[pivot_row] = m[pivot_row], m[r]
+                sign = -sign
+            top = m[r]
+            p = top[c]
+            for i, row in enumerate(m):
+                head = row[c]
+                if i == r or (head == 0 and p == prev):
+                    continue
+                m[i] = [divide(p * x - head * y, prev) for x, y in zip(row, top)]
+            prev = p
+            pivots.append(c)
+        return m, pivots, prev, sign
+
+    def _lift(self, entry) -> Polynomial:
+        return entry if isinstance(entry, Polynomial) else self.registry.const(entry)
 
     def rank(self) -> int:
-        _, pivots = self._echelon()
-        return len(pivots)
+        return len(self._reduce()[1])
 
     def det(self) -> Polynomial:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        if self.nrows == 0:
-            return self.registry.one
-        m = [row[:] for row in self.rows]
-        prev = self.registry.one
-        sign = 1
-        n = self.nrows
-        for k in range(n):
-            pivot_row = None
-            for i in range(k, n):
-                if not m[i][k].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return self.registry.zero
-            if pivot_row != k:
-                m[k], m[pivot_row] = m[pivot_row], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                    q = num.exact_divide(prev)
-                    assert q is not None
-                    m[i][j] = q
-            prev = m[k][k]
-        return m[n - 1][n - 1].scale(sign)
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ExactMatrix":
-        return ExactMatrix(
-            self.registry,
-            [[self.rows[i][j] for j in col_idx] for i in row_idx],
-        )
+        _, pivots, d, sign = self._reduce()
+        if len(pivots) < self.nrows:
+            return self.registry.zero
+        return self._lift(d * sign)
 
     def kernel(self) -> list[list[Polynomial]]:
         """Basis of the right kernel, one vector per free column.
 
-        Entries are polynomials (maximal minors), so the result is exact
-        even with transcendental family parameters in the matrix.
+        Free column j gets the pivot d in place j and minus the pivot-row
+        entries of column j in the pivot places: polynomials (maximal
+        minors), so the result is exact even with transcendental family
+        parameters in the matrix.  Each vector is divided by its rational
+        content.
         """
-        echelon_rows, pivots = self._echelon()
-        del echelon_rows
-        pivot_cols = [c for _, c in pivots]
-        # rows of the original matrix realizing the pivots: re-run the
-        # elimination bookkeeping on row indices
-        pivot_rows = self._pivot_row_indices(pivot_cols)
-        free_cols = [c for c in range(self.ncols) if c not in pivot_cols]
+        m, pivots, d, _ = self._reduce()
         basis: list[list[Polynomial]] = []
-        if not pivot_cols:
-            for j in free_cols:
-                vec = [self.registry.zero] * self.ncols
-                vec[j] = self.registry.one
-                basis.append(vec)
-            return basis
-        square = self.submatrix(pivot_rows, pivot_cols)
-        big = square.det()
-        for j in free_cols:
-            vec = [self.registry.zero] * self.ncols
-            vec[j] = big
-            for i, c in enumerate(pivot_cols):
-                cols = pivot_cols[:]
-                cols[i] = j
-                minor = self.submatrix(pivot_rows, cols).det()
-                vec[c] = -minor
-            basis.append(_normalize_vector(vec))
+        for j in range(self.ncols):
+            if j in pivots:
+                continue
+            vec = [0] * self.ncols
+            vec[j] = d
+            for row, c in zip(m, pivots):
+                vec[c] = -row[j]
+            basis.append(_normalize_vector([self._lift(x) for x in vec]))
         return basis
 
-    def _pivot_row_indices(self, pivot_cols: Sequence[int]) -> list[int]:
-        """Row indices of the original matrix giving a nonsingular pivot block."""
-        chosen: list[int] = []
-        for k, _ in enumerate(pivot_cols):
-            cols = pivot_cols[: k + 1]
-            found = False
-            for i in range(self.nrows):
-                if i in chosen:
-                    continue
-                cand = self.submatrix(chosen + [i], cols)
-                if cand.rank() == k + 1:
-                    chosen.append(i)
-                    found = True
-                    break
-            assert found, "pivot block extension must exist"
-        return chosen
+    def solve(self, rhs: Sequence) -> list[Polynomial] | None:
+        """The solution x of A x = rhs whose free unknowns are 0, or None.
+
+        None means the system is inconsistent.  Right-hand sides may be
+        polynomials in any variables of the registry.  [A | I] is reduced
+        on the first call and kept, so every later call only combines the
+        right-hand side.  Raises ValueError when the solution is not
+        polynomial (a pivot of a polynomial A that does not divide).
+        """
+        if len(rhs) != self.nrows:
+            raise ValueError("right-hand side length mismatch")
+        m, pivots, d = self._augmented()
+        values = [combine(self.registry, row[self.ncols:], rhs) for row in m]
+        if any(not v.is_zero() for v in values[len(pivots):]):
+            return None
+        x = [self.registry.zero] * self.ncols
+        for v, c in zip(values, pivots):
+            x[c] = v.scale(1 / d) if isinstance(d, Fraction) else _exact_divide(v, d)
+        return x
+
+    def _augmented(self):
+        """The reduction of [A | I], computed once: (rows, pivot columns, d)."""
+        if self._solver is None:
+            self._solver = self._reduce(augment=True)[:3]
+        return self._solver
 
     def mul_vector(self, vec: Sequence[Polynomial]) -> list[Polynomial]:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        out = []
-        for row in self.rows:
-            acc = self.registry.zero
-            for entry, x in zip(row, vec):
-                acc = acc + entry * x
-            out.append(acc)
-        return out
+        return [combine(self.registry, row, vec) for row in self.rows]
+
+
+def _exact_divide(a: Polynomial, b: Polynomial) -> Polynomial:
+    q = a.exact_divide(b)
+    if q is None:
+        raise ValueError(f"{b} does not divide {a} exactly")
+    return q
+
+
+def coefficient_matrix(
+    registry: Registry, polys: Sequence[Polynomial]
+) -> tuple[list[tuple[int, ...]], ExactMatrix]:
+    """The matrix whose column j holds the coefficients of polys[j].
+
+    Returns (the monomials occurring, sorted, which label the rows; the
+    matrix).
+    """
+    monomials = sorted({e for p in polys for e in p.terms})
+    rows = [[p.terms.get(e, Fraction(0)) for p in polys] for e in monomials]
+    return monomials, ExactMatrix(registry, rows)
+
+
+def combine(registry: Registry, coeffs: Sequence, polys: Sequence[Polynomial]) -> Polynomial:
+    """sum of coeffs[i] * polys[i]; coefficients are scalars or polynomials."""
+    acc = registry.zero
+    for c, p in zip(coeffs, polys):
+        if c != 0:
+            acc = acc + c * p
+    return acc
 
 
 def _normalize_vector(vec: list[Polynomial]) -> list[Polynomial]:
@@ -183,7 +194,6 @@ def _normalize_vector(vec: list[Polynomial]) -> list[Polynomial]:
     nonzero = [p for p in vec if not p.is_zero()]
     if not nonzero:
         return vec
-    from math import gcd
     num, den = 0, 1
     for p in nonzero:
         c = p.content()

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import ExactMatrix
+from .linalg import coefficient_matrix
 from .poly import Polynomial, Registry
 
 
@@ -110,15 +110,6 @@ def image_in_hypersurface(mp: RationalMap, F: Polynomial) -> bool:
     return mp.modulus is not None and pulled.exact_divide(mp.modulus) is not None
 
 
-def restrict_to_curve(obj, curve: Mapping[str, Polynomial]):
-    """Substitute a curve parametrization into a polynomial or map."""
-    if isinstance(obj, Polynomial):
-        return obj.substitute(dict(curve))
-    if isinstance(obj, RationalMap):
-        return tuple(c.substitute(dict(curve)) for c in obj.components)
-    raise TypeError("expected a Polynomial or RationalMap")
-
-
 # -- parametrized curves --------------------------------------------------
 
 
@@ -150,20 +141,8 @@ class ParamCurve:
                     return None
         return degree
 
-    def at(self, point: tuple[Fraction, Fraction]) -> list[Polynomial]:
-        t0, t1 = self.param_vars
-        assignment = {
-            t0: self.registry.const(point[0]),
-            t1: self.registry.const(point[1]),
-        }
-        return [c.substitute(assignment) for c in self.components]
-
     def substitution(self, targets: Sequence[str]) -> dict[str, Polynomial]:
         return dict(zip(targets, self.components))
-
-
-def _univariate_degree(p: Polynomial, var: str) -> int:
-    return p.degree_in(var)
 
 
 def _pseudo_rem(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
@@ -214,9 +193,7 @@ def is_rational_normal_curve(curve: ParamCurve) -> bool:
         return False
     t0, t1 = curve.param_vars
     reg = curve.registry
-    monomials = sorted({e for c in comps for e in c.terms})
-    rows = [[c.terms.get(e, Fraction(0)) for c in comps] for e in monomials]
-    if ExactMatrix(reg, rows).rank() != len(comps):
+    if coefficient_matrix(reg, comps)[1].rank() != len(comps):
         return False
     if min(c.min_degree_in(t0) for c in comps) > 0:
         return False
@@ -297,7 +274,7 @@ class TangentDirection:
         if other == "inf" or other is INFINITY:
             return self.beta.is_zero() and not self.alpha.is_zero()
         if isinstance(other, (int, Fraction)):
-            return (self.alpha - self.beta.scale(Fraction(other))).is_zero()
+            return (self.alpha - self.beta.scale(other)).is_zero()
         if isinstance(other, Polynomial):
             return (self.alpha - self.beta * other).is_zero()
         if isinstance(other, TangentDirection):

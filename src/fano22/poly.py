@@ -57,9 +57,6 @@ class Registry:
     def role(self, name: str) -> str:
         return self.roles[self.index(name)]
 
-    def names_with_role(self, role: str) -> tuple[str, ...]:
-        return tuple(n for n, r in zip(self.names, self.roles) if r == role)
-
     def var(self, name: str) -> "Polynomial":
         """The variable `name` as a degree-1 polynomial."""
         i = self.index(name)
@@ -67,7 +64,7 @@ class Registry:
         return Polynomial(self, {expo: Fraction(1)})
 
     def const(self, value: Scalar) -> "Polynomial":
-        c = Fraction(value)
+        c = _scalar(value)
         if c == 0:
             return Polynomial(self, {})
         return Polynomial(self, {(0,) * len(self.names): c})
@@ -84,6 +81,13 @@ class Registry:
         return f"Registry({', '.join(self.names)})"
 
 
+def _scalar(value: Scalar) -> Fraction:
+    """The exact scalar `value` as a Fraction; floats and the like are refused."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"scalars must be int or Fraction, not {type(value).__name__}")
+    return Fraction(value)
+
+
 def _grlex_key(expo: tuple[int, ...]) -> tuple:
     return (sum(expo), expo)
 
@@ -95,6 +99,8 @@ class Polynomial:
 
     def __init__(self, registry: Registry,
                  terms: Mapping[tuple[int, ...], Fraction]):
+        if float in map(type, terms.values()):
+            raise TypeError("coefficients must be int or Fraction, not float")
         self.registry = registry
         self.terms: dict[tuple[int, ...], Fraction] = {
             e: c for e, c in terms.items() if c != 0
@@ -173,7 +179,7 @@ class Polynomial:
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
         terms: dict[tuple[int, ...], Fraction] = {}
@@ -209,17 +215,13 @@ class Polynomial:
         return result
 
     def scale(self, r: Scalar) -> "Polynomial":
-        r = Fraction(r)
+        r = _scalar(r)
         if r == 0:
             return self.registry.zero
         return Polynomial(self.registry, {e: c * r for e, c in self.terms.items()})
 
     def _coerce(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.registry.const(other)
-        return NotImplemented
+        return other if isinstance(other, Polynomial) else self.registry.const(other)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -311,15 +313,6 @@ class Polynomial:
             num = gcd(num, abs(c.numerator))
             den = den * c.denominator // gcd(den, c.denominator)
         return Fraction(num, den)
-
-    def monomial_gcd(self) -> tuple[int, ...]:
-        """Componentwise minimum exponent over all terms."""
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        mins = None
-        for e in self.terms:
-            mins = e if mins is None else tuple(min(a, b) for a, b in zip(mins, e))
-        return mins
 
     def primitive_normal(self) -> "Polynomial":
         """Divide out rational content and fix the leading sign to +."""

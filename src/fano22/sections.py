@@ -2,18 +2,19 @@
 
 A grading assigns each variable an integer weight vector; section spaces
 are explicit spans of homogeneous polynomials with eagerly verified
-linear independence.  All solving is exact, via the fraction-free
-routines in `linalg`.
+linear independence.  All solving is exact, via the one fraction-free
+elimination in `linalg`: a space reduces its coefficient matrix once, and
+every coordinate computation reuses that reduction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations
 from typing import Mapping, Sequence
 
-from .linalg import ExactMatrix
-from .poly import Polynomial, Registry, _grlex_key
+from .linalg import ExactMatrix, coefficient_matrix, combine
+from .poly import Polynomial, Registry, _grlex_key, _scalar
 
 
 class UnboundedDegreeCone(ValueError):
@@ -60,32 +61,29 @@ class Grading:
         return degree
 
 
+#: scalars only: the registry of the weight systems `_positive_functional` solves
+_SCALARS = Registry(())
+
+
 def _positive_functional(vectors: list[tuple[int, ...]]) -> tuple[Fraction, ...] | None:
-    """A rational functional phi with phi . w > 0 for every weight vector.
+    """A rational functional phi with phi . w >= 1 for every weight vector.
 
     Existence certifies that every degree has finitely many monomials.
-    Found by small grid search; sufficient for gradings with at most two
-    components (all this artifact uses).
+    Exact: if {phi : W phi >= 1} is not empty it has a point where some
+    rank(W) independent rows S of W are tight, and any solution of
+    W_S phi = 1 then gives the same W phi, as the rows S span those of W.
+    Sets S of up to as many rows as components are tried, smallest
+    first; the empty set covers a grading without variables.
     """
-    ncomp = len(vectors[0]) if vectors else 1
-    if ncomp == 1:
-        candidates = [(Fraction(1),), (Fraction(-1),)]
-    elif ncomp == 2:
-        candidates = [
-            (Fraction(p), Fraction(q))
-            for p in range(-12, 13)
-            for q in range(-12, 13)
-            if (p, q) != (0, 0)
-        ]
-    else:
-        candidates = []
-        for i in range(ncomp):
-            for s in (1, -1):
-                candidates.append(tuple(Fraction(s if j == i else 0) for j in range(ncomp)))
-        candidates.append(tuple(Fraction(1) for _ in range(ncomp)))
-    for phi in candidates:
-        if all(sum(p * w for p, w in zip(phi, vec)) > 0 for vec in vectors):
-            return phi
+    ncomp = len(vectors[0]) if vectors else 0
+    for size in range(min(len(vectors), ncomp) + 1):
+        for rows in combinations(vectors, size):
+            phi = ExactMatrix(_SCALARS, rows).solve([1] * size)
+            if phi is None:
+                continue
+            phi = tuple(p.constant_value() for p in phi)
+            if all(sum(p * w for p, w in zip(phi, vec)) >= 1 for vec in vectors):
+                return phi
     return None
 
 
@@ -200,14 +198,9 @@ class SectionSpace:
                     raise ValueError(
                         f"basis element {b} is not homogeneous of degree {multidegree}"
                     )
-        self._monomials = sorted(
-            {e for b in self.basis for e in b.terms}, key=_grlex_key, reverse=True
-        )
-        rows = []
-        for e in self._monomials:
-            rows.append([b.terms.get(e, Fraction(0)) for b in self.basis])
-        self._matrix = ExactMatrix(registry, rows)
-        if self.basis and self._matrix.rank() != len(self.basis):
+        # reduced once here; every `coords` call only combines its right-hand side
+        self._monomials, self._matrix = coefficient_matrix(registry, self.basis)
+        if len(self._matrix._augmented()[1]) != len(self.basis):
             raise ValueError("basis elements are linearly dependent")
 
     @property
@@ -225,14 +218,6 @@ class SectionSpace:
     def contains(self, f: Polynomial) -> bool:
         return self.coords(f) is not None
 
-    def recombine(self, coords: Sequence) -> Polynomial:
-        acc = self.registry.zero
-        for c, b in zip(coords, self.basis):
-            if isinstance(c, (int, Fraction)):
-                c = self.registry.const(c)
-            acc = acc + c * b
-        return acc
-
     def same_span(self, other: "SectionSpace") -> bool:
         return (
             self.dim == other.dim
@@ -242,52 +227,14 @@ class SectionSpace:
 
 def coords_in_space(f: Polynomial, space: SectionSpace) -> list[Polynomial] | None:
     """Solve f = sum c_i b_i exactly; c_i polynomial in parameter variables."""
-    reg = space.registry
     coord_names = set()
     for b in space.basis:
         coord_names.update(b.variables())
     split = _coordinate_split(f, coord_names)
     # any coordinate monomial of f outside the basis support is fatal
-    for e in split:
-        if e not in set(space._monomials):
-            return None
-    if not space.basis:
-        return [] if f.is_zero() else None
-    # Gaussian elimination with rational pivots on the basis matrix,
-    # polynomial right-hand side
-    rows = [row[:] for row in space._matrix.rows]
-    rhs = [split.get(e, reg.zero) for e in space._monomials]
-    n = len(space.basis)
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        rhs[r], rhs[pivot_row] = rhs[pivot_row], rhs[r]
-        pv = rows[r][c].constant_value()
-        for i in range(len(rows)):
-            if i == r or rows[i][c].is_zero():
-                continue
-            factor = rows[i][c].constant_value() / pv
-            for j in range(n):
-                rows[i][j] = rows[i][j] - rows[r][j].scale(factor)
-            rhs[i] = rhs[i] - rhs[r].scale(factor)
-        pivots.append((r, c))
-        r += 1
-    # consistency: zero rows must have zero rhs
-    for i in range(len(rows)):
-        if all(rows[i][j].is_zero() for j in range(n)) and not rhs[i].is_zero():
-            return None
-    coords: list[Polynomial] = [reg.zero] * n
-    for r_i, c_i in pivots:
-        coords[c_i] = rhs[r_i].scale(Fraction(1) / rows[r_i][c_i].constant_value())
-    return coords
+    if not set(split).issubset(space._monomials):
+        return None
+    return space._matrix.solve([split.get(e, space.registry.zero) for e in space._monomials])
 
 
 def weight_decompose(
@@ -348,7 +295,7 @@ def restricted_order_subspace(
 
     constraint_rows: list[list[Fraction]] = []
     for (alpha, beta), order in conditions:
-        alpha, beta = Fraction(alpha), Fraction(beta)
+        alpha, beta = _scalar(alpha), _scalar(beta)
         if alpha == 0 and beta == 0:
             raise ValueError("point must be nonzero")
         per_basis = []
@@ -373,5 +320,5 @@ def restricted_order_subspace(
 
     matrix = ExactMatrix(reg, constraint_rows)
     kernel = matrix.kernel()
-    new_basis = [space.recombine([v.constant_value() for v in vec]) for vec in kernel]
+    new_basis = [combine(reg, vec, space.basis) for vec in kernel]
     return SectionSpace(reg, new_basis, space.multidegree)

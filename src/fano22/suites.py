@@ -23,7 +23,7 @@ from .actions import (
     verify_group_law,
 )
 from .constants import PaperConstants, mobius_projective
-from .linalg import ExactMatrix
+from .linalg import coefficient_matrix, combine
 from .maps import (
     INFINITY,
     ParamCurve,
@@ -350,29 +350,30 @@ def _suite_stabilizers(cfg: SuiteConfig, rec: _Recorder):
 # -- S6: the normalization morphism -------------------------------------------
 
 
+def _glued_lines(reg) -> tuple[dict, dict]:
+    """The restrictions to the negative section and to the fixed fiber.
+
+    Both identify their line with a common projective line (coordinates
+    w0, w1).
+    """
+    w0, w1 = reg.var("w0"), reg.var("w1")
+    to_section = {"y0": reg.zero, "y1": reg.one, "x0": w0, "x1": w1}
+    to_fiber = {"x0": reg.zero, "x1": reg.one, "y0": w0, "y1": w1}
+    return to_section, to_fiber
+
+
 def _equalizer_kernel(c: PaperConstants) -> SectionSpace:
     """Sections of O(1,1) restricting equally to the two glued lines.
 
-    The two restrictions identify the negative section and the fixed
-    fiber with a common projective line (coordinates w0, w1); the kernel
-    of their difference is the subspace descending to the glued surface.
+    The kernel of the difference of the two restrictions is the subspace
+    descending to the glued surface.
     """
     reg = c.reg_f3
     basis = c.o11_space().basis
-    to_section = {"y0": reg.zero, "y1": reg.one,
-                  "x0": reg.var("w0"), "x1": reg.var("w1")}
-    to_fiber = {"x0": reg.zero, "x1": reg.one,
-                "y0": reg.var("w0"), "y1": reg.var("w1")}
+    to_section, to_fiber = _glued_lines(reg)
     diffs = [b.substitute(to_section) - b.substitute(to_fiber) for b in basis]
-    monomials = sorted({e for d in diffs for e in d.terms})
-    rows = [[d.terms.get(e, Fraction(0)) for d in diffs] for e in monomials]
-    kernel = ExactMatrix(reg, rows).kernel()
-    combos = []
-    for vec in kernel:
-        acc = reg.zero
-        for coeff, b in zip(vec, basis):
-            acc = acc + coeff * b
-        combos.append(acc)
+    kernel = coefficient_matrix(reg, diffs)[1].kernel()
+    combos = [combine(reg, vec, basis) for vec in kernel]
     return SectionSpace(reg, combos, (1, 1), c.f3_grading())
 
 
@@ -400,19 +401,13 @@ def _suite_normalization(cfg: SuiteConfig, rec: _Recorder):
     def restriction(sub):
         return [comp.substitute(sub) for comp in psi.components]
 
-    to_section = {"y0": reg.zero, "y1": reg.one,
-                  "x0": reg.var("w0"), "x1": reg.var("w1")}
-    to_fiber = {"x0": reg.zero, "x1": reg.one,
-                "y0": reg.var("w0"), "y1": reg.var("w1")}
+    to_section, to_fiber = _glued_lines(reg)
 
     def restricted_line(sub):
         comps = restriction(sub)
         if any(not comp.is_zero() for comp in comps[2:]):
             return False, next(c2 for c2 in comps[2:] if not c2.is_zero())
-        monomials = sorted({e for comp in comps[:2] for e in comp.terms})
-        rows = [[comp.terms.get(e, Fraction(0)) for comp in comps[:2]]
-                for e in monomials]
-        return ExactMatrix(reg, rows).rank() == 2, None
+        return coefficient_matrix(reg, comps[:2])[1].rank() == 2, None
 
     rec.run("s6.section-restriction-injective",
             "the morphism embeds the negative section into the plane "

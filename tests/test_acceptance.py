@@ -78,15 +78,22 @@ def test_criterion_10_reparametrization():
 
 
 def test_criterion_11_mutation_robustness():
-    """Each of 20 seeded random single-constant mutations is detected."""
+    """Each of 20 seeded random single-constant mutations is detected.
+
+    Every mutant must parse: a kill by a ParseError shows nothing about
+    the mathematics.
+    """
     start = time.perf_counter()
     rng = random.Random(20260823)
     for i in range(20):
         key, raw = random_mutation(rng)
         config = SuiteConfig(constants=PaperConstants(raw=raw))
         reports = run_all(config)
-        detected = any(c.status != "pass"
-                       for r in reports for c in r.checks)
+        checks = [c for r in reports for c in r.checks]
+        parse_errors = [c.id for c in checks
+                        if (c.witness or "").startswith("ParseError")]
+        assert not parse_errors, f"mutation #{i} of {key!r} does not parse"
+        detected = any(c.status != "pass" for c in checks)
         assert detected, f"mutation #{i} of {key!r} went undetected"
     assert time.perf_counter() - start < 60.0
 

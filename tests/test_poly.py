@@ -33,6 +33,18 @@ def test_scalar_coercion_and_scale(reg):
     assert (3 - x) + (x - 3) == reg.zero
 
 
+@pytest.mark.parametrize("make", [
+    lambda reg: Polynomial(reg, {(1, 0, 0): 0.5}),
+    lambda reg: reg.const(0.5),
+    lambda reg: reg.var("x").scale(0.1),
+    lambda reg: reg.var("x") + 0.5,
+    lambda reg: 0.5 * reg.var("x"),
+])
+def test_float_scalars_rejected(reg, make):
+    with pytest.raises(TypeError):
+        make(reg)
+
+
 def test_constant_value_and_predicates(reg):
     assert reg.const(Fraction(7, 2)).constant_value() == Fraction(7, 2)
     assert reg.zero.is_zero() and reg.zero.is_constant()

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from fano22.constants import PaperConstants
+from fano22.linalg import combine
 from fano22.poly import Registry
 from fano22.sections import (
     Grading,
@@ -44,6 +45,18 @@ def test_unbounded_cone_detected():
         monomial_basis(reg, grading, (0,))
 
 
+@pytest.mark.parametrize("weights, degree, expected", [
+    ({"p": (1, -13), "q": (-1, 14)}, (1, 1), "p^15*q^14"),
+    ({"p": (1, -1, 0), "q": (-1, 2, 0), "r": (0, 0, 1)}, (1, 0, 2), "p^2*q*r^2"),
+])
+def test_bounded_cone_without_small_functional(weights, degree, expected):
+    """Bounded cones whose positive functionals, (27, 2) and (3, 2, 1), lie
+    outside any small grid of candidates."""
+    reg = Registry([(n, "coordinate") for n in weights])
+    basis = monomial_basis(reg, Grading(reg, weights), degree)
+    assert [str(m) for m in basis] == [expected]
+
+
 def test_torus_weight(consts):
     reg = consts.reg_f3
     m = reg.var("x0") ** 4 * reg.var("y0")
@@ -57,7 +70,7 @@ def test_section_space_coords_and_contains(consts):
     u = consts.upsilon_p()
     coords = space.coords(u)
     assert coords is not None
-    assert space.recombine(coords) == u
+    assert combine(space.registry, coords, space.basis) == u
     assert not space.contains(consts.reg_f3.var("x0"))
 
 
