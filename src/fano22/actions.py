@@ -204,7 +204,7 @@ def stabilizer_conditions(
         raise ActionError("transformed section lies outside the given space")
     reg = action.registry
     generators: list[Polynomial] = []
-    seen: set = set()
+    seen: set[Polynomial] = set()
     n = len(u)
     for i in range(n):
         for j in range(i + 1, n):
@@ -214,9 +214,8 @@ def stabilizer_conditions(
             for p in unit_params:
                 minor = minor.strip_variable_factor(p)
             minor = minor.primitive_normal()
-            key = frozenset(minor.terms.items())
-            if key not in seen:
-                seen.add(key)
+            if minor not in seen:
+                seen.add(minor)
                 generators.append(minor)
     conds = StabilizerConditions(reg, generators)
     id_assignment = {p: reg.const(v) for p, v in action.identity.items()}

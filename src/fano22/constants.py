@@ -135,6 +135,7 @@ class PaperConstants:
         self.reg_f3 = _registry_f3()
         self.reg_q = _registry_quadric()
         self._parsed: dict[tuple[str, int], Polynomial] = {}
+        self._o11: SectionSpace | None = None
 
     # -- parsing helpers ---------------------------------------------------
 
@@ -225,12 +226,15 @@ class PaperConstants:
         )
 
     def o11_space(self) -> SectionSpace:
-        from .sections import monomial_basis
+        """H^0(O(1,1)) on F3, built once per table: it reads no constant."""
+        if self._o11 is None:
+            from .sections import monomial_basis
 
-        basis = monomial_basis(
-            self.reg_f3, self.f3_grading(), (1, 1), ["x0", "x1", "y0", "y1"]
-        )
-        return SectionSpace(self.reg_f3, basis, (1, 1), self.f3_grading())
+            basis = monomial_basis(
+                self.reg_f3, self.f3_grading(), (1, 1), ["x0", "x1", "y0", "y1"]
+            )
+            self._o11 = SectionSpace(self.reg_f3, basis, (1, 1), self.f3_grading())
+        return self._o11
 
     def upsilon_p(self) -> Polynomial:
         return self.poly_f3("upsilon_p")

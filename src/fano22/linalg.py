@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .poly import Polynomial, Registry
+from .poly import Polynomial, Registry, poly_sum
 
 
 class ExactMatrix:
@@ -175,18 +175,14 @@ def coefficient_matrix(
     Returns (the monomials occurring, sorted, which label the rows; the
     matrix).
     """
-    monomials = sorted({e for p in polys for e in p.terms})
-    rows = [[p.terms.get(e, Fraction(0)) for p in polys] for e in monomials]
+    monomials = sorted({e for p in polys for e in p.exponents()})
+    rows = [[p.coefficient(e) for p in polys] for e in monomials]
     return monomials, ExactMatrix(registry, rows)
 
 
 def combine(registry: Registry, coeffs: Sequence, polys: Sequence[Polynomial]) -> Polynomial:
     """sum of coeffs[i] * polys[i]; coefficients are scalars or polynomials."""
-    acc = registry.zero
-    for c, p in zip(coeffs, polys):
-        if c != 0:
-            acc = acc + c * p
-    return acc
+    return poly_sum(registry, [c * p for c, p in zip(coeffs, polys) if c != 0])
 
 
 def _normalize_vector(vec: list[Polynomial]) -> list[Polynomial]:

@@ -133,7 +133,7 @@ class ParamCurve:
         i0, i1 = reg.index(t0), reg.index(t1)
         degree = None
         for c in self.components:
-            for e in c.terms:
+            for e in c.exponents():
                 d = e[i0] + e[i1]
                 if degree is None:
                     degree = d
@@ -302,11 +302,7 @@ def tangent_of_affine(
     f: Polynomial, xname: str, yname: str
 ) -> TangentDirection:
     """Linear-part direction alpha/beta of a curve alpha*x + beta*y + h.o.t."""
-    ix, iy = f.registry.index(xname), f.registry.index(yname)
-    const_terms = {
-        e: c for e, c in f.terms.items() if e[ix] == 0 and e[iy] == 0
-    }
-    if const_terms:
+    if not f.coefficient_of(xname, 0).coefficient_of(yname, 0).is_zero():
         raise MapError("curve does not pass through the origin")
     alpha = f.coefficient_of(xname, 1).coefficient_of(yname, 0)
     beta = f.coefficient_of(yname, 1).coefficient_of(xname, 0)

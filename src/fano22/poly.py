@@ -1,21 +1,42 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Coefficients are `fractions.Fraction` (always reduced, positive
-denominator), monomials are exponent tuples indexed by a fixed variable
-registry.  The monomial order is graded lexicographic with respect to the
-registry order; it drives exact division and the canonical text form.
+A monomial is one `int`, its key: the top field holds the total degree
+and below it comes one `FIELD_BITS`-wide field per variable, the
+registry's first variable highest.  Integer order on keys is then the
+graded lexicographic order with respect to the registry order, the
+product of two monomials is the sum of their keys, and m divides n
+exactly when n - m is non-negative with no guard bit (the top bit of a
+variable field) set.  Total degrees stay below 2**(FIELD_BITS - 1): a
+product, power, substitution or derivation that reaches it raises
+`OverflowError` instead of carrying into the neighbouring field.
+
+A polynomial stores a dict key -> nonzero integer numerator and one
+positive denominator with gcd(denominator, numerators) = 1.  That form
+is canonical, so equal polynomials have equal dicts.  Sums, products,
+substitutions and derivations accumulate into one dict; exact division
+is heap-ordered long division over the integers (Johnson 1974;
+Monagan–Pearce 2007).  `Polynomial.terms` is a read-only view mapping
+exponent tuples to `Fraction`s, decoded on access.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Mapping as _MappingABC
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from math import gcd, lcm
+from operator import mul
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 #: variable role tags
 ROLES = ("coordinate", "group-parameter", "family-parameter",
          "curve-parameter", "infinitesimal")
+
+#: bits per exponent field of a monomial key
+FIELD_BITS = 16
+_MASK = (1 << FIELD_BITS) - 1
 
 
 class RegistryMismatch(ValueError):
@@ -26,10 +47,12 @@ class Registry:
     """An ordered, immutable list of named variables with role tags.
 
     The order is fixed for the registry's lifetime and determines the
-    graded-lexicographic monomial order used everywhere downstream.
+    graded-lexicographic monomial order used everywhere downstream, and
+    the layout of monomial keys.
     """
 
-    __slots__ = ("names", "roles", "_index")
+    __slots__ = ("names", "roles", "_index", "_shifts", "_units", "_top",
+                 "_limit", "_guard")
 
     def __init__(self, variables: Iterable[tuple[str, str]]):
         names = []
@@ -44,6 +67,16 @@ class Registry:
         self.names: tuple[str, ...] = tuple(names)
         self.roles: tuple[str, ...] = tuple(roles)
         self._index = {n: i for i, n in enumerate(names)}
+        n = len(names)
+        #: bit offset of the total-degree field
+        self._top = n * FIELD_BITS
+        #: bit offset of each variable's field
+        self._shifts = tuple((n - 1 - i) * FIELD_BITS for i in range(n))
+        #: key of each variable
+        self._units = tuple((1 << s) + (1 << self._top) for s in self._shifts)
+        #: smallest key of total degree 2**(FIELD_BITS - 1)
+        self._limit = 1 << (self._top + FIELD_BITS - 1)
+        self._guard = sum(1 << (s + FIELD_BITS - 1) for s in self._shifts)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -59,23 +92,32 @@ class Registry:
 
     def var(self, name: str) -> "Polynomial":
         """The variable `name` as a degree-1 polynomial."""
-        i = self.index(name)
-        expo = tuple(1 if j == i else 0 for j in range(len(self.names)))
-        return Polynomial(self, {expo: Fraction(1)})
+        return _make(self, {self._units[self.index(name)]: 1}, 1)
 
     def const(self, value: Scalar) -> "Polynomial":
         c = _scalar(value)
-        if c == 0:
-            return Polynomial(self, {})
-        return Polynomial(self, {(0,) * len(self.names): c})
+        return _make(self, {0: c.numerator} if c else {}, c.denominator)
 
     @property
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return _make(self, {}, 1)
 
     @property
     def one(self) -> "Polynomial":
-        return self.const(1)
+        return _make(self, {0: 1}, 1)
+
+    def _key(self, expo: Sequence[int]) -> int:
+        """The key of an exponent tuple."""
+        if len(expo) != len(self.names) or (expo and min(expo) < 0):
+            raise ValueError(f"exponent {tuple(expo)!r} does not fit {self!r}")
+        key = sum(map(mul, expo, self._units))
+        if key >= self._limit:
+            raise OverflowError(f"total degree of {tuple(expo)!r} reaches 2**{FIELD_BITS - 1}")
+        return key
+
+    def _expo(self, key: int) -> tuple[int, ...]:
+        """The exponent tuple of a key."""
+        return tuple([(key >> s) & _MASK for s in self._shifts])
 
     def __repr__(self) -> str:
         return f"Registry({', '.join(self.names)})"
@@ -88,71 +130,94 @@ def _scalar(value: Scalar) -> Fraction:
     return Fraction(value)
 
 
-def _grlex_key(expo: tuple[int, ...]) -> tuple:
-    return (sum(expo), expo)
+def _overflow(reg: Registry) -> OverflowError:
+    return OverflowError(f"total degree reaches 2**{FIELD_BITS - 1} over {reg!r}")
 
 
 class Polynomial:
-    """Immutable sparse polynomial: map exponent tuple -> nonzero Fraction."""
+    """Immutable sparse polynomial over the rationals.
 
-    __slots__ = ("registry", "terms")
+    Built from a map exponent tuple -> int or Fraction; read back through
+    the `terms` view.
+    """
+
+    __slots__ = ("registry", "_terms", "_den")
 
     def __init__(self, registry: Registry,
-                 terms: Mapping[tuple[int, ...], Fraction]):
-        if float in map(type, terms.values()):
+                 terms: Mapping[tuple[int, ...], Scalar]):
+        values = terms.values()
+        if float in map(type, values):
             raise TypeError("coefficients must be int or Fraction, not float")
+        try:
+            den = lcm(*[c.denominator for c in values])
+            nums = {registry._key(e): c.numerator * (den // c.denominator)
+                    for e, c in terms.items() if c}
+        except AttributeError:
+            raise TypeError("coefficients must be int or Fraction") from None
         self.registry = registry
-        self.terms: dict[tuple[int, ...], Fraction] = {
-            e: c for e, c in terms.items() if c != 0
-        }
+        # reduced fractions over the lcm of their denominators are canonical
+        self._terms: dict[int, int] = nums
+        self._den: int = den if nums else 1
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        """Read-only view: exponent tuple -> nonzero Fraction coefficient."""
+        return _TermView(self)
 
     # -- basic predicates -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        t = self._terms
+        return not t or (len(t) == 1 and 0 in t)
 
     def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(self._terms.get(0, 0), self._den)
 
     def variables(self) -> tuple[str, ...]:
         """Names of variables actually occurring, in registry order."""
-        seen = [False] * len(self.registry.names)
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    seen[i] = True
-        return tuple(n for n, s in zip(self.registry.names, seen) if s)
+        seen = 0
+        for k in self._terms:
+            seen |= k
+        reg = self.registry
+        return tuple(n for n, s in zip(reg.names, reg._shifts) if (seen >> s) & _MASK)
 
     def total_degree(self) -> int:
-        if self.is_zero():
+        if not self._terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self._terms) >> self.registry._top
 
     def degree_in(self, name: str) -> int:
-        if self.is_zero():
+        if not self._terms:
             return -1
-        i = self.registry.index(name)
-        return max(e[i] for e in self.terms)
+        s = self.registry._shifts[self.registry.index(name)]
+        return max((k >> s) & _MASK for k in self._terms)
 
     def min_degree_in(self, name: str) -> int:
-        if self.is_zero():
+        if not self._terms:
             raise ValueError("zero polynomial has no minimal degree")
-        i = self.registry.index(name)
-        return min(e[i] for e in self.terms)
+        s = self.registry._shifts[self.registry.index(name)]
+        return min((k >> s) & _MASK for k in self._terms)
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         """Leading (exponent, coefficient) under graded lex order."""
-        if self.is_zero():
+        if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        k = max(self._terms)
+        return self.registry._expo(k), Fraction(self._terms[k], self._den)
+
+    def exponents(self) -> list[tuple[int, ...]]:
+        """Exponent tuples of the terms, in no particular order."""
+        expo = self.registry._expo
+        return [expo(k) for k in self._terms]
+
+    def coefficient(self, expo: Sequence[int]) -> Fraction:
+        """The coefficient of the monomial with exponent tuple `expo` (0 if absent)."""
+        return Fraction(self._terms.get(self.registry._key(expo), 0), self._den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -163,35 +228,27 @@ class Polynomial:
     def __add__(self, other):
         other = self._coerce(other)
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return Polynomial(self.registry, terms)
+        return _add(self, other, 1)
 
     def __neg__(self):
-        return Polynomial(self.registry, {e: -c for e, c in self.terms.items()})
+        return _make(self.registry, {k: -v for k, v in self._terms.items()}, self._den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        self._check(other)
+        return _add(self, other, -1)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return Polynomial(self.registry, terms)
+        reg = self.registry
+        a, b = self._terms, other._terms
+        if not a or not b:
+            return reg.zero
+        if max(a) + max(b) >= reg._limit:
+            raise _overflow(reg)
+        return _canon(reg, _mul_terms(a, b), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -218,20 +275,26 @@ class Polynomial:
         r = _scalar(r)
         if r == 0:
             return self.registry.zero
-        return Polynomial(self.registry, {e: c * r for e, c in self.terms.items()})
+        n = r.numerator
+        return _canon(self.registry, {k: v * n for k, v in self._terms.items()},
+                      self._den * r.denominator)
 
     def _coerce(self, other) -> "Polynomial":
         return other if isinstance(other, Polynomial) else self.registry.const(other)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = self.registry.const(other)
+            n = other.numerator
+            return self._den == other.denominator and self._terms == ({0: n} if n else {})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.registry is other.registry and self.terms == other.terms
+        return (self.registry is other.registry and self._den == other._den
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((id(self.registry), frozenset(self.terms.items())))
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash((frozenset(self._terms.items()), self._den))
 
     # -- structural operations ----------------------------------------------
 
@@ -239,7 +302,10 @@ class Polynomial:
         """Ring homomorphism replacing variables by polynomials.
 
         Unassigned variables map to themselves.  All images must share
-        this polynomial's registry.
+        this polynomial's registry.  Terms are grouped by their exponents
+        in the assigned variables; each group's product of image powers
+        is formed once, scaled to a common denominator, and every term of
+        the group is accumulated against it into one dict.
         """
         reg = self.registry
         images: dict[int, Polynomial] = {}
@@ -249,95 +315,174 @@ class Polynomial:
             if img.registry is not reg:
                 raise RegistryMismatch("substitution image uses a different registry")
             images[reg.index(name)] = img
-        # cache powers of each image
-        powers: dict[int, list[Polynomial]] = {i: [reg.one] for i in images}
-        result = reg.zero
-        for e, c in self.terms.items():
-            term = reg.const(c)
-            residual = list(e)
-            for i, k in enumerate(e):
-                if k and i in images:
-                    cache = powers[i]
-                    while len(cache) <= k:
-                        cache.append(cache[-1] * images[i])
-                    term = term * cache[k]
-                    residual[i] = 0
-            if any(residual):
-                term = term * Polynomial(reg, {tuple(residual): Fraction(1)})
-            result = result + term
-        return result
+        t = self._terms
+        # (shift, key of the variable, image, highest exponent) per occurring variable
+        subs = []
+        field_mask = 0
+        for i, img in images.items():
+            s = reg._shifts[i]
+            top = max((k >> s) & _MASK for k in t) if t else 0
+            if top:
+                subs.append((s, reg._units[i], img, top))
+                field_mask |= _MASK << s
+        if not subs:
+            return self
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for k, c in t.items():
+            groups.setdefault(k & field_mask, []).append((k, c))
+        # powers[j][e]: numerators of image j to the power e, over den_j**e
+        powers = [[{0: 1}] for _ in subs]
+        limit = reg._limit
+        den = self._den
+        for _, _, img, top in subs:
+            den *= img._den ** top
+        acc: dict[int, int] = {}
+        get = acc.get
+        for part, members in groups.items():
+            product = {0: 1}
+            scale = 1
+            mono = 0
+            for (s, unit, img, top), cache in zip(subs, powers):
+                e = (part >> s) & _MASK
+                scale *= img._den ** (top - e)
+                if not e:
+                    continue
+                mono += e * unit
+                while len(cache) <= e:
+                    prev = cache[-1]
+                    if not prev or not img._terms:
+                        cache.append({})
+                        continue
+                    if max(prev) + max(img._terms) >= limit:
+                        raise _overflow(reg)
+                    cache.append(_mul_terms(prev, img._terms))
+                power = cache[e]
+                if not power:
+                    product = {}
+                    break
+                if max(product) + max(power) >= limit:
+                    raise _overflow(reg)
+                product = _mul_terms(product, power)
+            if not product:
+                continue
+            if max(members)[0] - mono + max(product) >= limit:
+                raise _overflow(reg)
+            items = [(pk, pv * scale) for pk, pv in product.items()]
+            for k, c in members:
+                rest = k - mono
+                for pk, pv in items:
+                    key = rest + pk
+                    acc[key] = get(key, 0) + c * pv
+        return _canon(reg, {k: v for k, v in acc.items() if v}, den)
 
     def exact_divide(self, g: "Polynomial") -> "Polynomial | None":
         """Quotient q with self = q*g, or None when g does not divide exactly.
 
         Multivariate long division cancelling leading terms under the
         graded lex order; since the order is multiplicative, division of an
-        exact multiple never gets stuck.
+        exact multiple never gets stuck.  The remainder is a dict with a
+        max-heap of its keys, and each step subtracts only the non-leading
+        terms of g.  It runs over the integers: g is made primitive, and
+        by Gauss's lemma the quotient of an integral polynomial by a
+        primitive one is integral, so a quotient coefficient that is not
+        an integer already shows that g does not divide.
         """
         self._check(g)
-        if g.is_zero():
+        gt = g._terms
+        if not gt:
             raise ZeroDivisionError("division by the zero polynomial")
         reg = self.registry
-        ge, gc = g.leading()
-        remainder = self
-        qterms: dict[tuple[int, ...], Fraction] = {}
-        while not remainder.is_zero():
-            re, rc = remainder.leading()
-            qe = tuple(a - b for a, b in zip(re, ge))
-            if any(k < 0 for k in qe):
+        if g.is_constant():
+            return self.scale(Fraction(g._den, gt[0]))
+        content = gcd(*gt.values())
+        glead = max(gt)
+        h = gt[glead] // content
+        rest = [(k, v // content) for k, v in gt.items() if k != glead]
+        guard = reg._guard
+        remainder = dict(self._terms)
+        get = remainder.get
+        heap = [-k for k in remainder]
+        heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
+        quotient: dict[int, int] = {}
+        while heap:
+            key = -pop(heap)
+            c = remainder.pop(key, 0)
+            if not c:
+                continue
+            qk = key - glead
+            if qk < 0 or qk & guard:
                 return None
-            qc = rc / gc
-            qterms[qe] = qc
-            remainder = remainder - Polynomial(reg, {qe: qc}) * g
-        return Polynomial(reg, qterms)
+            q, r = divmod(c, h)
+            if r:
+                return None
+            quotient[qk] = q
+            for k, v in rest:
+                nk = qk + k
+                old = get(nk)
+                if old is None:
+                    remainder[nk] = -q * v
+                    push(heap, -nk)
+                elif old == q * v:
+                    del remainder[nk]
+                else:
+                    remainder[nk] = old - q * v
+        # self / g = quotient * g._den / (self._den * content)
+        dg = g._den
+        return _canon(reg, {k: v * dg for k, v in quotient.items()}, self._den * content)
 
     def coefficient_of(self, name: str, k: int) -> "Polynomial":
         """The coefficient of name**k, as a polynomial not involving name."""
-        i = self.registry.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                e2 = list(e)
-                e2[i] = 0
-                terms[tuple(e2)] = c
-        return Polynomial(self.registry, terms)
+        reg = self.registry
+        i = reg.index(name)
+        s, drop = reg._shifts[i], k * reg._units[i]
+        terms = {key - drop: v for key, v in self._terms.items() if (key >> s) & _MASK == k}
+        return _canon(reg, terms, self._den)
+
+    def coefficients_in(self, names: Iterable[str]) -> dict[tuple[int, ...], "Polynomial"]:
+        """Coefficients with respect to the variables `names`.
+
+        Maps the exponent tuple of each monomial in `names` that occurs
+        (0 outside `names`) to its coefficient, a polynomial in the other
+        variables.
+        """
+        reg = self.registry
+        shifts = [reg._shifts[reg.index(n)] for n in names]
+        field_mask = sum(_MASK << s for s in shifts)
+        groups: dict[int, dict[int, int]] = {}
+        for k, v in self._terms.items():
+            groups.setdefault(k & field_mask, {})[k] = v
+        out = {}
+        for part, members in groups.items():
+            mono = part + (sum((part >> s) & _MASK for s in shifts) << reg._top)
+            out[reg._expo(mono)] = _canon(reg, {k - mono: v for k, v in members.items()},
+                                          self._den)
+        return out
 
     def content(self) -> Fraction:
         """Positive rational content (gcd of coefficients); 0 for the zero polynomial."""
-        if self.is_zero():
-            return Fraction(0)
-        from math import gcd
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+        return Fraction(gcd(*self._terms.values()), self._den)
 
     def primitive_normal(self) -> "Polynomial":
         """Divide out rational content and fix the leading sign to +."""
-        if self.is_zero():
+        t = self._terms
+        if not t:
             return self
-        c = self.content()
-        _, lead = self.leading()
-        if lead < 0:
+        c = gcd(*t.values())
+        if t[max(t)] < 0:
             c = -c
-        return self.scale(Fraction(1) / c)
+        return _make(self.registry, {k: v // c for k, v in t.items()}, 1)
 
     def strip_variable_factor(self, name: str) -> "Polynomial":
         """Divide out the largest power of `name` dividing every term."""
-        if self.is_zero():
+        if not self._terms:
             return self
         k = self.min_degree_in(name)
         if k == 0:
             return self
-        i = self.registry.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            e2 = list(e)
-            e2[i] -= k
-            terms[tuple(e2)] = c
-        return Polynomial(self.registry, terms)
+        drop = k * self.registry._units[self.registry.index(name)]
+        return _make(self.registry, {key - drop: v for key, v in self._terms.items()},
+                     self._den)
 
     # -- formatting ----------------------------------------------------------
 
@@ -346,6 +491,108 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({format_poly(self)})"
+
+
+class _TermView(_MappingABC):
+    """Read-only view of a polynomial's terms: exponent tuple -> Fraction."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: Polynomial):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._terms)
+
+    def __iter__(self):
+        return map(self._poly.registry._expo, self._poly._terms)
+
+    def __getitem__(self, expo) -> Fraction:
+        p = self._poly
+        try:
+            key = p.registry._key(expo)
+        except (TypeError, ValueError, OverflowError):
+            raise KeyError(expo) from None
+        return Fraction(p._terms[key], p._den)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+_new = object.__new__
+
+
+def _make(reg: Registry, terms: dict[int, int], den: int) -> Polynomial:
+    """A polynomial from numerators and a denominator already in canonical form."""
+    p = _new(Polynomial)
+    p.registry = reg
+    p._terms = terms
+    p._den = den
+    return p
+
+
+def _canon(reg: Registry, terms: dict[int, int], den: int) -> Polynomial:
+    """A polynomial from nonzero numerators over a positive denominator."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {k: v // g for k, v in terms.items()}
+            den //= g
+    return _make(reg, terms, den)
+
+
+def _mul_terms(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two nonzero numerator dicts; the caller checks the degree."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        ((ka, ca),) = a.items()
+        return {ka + kb: ca * cb for kb, cb in b.items()}
+    acc: dict[int, int] = {}
+    get = acc.get
+    items = list(b.items())
+    for ka, ca in a.items():
+        for kb, cb in items:
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+    if 0 in acc.values():
+        return {k: v for k, v in acc.items() if v}
+    return acc
+
+
+def _add(f: Polynomial, g: Polynomial, sign: int) -> Polynomial:
+    """f + sign*g, accumulated into a copy of the longer operand."""
+    df, dg = f._den, g._den
+    den = df if df == dg else lcm(df, dg)
+    mf, mg = den // df, sign * (den // dg)
+    big, mb, small, ms = f._terms, mf, g._terms, mg
+    if len(small) > len(big):
+        big, mb, small, ms = small, mg, big, mf
+    acc = dict(big) if mb == 1 else {k: v * mb for k, v in big.items()}
+    get = acc.get
+    for k, v in small.items():
+        s = get(k, 0) + v * ms
+        if s:
+            acc[k] = s
+        else:
+            del acc[k]
+    return _canon(f.registry, acc, den)
+
+
+def poly_sum(registry: Registry, polys: Iterable[Polynomial | Scalar]) -> Polynomial:
+    """The sum of `polys` (or scalars), accumulated into one dict over a common denominator."""
+    polys = [p if isinstance(p, Polynomial) else registry.const(p) for p in polys]
+    for p in polys:
+        if p.registry is not registry:
+            raise RegistryMismatch("summands use different registries")
+    den = lcm(*[p._den for p in polys])
+    acc: dict[int, int] = {}
+    get = acc.get
+    for p in polys:
+        m = den // p._den
+        for k, v in p._terms.items():
+            acc[k] = get(k, 0) + v * m
+    return _canon(registry, {k: v for k, v in acc.items() if v}, den)
 
 
 class Derivation:
@@ -366,23 +613,33 @@ class Derivation:
         self.images = dict(images)
 
     def __call__(self, f: Polynomial) -> Polynomial:
+        """sum over variables x of D(x) * df/dx, accumulated into one dict."""
         if f.registry is not self.registry:
             raise RegistryMismatch("derivation applied across registries")
         reg = self.registry
-        result = reg.zero
-        for e, c in f.terms.items():
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                name = reg.names[i]
-                img = self.images.get(name)
-                if img is None or img.is_zero():
-                    continue
-                e2 = list(e)
-                e2[i] -= 1
-                partial = Polynomial(reg, {tuple(e2): c * k})
-                result = result + partial * img
-        return result
+        t = f._terms
+        active = [(name, img) for name, img in self.images.items() if img._terms]
+        if not t or not active:
+            return reg.zero
+        den = lcm(*[img._den for _, img in active])
+        acc: dict[int, int] = {}
+        get = acc.get
+        for name, img in active:
+            i = reg.index(name)
+            s, unit = reg._shifts[i], reg._units[i]
+            # df/dx lowers the total degree by one
+            if max(t) + max(img._terms) - (1 << reg._top) >= reg._limit:
+                raise _overflow(reg)
+            m = den // img._den
+            items = [(k, v * m) for k, v in img._terms.items()]
+            for key, c in t.items():
+                e = (key >> s) & _MASK
+                if e:
+                    base, ce = key - unit, c * e
+                    for k, v in items:
+                        k += base
+                        acc[k] = get(k, 0) + ce * v
+        return _canon(reg, {k: v for k, v in acc.items() if v}, f._den * den)
 
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images.values())
@@ -407,10 +664,10 @@ def format_poly(f: Polynomial) -> str:
         return "0"
     reg = f.registry
     parts = []
-    for e in sorted(f.terms, key=_grlex_key, reverse=True):
-        c = f.terms[e]
+    for key in sorted(f._terms, reverse=True):
+        c = Fraction(f._terms[key], f._den)
         factors = []
-        for name, k in zip(reg.names, e):
+        for name, k in zip(reg.names, reg._expo(key)):
             if k == 1:
                 factors.append(name)
             elif k > 1:

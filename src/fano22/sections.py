@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .linalg import ExactMatrix, coefficient_matrix, combine
-from .poly import Polynomial, Registry, _grlex_key, _scalar
+from .poly import Polynomial, Registry, _scalar
 
 
 class UnboundedDegreeCone(ValueError):
@@ -43,7 +43,7 @@ class Grading:
             return None
         reg = f.registry
         degree = None
-        for e in f.terms:
+        for e in f.exponents():
             d = [0] * self.ncomponents
             for i, k in enumerate(e):
                 if k == 0:
@@ -141,38 +141,20 @@ def monomial_basis(
         for j, k in zip(idx, expo):
             full[j] = k
         monomials.append(tuple(full))
-    monomials.sort(key=_grlex_key, reverse=True)
+    monomials.sort(key=lambda e: (sum(e), e), reverse=True)
     return [Polynomial(registry, {m: Fraction(1)}) for m in monomials]
 
 
 def torus_weight(m: Polynomial, torus_weights: Mapping[str, int]) -> int:
     """Sum over variables of exponent times weight, for a single monomial."""
-    if len(m.terms) != 1:
+    exponents = m.exponents()
+    if len(exponents) != 1:
         raise ValueError("torus_weight expects a single monomial")
     reg = m.registry
-    (expo,) = m.terms
+    (expo,) = exponents
     return sum(
         k * torus_weights.get(reg.names[i], 0) for i, k in enumerate(expo) if k
     )
-
-
-def _coordinate_split(f: Polynomial, coord_names: set[str]):
-    """Split each term into (coordinate monomial, parameter part).
-
-    Returns a dict: coordinate exponent tuple -> parameter Polynomial.
-    """
-    reg = f.registry
-    coord_idx = {reg.index(n) for n in coord_names}
-    out: dict[tuple[int, ...], Polynomial] = {}
-    for e, c in f.terms.items():
-        coord_e = tuple(k if i in coord_idx else 0 for i, k in enumerate(e))
-        param_e = tuple(0 if i in coord_idx else k for i, k in enumerate(e))
-        part = Polynomial(reg, {param_e: c})
-        if coord_e in out:
-            out[coord_e] = out[coord_e] + part
-        else:
-            out[coord_e] = part
-    return {e: p for e, p in out.items() if not p.is_zero()}
 
 
 class SectionSpace:
@@ -230,7 +212,7 @@ def coords_in_space(f: Polynomial, space: SectionSpace) -> list[Polynomial] | No
     coord_names = set()
     for b in space.basis:
         coord_names.update(b.variables())
-    split = _coordinate_split(f, coord_names)
+    split = f.coefficients_in(coord_names)
     # any coordinate monomial of f outside the basis support is fatal
     if not set(split).issubset(space._monomials):
         return None
@@ -245,7 +227,7 @@ def weight_decompose(
     for b in space.basis:
         weights = {
             torus_weight(Polynomial(b.registry, {e: Fraction(1)}), torus_weights)
-            for e in b.terms
+            for e in b.exponents()
         }
         if len(weights) != 1:
             raise ValueError(f"basis element {b} mixes torus weights {sorted(weights)}")
@@ -261,12 +243,12 @@ def _binary_coefficients(form: Polynomial, t0: str, t1: str, degree: int):
     reg = form.registry
     i0, i1 = reg.index(t0), reg.index(t1)
     coeffs = [Fraction(0)] * (degree + 1)
-    for e, c in form.terms.items():
+    for e in form.exponents():
         if e[i0] + e[i1] != degree or any(
             k for i, k in enumerate(e) if i not in (i0, i1)
         ):
             raise ValueError("restriction is not a binary form of the common degree")
-        coeffs[e[i1]] += c
+        coeffs[e[i1]] += form.coefficient(e)
     return coeffs
 
 

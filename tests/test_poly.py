@@ -2,7 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from fano22.poly import Derivation, Polynomial, Registry, RegistryMismatch, format_poly
+from fano22.poly import (
+    FIELD_BITS,
+    Derivation,
+    Polynomial,
+    Registry,
+    RegistryMismatch,
+    format_poly,
+)
+
+#: total degree at which a monomial key would carry out of its field
+LIMIT = 2 ** (FIELD_BITS - 1)
 
 
 @pytest.fixture
@@ -75,6 +85,8 @@ def test_exact_divide(reg):
     f = (x + y) ** 3
     assert f.exact_divide(x + y) == (x + y) ** 2
     assert (x ** 2 + y).exact_divide(x + y) is None
+    assert (x ** 2 + x).exact_divide(2 * x + 2) == x.scale(Fraction(1, 2))
+    assert x.exact_divide(2 * x + 3) is None
     with pytest.raises(ZeroDivisionError):
         f.exact_divide(reg.zero)
 
@@ -124,3 +136,55 @@ def test_format(reg):
     assert format_poly(-x + y ** 2) == "y^2 - x"
     assert format_poly(x.scale(Fraction(1, 2))) == "(1/2)*x"
     assert format_poly(3 * x * y) == "3*x*y"
+
+
+def test_degree_reaching_field_width_raises(reg):
+    x, y = reg.var("x"), reg.var("y")
+    top = y ** (LIMIT - 1)
+    assert top.degree_in("y") == LIMIT - 1 and top.total_degree() == LIMIT - 1
+    with pytest.raises(OverflowError):
+        top * y
+    with pytest.raises(OverflowError):
+        (x + 1) * top
+    with pytest.raises(OverflowError):
+        x ** LIMIT
+    with pytest.raises(OverflowError):
+        Polynomial(reg, {(LIMIT, 0, 0): 1})
+    with pytest.raises(OverflowError):
+        (x * y).substitute({"x": y ** (LIMIT - 1)})
+    with pytest.raises(OverflowError):
+        Derivation(reg, {"y": y ** 2})(top)
+    assert Derivation(reg, {"y": y})(top) == (LIMIT - 1) * top
+
+
+def test_exact_divide_never_borrows_between_fields(reg):
+    x, y, t = reg.var("x"), reg.var("y"), reg.var("t")
+    assert (x * y ** 2).exact_divide(x ** 2 * y) is None
+    assert (y ** 2).exact_divide(x) is None
+    assert (x * t ** 3 + y).exact_divide(x * t + y) is None
+    assert (x * y ** 2).exact_divide(x * y) == y
+    assert (x * y ** 2 + 2 * t).exact_divide(reg.const(Fraction(2, 3))) == \
+        (x * y ** 2).scale(Fraction(3, 2)) + 3 * t
+
+
+def test_terms_view_is_tuple_keyed_and_read_only(reg):
+    x, y = reg.var("x"), reg.var("y")
+    f = x.scale(Fraction(1, 2)) - 3 * x * y ** 2 + 4
+    assert len(f.terms) == 3
+    assert dict(f.terms.items()) == {
+        (1, 0, 0): Fraction(1, 2), (1, 2, 0): Fraction(-3), (0, 0, 0): Fraction(4)}
+    assert f.terms[(1, 2, 0)] == -3 and isinstance(f.terms[(0, 0, 0)], Fraction)
+    assert (0, 1, 0) not in f.terms and (1, 0) not in f.terms
+    assert Polynomial(reg, dict(f.terms)) == f
+    with pytest.raises(TypeError):
+        f.terms[(0, 1, 0)] = Fraction(1)
+
+
+def test_hash_agrees_with_equality(reg):
+    x, y = reg.var("x"), reg.var("y")
+    assert reg.const(3) == 3 and hash(reg.const(3)) == hash(3)
+    assert len({reg.const(3), 3}) == 1
+    assert hash(reg.const(Fraction(-5, 2))) == hash(Fraction(-5, 2))
+    assert hash(reg.zero) == hash(0)
+    f = (x.scale(Fraction(1, 2)) + y.scale(Fraction(1, 2))) * 2
+    assert f == x + y and hash(f) == hash(x + y)

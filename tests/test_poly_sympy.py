@@ -1,0 +1,98 @@
+"""Differential test of the polynomial core against `sympy.Poly`.
+
+Seeded random polynomials in 4 variables, with up to about 100 terms and
+rational coefficients, go through `*`, `+`, `-`, `substitute`,
+`exact_divide` (on exact multiples and on non-multiples) and
+`Derivation`; every result must equal sympy's, term by term.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from fano22.poly import Derivation, Polynomial, Registry  # noqa: E402
+
+NAMES = ("x", "y", "z", "w")
+REG = Registry([(n, "coordinate") for n in NAMES])
+GENS = sympy.symbols(NAMES)
+QQ = sympy.QQ
+
+
+def _random_poly(rng: random.Random, max_terms: int, max_degree: int) -> Polynomial:
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        expo = tuple(rng.randint(0, max_degree) for _ in NAMES)
+        num = rng.choice([rng.randint(-9, 9), rng.randint(-10 ** 12, 10 ** 12)])
+        terms[expo] = Fraction(num, rng.randint(1, 12))
+    return Polynomial(REG, terms)
+
+
+def _to_sympy(p: Polynomial) -> sympy.Poly:
+    return sympy.Poly.from_dict(
+        {e: QQ(c.numerator, c.denominator) for e, c in p.terms.items()}, GENS, domain=QQ)
+
+
+def _from_sympy(p: sympy.Poly) -> Polynomial:
+    return Polynomial(REG, {e: Fraction(int(c.p), int(c.q)) for e, c in p.as_dict().items()})
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ring_operations_match_sympy(seed):
+    rng = random.Random(seed)
+    f, g = _random_poly(rng, 100, 5), _random_poly(rng, 100, 5)
+    F, G = _to_sympy(f), _to_sympy(g)
+    assert _from_sympy(F) == f
+    assert f * g == _from_sympy(F * G)
+    assert f + g == _from_sympy(F + G)
+    assert f - g == _from_sympy(F - G)
+    assert (f - f).is_zero()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_substitute_matches_sympy(seed):
+    rng = random.Random(100 + seed)
+    f = _random_poly(rng, 100, 4)
+    names = rng.sample(NAMES, rng.randint(1, 4))
+    images = {n: _random_poly(rng, 3, 1) for n in names}
+    # sympy's sum over the terms of c * prod(image ** e), a variable without
+    # an image standing for itself
+    targets = [_to_sympy(images[n]) if n in images else sympy.Poly(g, *GENS, domain=QQ)
+               for n, g in zip(NAMES, GENS)]
+    powers = [[t ** k for k in range(5)] for t in targets]
+    expected = sympy.Poly(0, *GENS, domain=QQ)
+    for expo, c in f.terms.items():
+        term = sympy.Poly(QQ(c.numerator, c.denominator), *GENS, domain=QQ)
+        for pw, k in zip(powers, expo):
+            term *= pw[k]
+        expected += term
+    assert f.substitute(images) == _from_sympy(expected)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_exact_divide_matches_sympy(seed):
+    rng = random.Random(200 + seed)
+    q, g = _random_poly(rng, 60, 4), _random_poly(rng, 8, 2)
+    assert (q * g).exact_divide(g) == q
+    # a non-multiple: perturb the product by a term sympy leaves as remainder
+    h = q * g + _random_poly(rng, 3, 6)
+    quotient, remainder = _to_sympy(h).div(_to_sympy(g))
+    ours = h.exact_divide(g)
+    if remainder.is_zero:
+        assert ours == _from_sympy(quotient)
+    else:
+        assert ours is None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_derivation_matches_sympy(seed):
+    rng = random.Random(300 + seed)
+    f = _random_poly(rng, 100, 5)
+    names = rng.sample(NAMES, rng.randint(1, 4))
+    images = {n: _random_poly(rng, 5, 2) for n in names}
+    F = _to_sympy(f)
+    expected = sum((_to_sympy(img) * F.diff(GENS[NAMES.index(n)]) for n, img in images.items()),
+                   sympy.Poly(0, *GENS, domain=QQ))
+    assert Derivation(REG, images)(f) == _from_sympy(expected)
