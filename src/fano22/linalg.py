@@ -9,15 +9,17 @@ evaluated.  At the end every pivot equals the determinant of the pivot
 block and every other entry of a pivot row is a maximal minor, which gives
 rank, determinant, kernel (Cramer's rule) and solutions of linear systems.
 
-Matrices whose entries are all constant are reduced in plain `Fraction`s;
-any other matrix in polynomials, with `Polynomial.exact_divide`.
+Each row is first multiplied by the lcm of its denominators, which
+changes neither rank nor kernel.  Matrices whose entries are all constant
+are then reduced in plain `int`s with exact `//`; any other matrix in
+polynomials with integer coefficients, with `Polynomial.exact_divide`.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .poly import Polynomial, Registry, poly_sum
@@ -53,24 +55,33 @@ class ExactMatrix:
         return self.rows[i][j]
 
     def _reduce(self, augment: bool = False):
-        """Fraction-free Gauss–Jordan on a copy; of [A | I] when `augment`.
+        """Fraction-free Gauss–Jordan of S A on a copy; of [S A | S] when `augment`.
 
+        S is diagonal: row i is multiplied by its scale, the lcm of the
+        denominators of its entries, so that every entry is integral.  Row
+        scaling changes neither the rank, the pivot columns nor the
+        kernel, and S A x = S b has the solutions of A x = b.  A constant
+        matrix is then reduced in `int`s with `//`, any other in
+        polynomials with `exact_divide`; both divisions are exact.
         Pivots are taken in the columns of A only.  Returns (reduced rows,
         pivot columns in row order, last pivot d, sign of the row
-        permutation); every pivot entry then equals d, the determinant of
-        the pivot block up to that sign.
+        permutation, det S); every pivot entry then equals d, the
+        determinant of the pivot block of S A up to that sign.
         """
+        scales = [lcm(*[e._den for e in row]) for row in self.rows]
         if all(e.is_constant() for row in self.rows for e in row):
-            m = [[e.constant_value() for e in row] for row in self.rows]
-            zero, one, divide = Fraction(0), Fraction(1), operator.truediv
+            m = [[e._terms.get(0, 0) * (s // e._den) for e in row]
+                 for row, s in zip(self.rows, scales)]
+            lift, divide = int, operator.floordiv
         else:
-            m = [row[:] for row in self.rows]
-            zero, one, divide = self.registry.zero, self.registry.one, _exact_divide
+            m = [[e.scale(s) for e in row] for row, s in zip(self.rows, scales)]
+            lift, divide = self.registry.const, _exact_divide
+        zero = lift(0)
         if augment:
-            for i, row in enumerate(m):
-                row.extend(one if j == i else zero for j in range(self.nrows))
+            for i, (row, s) in enumerate(zip(m, scales)):
+                row.extend(lift(s) if j == i else zero for j in range(self.nrows))
         pivots: list[int] = []
-        prev = one
+        prev = lift(1)
         sign = 1
         for c in range(self.ncols):
             r = len(pivots)
@@ -91,7 +102,7 @@ class ExactMatrix:
                 m[i] = [divide(p * x - head * y, prev) for x, y in zip(row, top)]
             prev = p
             pivots.append(c)
-        return m, pivots, prev, sign
+        return m, pivots, prev, sign, prod(scales)
 
     def _lift(self, entry) -> Polynomial:
         return entry if isinstance(entry, Polynomial) else self.registry.const(entry)
@@ -102,10 +113,10 @@ class ExactMatrix:
     def det(self) -> Polynomial:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        _, pivots, d, sign = self._reduce()
+        _, pivots, d, sign, det_s = self._reduce()
         if len(pivots) < self.nrows:
             return self.registry.zero
-        return self._lift(d * sign)
+        return self._lift(d).scale(Fraction(sign, det_s))
 
     def kernel(self) -> list[list[Polynomial]]:
         """Basis of the right kernel, one vector per free column.
@@ -116,7 +127,7 @@ class ExactMatrix:
         parameters in the matrix.  Each vector is divided by its rational
         content.
         """
-        m, pivots, d, _ = self._reduce()
+        m, pivots, d, _, _ = self._reduce()
         basis: list[list[Polynomial]] = []
         for j in range(self.ncols):
             if j in pivots:
@@ -132,9 +143,9 @@ class ExactMatrix:
         """The solution x of A x = rhs whose free unknowns are 0, or None.
 
         None means the system is inconsistent.  Right-hand sides may be
-        polynomials in any variables of the registry.  [A | I] is reduced
-        on the first call and kept, so every later call only combines the
-        right-hand side.  Raises ValueError when the solution is not
+        polynomials in any variables of the registry.  [S A | S] is
+        reduced on the first call and kept, so every later call only
+        combines the right-hand side.  Raises ValueError when the solution is not
         polynomial (a pivot of a polynomial A that does not divide).
         """
         if len(rhs) != self.nrows:
@@ -145,11 +156,11 @@ class ExactMatrix:
             return None
         x = [self.registry.zero] * self.ncols
         for v, c in zip(values, pivots):
-            x[c] = v.scale(1 / d) if isinstance(d, Fraction) else _exact_divide(v, d)
+            x[c] = v.scale(Fraction(1, d)) if isinstance(d, int) else _exact_divide(v, d)
         return x
 
     def _augmented(self):
-        """The reduction of [A | I], computed once: (rows, pivot columns, d)."""
+        """The reduction of [S A | S], computed once: (rows, pivot columns, d)."""
         if self._solver is None:
             self._solver = self._reduce(augment=True)[:3]
         return self._solver
@@ -175,8 +186,10 @@ def coefficient_matrix(
     Returns (the monomials occurring, sorted, which label the rows; the
     matrix).
     """
-    monomials = sorted({e for p in polys for e in p.exponents()})
-    rows = [[p.coefficient(e) for p in polys] for e in monomials]
+    columns = [p.coefficients_in(registry.names) for p in polys]
+    monomials = sorted({e for column in columns for e in column})
+    zero = registry.zero
+    rows = [[column.get(e, zero) for column in columns] for e in monomials]
     return monomials, ExactMatrix(registry, rows)
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .linalg import ExactMatrix, coefficient_matrix, combine
@@ -65,15 +67,17 @@ class Grading:
 _SCALARS = Registry(())
 
 
-def _positive_functional(vectors: list[tuple[int, ...]]) -> tuple[Fraction, ...] | None:
-    """A rational functional phi with phi . w >= 1 for every weight vector.
+def _positive_functional(vectors: list[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """An integral functional phi with phi . w >= 1 for every weight vector.
 
     Existence certifies that every degree has finitely many monomials.
     Exact: if {phi : W phi >= 1} is not empty it has a point where some
     rank(W) independent rows S of W are tight, and any solution of
     W_S phi = 1 then gives the same W phi, as the rows S span those of W.
     Sets S of up to as many rows as components are tried, smallest
-    first; the empty set covers a grading without variables.
+    first; the empty set covers a grading without variables.  The
+    rational solution found is multiplied by the lcm of its
+    denominators, which keeps W phi >= 1.
     """
     ncomp = len(vectors[0]) if vectors else 0
     for size in range(min(len(vectors), ncomp) + 1):
@@ -81,9 +85,10 @@ def _positive_functional(vectors: list[tuple[int, ...]]) -> tuple[Fraction, ...]
             phi = ExactMatrix(_SCALARS, rows).solve([1] * size)
             if phi is None:
                 continue
-            phi = tuple(p.constant_value() for p in phi)
-            if all(sum(p * w for p, w in zip(phi, vec)) >= 1 for vec in vectors):
-                return phi
+            phi = [p.constant_value() for p in phi]
+            if all(sum(map(mul, phi, vec)) >= 1 for vec in vectors):
+                scale = lcm(*[p.denominator for p in phi])
+                return tuple(int(p * scale) for p in phi)
     return None
 
 
@@ -97,7 +102,7 @@ def monomial_basis(
 
     Complete by construction: enumeration is bounded by a positive
     functional on the weight vectors, whose absence raises
-    `UnboundedDegreeCone`.
+    `UnboundedDegreeCone`.  Returned in descending graded lex order.
     """
     if variables is None:
         variables = list(grading.weights)
@@ -110,29 +115,28 @@ def monomial_basis(
         raise UnboundedDegreeCone(
             "no positive functional on the weight vectors; degree cone unbounded"
         )
-    budget = sum(p * t for p, t in zip(phi, target))
+    # exponent k of variable i spends k * steps[i] >= k of the budget phi . target,
+    # and what is left always equals phi . (the multidegree still to reach)
+    steps = [sum(map(mul, phi, w)) for w in vecs]
+    last = len(vecs) - 1
     out: list[tuple[int, ...]] = []
-    nvars = len(variables)
 
-    def rec(i: int, remaining: tuple[int, ...], budget_left: Fraction, expo: list[int]):
-        if i == nvars:
-            if all(r == 0 for r in remaining):
-                out.append(tuple(expo))
+    def rec(i: int, remaining: tuple[int, ...], budget: int, expo: tuple[int, ...]):
+        w, step = vecs[i], steps[i]
+        if i == last:
+            # remaining = k * w forces budget = phi . remaining = k * step
+            k = budget // step
+            if k >= 0 and all(r == k * x for r, x in zip(remaining, w)):
+                out.append(expo + (k,))
             return
-        step = sum(p * w for p, w in zip(phi, vecs[i]))
-        k = 0
-        while k * step <= budget_left:
-            expo.append(k)
-            rec(
-                i + 1,
-                tuple(r - k * w for r, w in zip(remaining, vecs[i])),
-                budget_left - k * step,
-                expo,
-            )
-            expo.pop()
-            k += 1
+        for k in range(budget // step + 1):
+            rec(i + 1, tuple([r - k * x for r, x in zip(remaining, w)]),
+                budget - k * step, expo + (k,))
 
-    rec(0, target, budget, [])
+    if vecs:
+        rec(0, target, sum(map(mul, phi, target)), ())
+    elif not any(target):
+        out.append(())
     # lift exponents on `variables` to full registry monomials
     idx = [registry.index(v) for v in variables]
     monomials = []
@@ -142,7 +146,7 @@ def monomial_basis(
             full[j] = k
         monomials.append(tuple(full))
     monomials.sort(key=lambda e: (sum(e), e), reverse=True)
-    return [Polynomial(registry, {m: Fraction(1)}) for m in monomials]
+    return [Polynomial(registry, {m: 1}) for m in monomials]
 
 
 def torus_weight(m: Polynomial, torus_weights: Mapping[str, int]) -> int:

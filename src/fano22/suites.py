@@ -737,8 +737,13 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> CheckReport:
 
 def run_all(config: SuiteConfig | None = None,
             names: tuple[str, ...] | None = None) -> list[CheckReport]:
-    """Run the named suites (all of them by default) in fixed order."""
+    """Run the named suites (all of them by default) in fixed order.
+
+    Every suite reads one configuration, so one constants table is parsed
+    and its derived objects are built once.
+    """
     selected = SUITE_ORDER if names is None else tuple(names)
+    config = config if config is not None else SuiteConfig()
     return [run_suite(name, config) for name in selected]
 
 

@@ -1,10 +1,14 @@
 """Differential test of `ExactMatrix` against sympy on seeded random matrices.
 
 Over Q: up to 8 x 11, with rank-deficient cases built as products of thin
-factors.  Over Q[v]: up to 4 x 6, entries linear in v, some rows repeated
-as sums of others.  About a third of the matrices are square.  rank and det are compared with sympy, kernels are
-checked by annihilation and size, and `solve` must give sympy's solution
-with every free unknown 0, or None exactly when sympy finds no solution.
+factors, plus the shapes the integer elimination of constant matrices is
+sensitive to: 12 x 15, rows with different denominators, zero rows,
+integer rows, and polynomial right-hand sides.  Over Q[v]: up to 4 x 6,
+entries linear in v, some rows repeated as sums of others.  About a third
+of the matrices are square.  rank and det are compared with sympy,
+kernels are checked by annihilation and size, and `solve` must give
+sympy's solution with every free unknown 0, or None exactly when sympy
+finds no solution.
 """
 
 import random
@@ -124,3 +128,42 @@ def test_polynomial_matrices_match_sympy():
             rhs_list.append(arbitrary)
         matrix = _check_against_sympy(rows, rhs_list, QV)
         assert matrix.solve(consistent) == x0
+
+
+def test_integer_elimination_shapes_match_sympy():
+    rng = random.Random(1215)
+    primes = (2, 3, 5, 7, 11, 13)
+    # each row over its own denominator: det S is a product of distinct primes
+    mixed = [[Fraction(rng.randint(-6, 6), p) for _ in range(6)] for p in primes]
+    integers = [[Fraction(rng.randint(-9, 9)) for _ in range(5)] for _ in range(5)]
+    zero_row = [row[:] for row in integers]
+    zero_row[2] = [Fraction(0)] * 5
+    cases = [
+        _rational_matrix(rng, 12, 15),
+        _rational_matrix(rng, 12, 15),
+        mixed,
+        [row[:4] for row in mixed],
+        integers,
+        zero_row,
+        [row + [Fraction(rng.randint(-9, 9))] for row in zero_row],
+    ]
+    for rows in cases:
+        ncols = len(rows[0])
+        x0 = [_rational(rng) for _ in range(ncols)]
+        consistent = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows]
+        arbitrary = [_rational(rng) for _ in rows]
+        _check_against_sympy(rows, [consistent, arbitrary], sympy.QQ)
+
+
+def test_constant_matrix_with_polynomial_right_hand_sides():
+    rng = random.Random(1216)
+    v = REG.var("v")
+    for nrows, ncols in ((3, 3), (4, 6), (6, 6), (5, 3)):
+        rows = [[_rational(rng) for _ in range(ncols)] for _ in range(nrows)]
+        x0 = [v.scale(_rational(rng)) + _rational(rng) for _ in range(ncols)]
+        consistent = ExactMatrix(REG, rows).mul_vector(x0)
+        arbitrary = [v.scale(_rational(rng)) + _rational(rng) for _ in range(nrows)]
+        matrix = _check_against_sympy(rows, [consistent, arbitrary], QV)
+        for rhs in (consistent, arbitrary):
+            solution = matrix.solve(rhs) or []
+            assert all(type(c) is Fraction for x in solution for c in x.terms.values())

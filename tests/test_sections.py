@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -55,6 +57,68 @@ def test_bounded_cone_without_small_functional(weights, degree, expected):
     reg = Registry([(n, "coordinate") for n in weights])
     basis = monomial_basis(reg, Grading(reg, weights), degree)
     assert [str(m) for m in basis] == [expected]
+
+
+def _brute_force_basis(weights, degree, psi):
+    """Exponent tuples of the given multidegree, in descending graded lex order.
+
+    `psi` is a functional with psi . w >= 1 for every weight w, so no
+    exponent exceeds psi . degree / psi . w.
+    """
+    vecs = list(weights.values())
+    budget = sum(map(int.__mul__, psi, degree))
+    ranges = [range(budget // sum(map(int.__mul__, psi, w)) + 1) for w in vecs]
+    found = [e for e in itertools.product(*ranges)
+             if all(sum(k * w[c] for k, w in zip(e, vecs)) == d for c, d in enumerate(degree))]
+    return sorted(found, key=lambda e: (sum(e), e), reverse=True)
+
+
+def _random_grading(rng):
+    """(weights in -2..2, a multidegree, a functional psi with psi . w >= 1 for each weight)."""
+    ncomp, nvars = rng.randint(2, 3), rng.randint(1, 4)
+    psi = tuple(rng.randint(1, 2) for _ in range(ncomp))
+    weights = {}
+    while len(weights) < nvars:
+        w = tuple(rng.randint(-2, 2) for _ in range(ncomp))
+        if sum(map(int.__mul__, psi, w)) >= 1:
+            weights[f"t{len(weights)}"] = w
+    if rng.random() < 0.8:
+        ks = [rng.randint(0, 2) for _ in weights]
+        degree = tuple(sum(k * w[c] for k, w in zip(ks, weights.values()))
+                       for c in range(ncomp))
+    else:
+        degree = tuple(rng.randint(-2, 4) for _ in range(ncomp))
+    return weights, degree, psi
+
+
+def test_monomial_basis_matches_brute_force():
+    rng = random.Random(20261018)
+    # a degree on the ray opposite to the only weight has no monomial
+    cases = [({"t0": (1, -1)}, (-2, 2), (1, 0))]
+    cases += [_random_grading(rng) for _ in range(40)]
+    sizes = []
+    for weights, degree, psi in cases:
+        expected = _brute_force_basis(weights, degree, psi)
+        reg = Registry([(n, "coordinate") for n in weights])
+        basis = monomial_basis(reg, Grading(reg, weights), degree)
+        assert [m.exponents() for m in basis] == [[e] for e in expected]
+        assert all(m.leading()[1] == 1 for m in basis)
+        sizes.append(len(basis))
+    assert max(sizes) > 1 and 0 in sizes
+
+
+@pytest.mark.parametrize("weights", [
+    {"x": (2, 0), "y": (0, 3)},
+    {"x": (2, 0), "y": (0, 3), "z": (2, 3)},
+])
+def test_monomial_basis_with_non_integral_functional(weights):
+    """The functional found, (1/2, 1/3), is scaled to (3, 2)."""
+    reg = Registry([(n, "coordinate") for n in weights])
+    grading = Grading(reg, weights)
+    for degree in itertools.product(range(0, 9), range(0, 13)):
+        basis = monomial_basis(reg, grading, degree)
+        expected = _brute_force_basis(weights, degree, (3, 2))
+        assert [m.exponents() for m in basis] == [[e] for e in expected]
 
 
 def test_torus_weight(consts):

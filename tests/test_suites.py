@@ -66,6 +66,25 @@ def test_reports_deterministic():
     assert shape(run_all()) == shape(run_all())
 
 
+def test_default_run_all_shares_one_table(monkeypatch):
+    built = []
+    post_init = PaperConstants.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PaperConstants, "__post_init__", counting_post_init)
+    default = run_all()
+    assert len(built) == 1
+
+    def signature(reports):
+        return [(r.suite, c.id, c.status, c.statement, c.witness)
+                for r in reports for c in r.checks]
+
+    assert signature(default) == signature(run_all(SuiteConfig()))
+
+
 def test_failure_carries_witness():
     raw = dict(PaperConstants().raw)
     raw["upsilon_p"] = "4*x0*y1 - x1^4*y0 + x0*y1"
@@ -111,6 +130,13 @@ def test_cli_single_suite_with_param(capsys):
     assert main(["stabilizers", "--param", "v=7/3"]) == 0
     out = capsys.readouterr().out
     assert "s5.torus-family-v=7/3" in out
+
+
+def test_cli_help_scopes_param_to_stabilizers(capsys):
+    assert main(["--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "to the stabilizers suite only" in help_text
+    assert "tangent-directions keeps its fixed v in {0, 1, 2}" in help_text
 
 
 def test_cli_unknown_suite(capsys):
