@@ -7,11 +7,11 @@ derivations, semi-invariants, stabilizer ideals) is symbolic and exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import ExactMatrix, coefficient_matrix, combine
+from .linalg import coefficient_matrix, combine
 from .poly import Derivation, Polynomial, Registry
 from .sections import SectionSpace, coords_in_space
 
@@ -71,7 +71,6 @@ class GroupLaw:
 @dataclass
 class GroupLawReport:
     ok: bool
-    scalars: list[Polynomial] = field(default_factory=list)  # one per factor
     witness: Polynomial | None = None
 
 
@@ -80,8 +79,8 @@ def verify_group_law(action: ParametricAction, law: GroupLaw) -> GroupLawReport:
 
     Both group elements stay fully formal.  Per projective factor the
     composed substitution must be proportional to the substitution at the
-    composed parameters; the scalar is reported, or the first failing
-    cross-difference.
+    composed parameters; otherwise the first failing cross-difference is
+    reported.
     """
     reg = action.registry
     prime_assignment = {p: reg.var(law.primed[p]) for p in action.params}
@@ -89,29 +88,21 @@ def verify_group_law(action: ParametricAction, law: GroupLaw) -> GroupLawReport:
     sigma_prime = {n: img.substitute(prime_assignment) for n, img in sigma.items()}
     composed = {n: img.substitute(sigma) for n, img in sigma_prime.items()}
     target = {n: img.substitute(dict(law.rule)) for n, img in sigma.items()}
-    scalars: list[Polynomial] = []
     for factor in action.factors:
         for i, ni in enumerate(factor):
             for nj in factor[i + 1:]:
                 cross = composed[ni] * target[nj] - composed[nj] * target[ni]
                 if not cross.is_zero():
                     return GroupLawReport(ok=False, witness=cross)
-        scalar = None
-        for n in factor:
-            if not target[n].is_zero():
-                scalar = composed[n].exact_divide(target[n])
-                break
-        scalars.append(scalar if scalar is not None else reg.one)
-    return GroupLawReport(ok=True, scalars=scalars)
+    return GroupLawReport(ok=True)
 
 
-def lie_derivation(
-    action: ParametricAction, direction: str, eps: str = "eps"
-) -> Derivation:
+def lie_derivation(action: ParametricAction, direction: str) -> Derivation:
     """Infinitesimal generator along one parameter direction.
 
-    Substitutes identity values except `direction`, which moves by eps,
-    and extracts the eps-linear part of every coordinate image.
+    Substitutes identity values except `direction`, which moves by the
+    registry variable `eps`, and extracts the eps-linear part of every
+    coordinate image.
     """
     if direction not in action.params:
         raise ActionError(f"{direction!r} is not a group parameter")
@@ -119,11 +110,11 @@ def lie_derivation(
     assignment = {}
     for p in action.params:
         base = reg.const(action.identity[p])
-        assignment[p] = base + reg.var(eps) if p == direction else base
+        assignment[p] = base + reg.var("eps") if p == direction else base
     images = {}
     for name, img in action.images.items():
         moved = img.substitute(assignment)
-        linear = moved.coefficient_of(eps, 1)
+        linear = moved.coefficient_of("eps", 1)
         if not linear.is_zero():
             images[name] = linear
     return Derivation(reg, images)
@@ -176,7 +167,6 @@ class StabilizerConditions:
     identically iff the section is semi-invariant.
     """
 
-    registry: Registry
     generators: list[Polynomial]
 
     def is_trivial(self) -> bool:
@@ -217,7 +207,7 @@ def stabilizer_conditions(
             if minor not in seen:
                 seen.add(minor)
                 generators.append(minor)
-    conds = StabilizerConditions(reg, generators)
+    conds = StabilizerConditions(generators)
     id_assignment = {p: reg.const(v) for p, v in action.identity.items()}
     for gen in generators:
         if not gen.substitute(id_assignment).is_zero():
@@ -256,19 +246,7 @@ def conditions_equal_principal(
     return attained
 
 
-def action_preserves_space(
-    action: ParametricAction, space: SectionSpace
-) -> tuple[bool, ExactMatrix | None]:
-    """Whether the space is a subrepresentation; returns the induced matrix.
-
-    Matrix column j holds the coordinates of act(basis[j]) over the
-    parameter ring.
-    """
-    columns = []
-    for b in space.basis:
-        coords = coords_in_space(action.act_on_section(b), space)
-        if coords is None:
-            return False, None
-        columns.append(coords)
-    rows = [[columns[j][i] for j in range(space.dim)] for i in range(space.dim)]
-    return True, ExactMatrix(action.registry, rows)
+def action_preserves_space(action: ParametricAction, space: SectionSpace) -> bool:
+    """Whether the space is a subrepresentation: act(b) lies in it for every basis element b."""
+    return all(coords_in_space(action.act_on_section(b), space) is not None
+               for b in space.basis)

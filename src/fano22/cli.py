@@ -14,8 +14,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .parsing import _IDENT, ParseError, parse
-from .poly import Registry, format_poly
+from .parsing import ParseError, infer_registry, parse
+from .poly import format_poly
 from .suites import (
     SUITE_ORDER,
     SuiteConfig,
@@ -75,13 +75,8 @@ def _run_eval(argv: list[str]) -> int:
     try:
         bindings = [_split_binding(d, "--def") for d in args.definitions]
         substitutions = [_split_binding(s, "--subst") for s in args.subst]
-        texts = [args.expression] + [e for _, e in bindings + substitutions]
-        names: list[str] = []
-        for text in texts:
-            for m in _IDENT.finditer(text):
-                if m.group(0) not in names:
-                    names.append(m.group(0))
-        registry = Registry([(n, "coordinate") for n in names])
+        registry = infer_registry(
+            [args.expression] + [e for _, e in bindings + substitutions])
         result = parse(args.expression, registry)
         if bindings:
             result = result.substitute(
@@ -89,7 +84,7 @@ def _run_eval(argv: list[str]) -> int:
         if substitutions:
             result = result.substitute(
                 {n: parse(e, registry) for n, e in substitutions})
-    except (ParseError, ValueError, KeyError) as exc:
+    except (ParseError, ValueError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(format_poly(result))

@@ -190,9 +190,6 @@ class PaperConstants:
             {"x0": (1, 0), "x1": (1, 0), "y0": (-3, 1), "y1": (0, 1)},
         )
 
-    def f3_torus_weights(self) -> dict[str, int]:
-        return {"x0": 1, "y0": 1, "x1": 0, "y1": 0}
-
     def f3_action(self) -> ParametricAction:
         return ParametricAction(
             registry=self.reg_f3,
@@ -348,8 +345,8 @@ def mobius_projective(
     """Evaluate the affine fractional map projectively at [p : q].
 
     Homogenizes num/den to the common degree in `var`; q = 0 is the point
-    at infinity.  The result is normalized (last nonzero entry positive,
-    coprime integers after clearing denominators).
+    at infinity.  The result is (a/b, 1) for a finite image and (1, 0)
+    for the point at infinity.
     """
     p, q = Fraction(point[0]), Fraction(point[1])
     if p == 0 and q == 0:

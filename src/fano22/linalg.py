@@ -50,10 +50,6 @@ class ExactMatrix:
         self.ncols = width if width is not None else 0
         self._solver = None
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def _reduce(self, augment: bool = False):
         """Fraction-free Gauss–Jordan of S A on a copy; of [S A | S] when `augment`.
 
@@ -179,14 +175,19 @@ def _exact_divide(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def coefficient_matrix(
-    registry: Registry, polys: Sequence[Polynomial]
+    registry: Registry,
+    polys: Sequence[Polynomial],
+    variables: Sequence[str] | None = None,
 ) -> tuple[list[tuple[int, ...]], ExactMatrix]:
     """The matrix whose column j holds the coefficients of polys[j].
 
+    Coefficients are taken on the monomials in `variables` (default: every
+    variable of the registry), so entries are polynomials in the others.
     Returns (the monomials occurring, sorted, which label the rows; the
     matrix).
     """
-    columns = [p.coefficients_in(registry.names) for p in polys]
+    names = registry.names if variables is None else variables
+    columns = [p.coefficients_in(names) for p in polys]
     monomials = sorted({e for column in columns for e in column})
     zero = registry.zero
     rows = [[column.get(e, zero) for column in columns] for e in monomials]

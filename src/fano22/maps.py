@@ -53,18 +53,6 @@ class RationalMap:
         return out
 
 
-def identity_map(
-    registry: Registry, variables: Sequence[str], modulus: Polynomial | None = None
-) -> RationalMap:
-    return RationalMap(
-        registry,
-        tuple(variables),
-        tuple(variables),
-        tuple(registry.var(v) for v in variables),
-        modulus,
-    )
-
-
 def compose(g: RationalMap, f: RationalMap) -> RationalMap:
     """g after f, by componentwise substitution (no cancellation)."""
     if len(f.components) != len(g.source_vars):
@@ -145,62 +133,20 @@ class ParamCurve:
         return dict(zip(targets, self.components))
 
 
-def _pseudo_rem(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
-    """Pseudo-remainder of a by b in `var`; coefficients stay polynomial."""
-    db = b.degree_in(var)
-    lead_b = b.coefficient_of(var, db)
-    reg = a.registry
-    while not a.is_zero() and a.degree_in(var) >= db:
-        da = a.degree_in(var)
-        lead_a = a.coefficient_of(var, da)
-        a = lead_b * a - lead_a * (reg.var(var) ** (da - db)) * b
-    return a
-
-
-def _gcd_is_constant(forms: Sequence[Polynomial], var: str) -> bool:
-    """Whether the forms have no common factor of positive degree in `var`.
-
-    Pseudo-remainder Euclid; extraneous coefficient-ring factors do not
-    change the degree in `var`, which is all that matters here.
-    """
-    chain = [f for f in forms if not f.is_zero()]
-    if not chain:
-        return False
-    g = chain[0]
-    for p in chain[1:]:
-        a, b = g, p
-        while not b.is_zero() and b.degree_in(var) > 0:
-            a, b = b, _pseudo_rem(a, b, var)
-        g = a if b.is_zero() else b
-        if not g.is_zero() and g.degree_in(var) <= 0:
-            return True
-    return g.degree_in(var) <= 0
-
-
 def is_rational_normal_curve(curve: ParamCurve) -> bool:
-    """Degree-d parametrization into P^d, independent and base-point free.
+    """Whether the components are a basis of the binary forms of degree d.
 
-    Checks component count = degree + 1, linear independence of the
-    components (exact rank, valid over family parameters), and absence of
-    a common factor (no shared power of either parameter, constant chart
-    gcd).
+    That is the definition of a rational normal curve of degree d in P^d:
+    d + 1 components whose coefficients on t0^(d-j) t1^j (polynomials in
+    any other variables, such as family parameters) have full rank.  A
+    basis spans t0^d and t1^d, so the components share no factor and the
+    map has no base point.
     """
-    d = curve.degree()
     comps = curve.components
-    if len(comps) != d + 1:
+    if len(comps) != curve.degree() + 1:
         return False
-    if any(c.is_zero() for c in comps):
-        return False
-    t0, t1 = curve.param_vars
-    reg = curve.registry
-    if coefficient_matrix(reg, comps)[1].rank() != len(comps):
-        return False
-    if min(c.min_degree_in(t0) for c in comps) > 0:
-        return False
-    if min(c.min_degree_in(t1) for c in comps) > 0:
-        return False
-    dehom = [c.substitute({t1: reg.one}) for c in comps]
-    return _gcd_is_constant(dehom, t0)
+    _, matrix = coefficient_matrix(curve.registry, comps, curve.param_vars)
+    return matrix.rank() == len(comps)
 
 
 def equivariance_up_to_scalar(
@@ -271,7 +217,7 @@ class TangentDirection:
     beta: Polynomial
 
     def __eq__(self, other) -> bool:
-        if other == "inf" or other is INFINITY:
+        if other is INFINITY:
             return self.beta.is_zero() and not self.alpha.is_zero()
         if isinstance(other, (int, Fraction)):
             return (self.alpha - self.beta.scale(other)).is_zero()
@@ -311,10 +257,7 @@ def tangent_of_affine(
     return TangentDirection(alpha, beta)
 
 
-def tangent_parameter(
-    f: Polynomial,
-    chart: tuple[str, str, str, str] = ("x0", "x1", "y0", "y1"),
-) -> TangentDirection:
+def tangent_parameter(f: Polynomial) -> TangentDirection:
     """Tangent direction at the fixed point of a bidegree-(1,1) section.
 
     Works in the affine chart (x, y) = (x0/x1, x1^3*y0/y1): dehomogenize
@@ -322,7 +265,6 @@ def tangent_parameter(
     the section-branch to 0, the fiber-branch to infinity, and the
     blow-down differential kernel x + y = 0 to 1.
     """
-    x0, x1, y0, y1 = chart
     reg = f.registry
-    affine = f.substitute({x1: reg.one, y1: reg.one})
-    return tangent_of_affine(affine, x0, y0)
+    affine = f.substitute({"x1": reg.one, "y1": reg.one})
+    return tangent_of_affine(affine, "x0", "y0")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Iterable
 
 from .poly import Polynomial, Registry
 
@@ -122,6 +123,12 @@ def _parse_base(tk: _Tokens, reg: Registry) -> Polynomial:
     raise ParseError(f"unexpected token {m.group(3)!r}", where)
 
 
+def infer_registry(texts: Iterable[str]) -> Registry:
+    """The identifiers of `texts` in order of first appearance, all tagged as coordinates."""
+    names = dict.fromkeys(m.group(0) for text in texts for m in _IDENT.finditer(text))
+    return Registry([(n, "coordinate") for n in names])
+
+
 def parse(text: str, registry: Registry | None = None) -> Polynomial:
     """Parse `text` over `registry`.
 
@@ -129,11 +136,7 @@ def parse(text: str, registry: Registry | None = None) -> Polynomial:
     first appearance (all tagged as coordinates).
     """
     if registry is None:
-        seen: list[str] = []
-        for m in _IDENT.finditer(text):
-            if m.group(0) not in seen:
-                seen.append(m.group(0))
-        registry = Registry([(n, "coordinate") for n in seen])
+        registry = infer_registry([text])
     tk = _Tokens(text)
     result = _parse_expr(tk, registry)
     m, where = tk.peek()

@@ -641,9 +641,6 @@ class Derivation:
                         acc[k] = get(k, 0) + ce * v
         return _canon(reg, {k: v for k, v in acc.items() if v}, f._den * den)
 
-    def is_zero(self) -> bool:
-        return all(img.is_zero() for img in self.images.values())
-
 
 # -- text form -----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Multigraded monomial bases, torus weights and section spaces.
+"""Multigraded monomial bases and section spaces.
 
 A grading assigns each variable an integer weight vector; section spaces
 are explicit spans of homogeneous polynomials with eagerly verified
@@ -149,18 +149,6 @@ def monomial_basis(
     return [Polynomial(registry, {m: 1}) for m in monomials]
 
 
-def torus_weight(m: Polynomial, torus_weights: Mapping[str, int]) -> int:
-    """Sum over variables of exponent times weight, for a single monomial."""
-    exponents = m.exponents()
-    if len(exponents) != 1:
-        raise ValueError("torus_weight expects a single monomial")
-    reg = m.registry
-    (expo,) = exponents
-    return sum(
-        k * torus_weights.get(reg.names[i], 0) for i, k in enumerate(expo) if k
-    )
-
-
 class SectionSpace:
     """A finite-dimensional span of homogeneous polynomials.
 
@@ -221,25 +209,6 @@ def coords_in_space(f: Polynomial, space: SectionSpace) -> list[Polynomial] | No
     if not set(split).issubset(space._monomials):
         return None
     return space._matrix.solve([split.get(e, space.registry.zero) for e in space._monomials])
-
-
-def weight_decompose(
-    space: SectionSpace, torus_weights: Mapping[str, int]
-) -> dict[int, SectionSpace]:
-    """Partition the basis by torus weight; mixed-weight elements are an error."""
-    buckets: dict[int, list[Polynomial]] = {}
-    for b in space.basis:
-        weights = {
-            torus_weight(Polynomial(b.registry, {e: Fraction(1)}), torus_weights)
-            for e in b.exponents()
-        }
-        if len(weights) != 1:
-            raise ValueError(f"basis element {b} mixes torus weights {sorted(weights)}")
-        buckets.setdefault(weights.pop(), []).append(b)
-    return {
-        w: SectionSpace(space.registry, elems, space.multidegree)
-        for w, elems in sorted(buckets.items())
-    }
 
 
 def _binary_coefficients(form: Polynomial, t0: str, t1: str, degree: int):

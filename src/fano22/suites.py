@@ -392,7 +392,7 @@ def _suite_normalization(cfg: SuiteConfig, rec: _Recorder):
             lambda: kernel_space.same_span(wprime))
     rec.run("s6.subspace-stable",
             "the 6-dimensional subspace is stable under the group action",
-            lambda: action_preserves_space(c.f3_action(), wprime)[0])
+            lambda: action_preserves_space(c.f3_action(), wprime))
     rec.run("s6.map-components-span",
             "the components of the morphism span the 6-dimensional subspace",
             lambda: SectionSpace(reg, list(psi.components), (1, 1),

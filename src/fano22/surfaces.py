@@ -22,22 +22,6 @@ class DivisorClass:
         if self.e < 0:
             raise ValueError("surface index must be non-negative")
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check(other)
-        return DivisorClass(self.e, self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check(other)
-        return DivisorClass(self.e, self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.e, -self.a, -self.b)
-
-    def __mul__(self, k: int) -> "DivisorClass":
-        return DivisorClass(self.e, k * self.a, k * self.b)
-
-    __rmul__ = __mul__
-
     def _check(self, other: "DivisorClass") -> None:
         if self.e != other.e:
             raise ValueError("divisor classes live on different surfaces")

@@ -9,7 +9,6 @@ from fano22.maps import (
     ParamCurve,
     RationalMap,
     compose,
-    identity_map,
     image_in_hypersurface,
     is_rational_normal_curve,
     proportional_mod,
@@ -32,7 +31,8 @@ def test_point_evaluation(consts):
 
 def test_compose_identity(consts):
     jq = consts.quadric_involution()
-    ident = identity_map(consts.reg_q, jq.source_vars, jq.modulus)
+    ident = RationalMap(consts.reg_q, jq.source_vars, jq.source_vars,
+                        tuple(consts.reg_q.var(n) for n in jq.source_vars), jq.modulus)
     assert compose(jq, ident).components == jq.components
 
 
@@ -76,6 +76,10 @@ def test_rational_normal_curve_positive(consts):
     conic = ParamCurve(reg, ("t0", "t1"), (t0 ** 2, t0 * t1, t1 ** 2))
     assert is_rational_normal_curve(conic)
     assert is_rational_normal_curve(consts.gamma4())
+    # a family-parameter coefficient is a unit over Q(c)
+    c = reg.var("c")
+    scaled = ParamCurve(reg, ("t0", "t1"), (t0 ** 2, c * t0 * t1, t1 ** 2))
+    assert is_rational_normal_curve(scaled)
 
 
 def test_rational_normal_curve_negatives(consts):
@@ -95,6 +99,10 @@ def test_rational_normal_curve_negatives(consts):
     # zero component
     degenerate = ParamCurve(reg, ("t0", "t1"), (t0 ** 2, reg.zero, t1 ** 2))
     assert not is_rational_normal_curve(degenerate)
+    # the image lies on the line w2 = c*w0: independent over Q, not over Q(c)
+    c = reg.var("c")
+    on_line = ParamCurve(reg, ("t0", "t1"), (t0 ** 2, t1 ** 2, c * t0 ** 2))
+    assert not is_rational_normal_curve(on_line)
 
 
 def test_common_interior_factor_detected(consts):

@@ -13,8 +13,6 @@ from fano22.sections import (
     UnboundedDegreeCone,
     monomial_basis,
     restricted_order_subspace,
-    torus_weight,
-    weight_decompose,
 )
 
 
@@ -121,14 +119,6 @@ def test_monomial_basis_with_non_integral_functional(weights):
         assert [m.exponents() for m in basis] == [[e] for e in expected]
 
 
-def test_torus_weight(consts):
-    reg = consts.reg_f3
-    m = reg.var("x0") ** 4 * reg.var("y0")
-    assert torus_weight(m, consts.f3_torus_weights()) == 5
-    with pytest.raises(ValueError):
-        torus_weight(m + reg.var("x0"), consts.f3_torus_weights())
-
-
 def test_section_space_coords_and_contains(consts):
     space = consts.o11_space()
     u = consts.upsilon_p()
@@ -157,14 +147,6 @@ def test_inhomogeneous_basis_rejected(consts):
     with pytest.raises(ValueError):
         SectionSpace(reg, [reg.var("x0") + reg.var("y0")], (1, 0),
                      consts.f3_grading())
-
-
-def test_weight_decompose(consts):
-    space = consts.o11_space()
-    parts = weight_decompose(space, consts.f3_torus_weights())
-    assert sum(p.dim for p in parts.values()) == space.dim
-    assert sorted(parts) == [0, 1, 2, 3, 4, 5]
-    assert parts[1].dim == 2
 
 
 def test_restricted_order_subspace_simple():

@@ -169,6 +169,9 @@ def test_cli_eval_subst(capsys):
 def test_cli_eval_parse_error(capsys):
     assert main(["eval", "x^"]) == 2
     assert "position" in capsys.readouterr().err
+    # a degree past the packed field width is refused like a parse error
+    assert main(["eval", "x^40000"]) == 2
+    assert "2**15" in capsys.readouterr().err
 
 
 def test_cli_exit_one_on_failure(capsys, monkeypatch):
