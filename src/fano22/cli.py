@@ -75,8 +75,11 @@ def _run_eval(argv: list[str]) -> int:
     try:
         bindings = [_split_binding(d, "--def") for d in args.definitions]
         substitutions = [_split_binding(s, "--subst") for s in args.subst]
+        # a bound name that occurs nowhere still names a variable, after the
+        # others, so that substituting for it is the identity
         registry = infer_registry(
-            [args.expression] + [e for _, e in bindings + substitutions])
+            [args.expression] + [e for _, e in bindings + substitutions]
+            + [n for n, _ in bindings + substitutions])
         result = parse(args.expression, registry)
         if bindings:
             result = result.substitute(

@@ -1,14 +1,19 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from fano22 import poly
 from fano22.poly import (
     FIELD_BITS,
+    PACK_PAIRS,
     Derivation,
     Polynomial,
     Registry,
     RegistryMismatch,
     format_poly,
+    poly_sum,
 )
 
 #: total degree at which a monomial key would carry out of its field
@@ -188,3 +193,109 @@ def test_hash_agrees_with_equality(reg):
     assert hash(reg.zero) == hash(0)
     f = (x.scale(Fraction(1, 2)) + y.scale(Fraction(1, 2))) * 2
     assert f == x + y and hash(f) == hash(x + y)
+
+
+# -- the packed product -------------------------------------------------------
+#
+# Products of at least PACK_PAIRS term pairs pack the last variable into big
+# integers.  Each case compares such a product with the sum of the products
+# of one operand by the single terms of the other, which never pack.
+
+
+def _by_single_terms(f, g):
+    reg = f.registry
+    return poly_sum(reg, [f * Polynomial(reg, {e: c}) for e, c in g.terms.items()])
+
+
+def _dense(reg, degree, coeff):
+    """Every monomial of total degree <= degree, each with coefficient coeff()."""
+    return Polynomial(reg, {e: coeff() for e in itertools.product(range(degree + 1), repeat=len(reg))
+                            if sum(e) <= degree})
+
+
+def _packs(f, g):
+    return min(len(f.terms), len(g.terms)) > 1 and len(f.terms) * len(g.terms) >= PACK_PAIRS
+
+
+def test_packed_digits_below_a_positive_leading_one_carry():
+    # each negative digit borrows one from the digit above it
+    reg_v = Registry([("v", "family-parameter")])
+    v = reg_v.var("v")
+    m = 2 ** 64 - 1
+    f = poly_sum(reg_v, [v ** i for i in range(50)])
+    g = (m + 1) * v ** 50 - poly_sum(reg_v, [m * v ** i for i in range(50)])
+    assert _packs(f, g)
+    product = f * g
+    assert product == _by_single_terms(f, g)
+    assert product.coefficient((99,)) > 0 and product.coefficient((50,)) < 0
+
+
+@pytest.mark.parametrize("m", [2 ** 64 - 1, 10 ** 30])
+@pytest.mark.parametrize("signs", [(1, 1), (-1, -1), (1, -1)])
+def test_packed_digits_hold_same_sign_maxima(reg, m, signs):
+    # every coefficient at +-m: up to 28 term pairs, from as many slice
+    # pairs, meet in one output coefficient, which then outgrows a digit
+    # sized for the at most 6 terms of one slice
+    f = _dense(reg, 5, lambda: signs[0] * m)
+    g = _dense(reg, 5, lambda: signs[1] * m)
+    assert _packs(f, g)
+    product = f * g
+    assert product == _by_single_terms(f, g)
+    assert max(abs(c) for c in product.terms.values()) > 16 * m * m
+
+
+def test_packed_product_of_operands_without_the_last_variable(reg):
+    rng = random.Random(7)
+    x, y = reg.var("x"), reg.var("y")
+    f = poly_sum(reg, [rng.randint(-10 ** 12, 10 ** 12) * x ** i * y ** j
+                       for i in range(10) for j in range(10 - i)])
+    g = poly_sum(reg, [rng.randint(-10 ** 12, 10 ** 12) * x ** j * y ** i
+                       for i in range(10) for j in range(10 - i)])
+    assert "t" not in f.variables() + g.variables() and _packs(f, g)
+    assert f * g == _by_single_terms(f, g)
+
+
+def test_packed_product_over_one_variable():
+    reg_v = Registry([("v", "family-parameter")])
+    rng = random.Random(11)
+    f = _dense(reg_v, 49, lambda: Fraction(rng.randint(-10 ** 12, 10 ** 12) or 1,
+                                             rng.randint(1, 9)))
+    g = _dense(reg_v, 59, lambda: rng.choice([-1, 1]) * (2 ** 64 - 1))
+    assert _packs(f, g)
+    assert f * g == _by_single_terms(f, g)
+    assert (f * g).exact_divide(g) == f
+
+
+def test_packed_product_jumps_gaps_in_the_last_variable(reg):
+    x, t = reg.var("x"), reg.var("t")
+    f = poly_sum(reg, [(i + 1) * t ** i for i in range(44)]) + 3 * t ** 9000 + x * t ** 20
+    g = poly_sum(reg, [(i - 50) * t ** i for i in range(44)]) - 5 * t ** 4000 + x
+    assert _packs(f, g)
+    assert f * g == _by_single_terms(f, g)
+
+
+@pytest.mark.parametrize("shape", [(45, 45), (44, 46)])
+def test_packing_starts_at_the_threshold(reg, monkeypatch, shape):
+    assert shape[0] * shape[1] in (PACK_PAIRS, PACK_PAIRS - 1)
+    rng = random.Random(sum(shape))
+    x, y, t = reg.var("x"), reg.var("y"), reg.var("t")
+    monomials = [x ** i * y ** j * t ** k for i in range(4) for j in range(4) for k in range(4)]
+    f, g = (poly_sum(reg, [rng.choice([-1, 1]) * rng.randint(1, 99) * m
+                           for m in rng.sample(monomials, n)])
+            for n in shape)
+    calls = []
+    real = poly._mul_packed
+    monkeypatch.setattr(poly, "_mul_packed", lambda *args: calls.append(args) or real(*args))
+    assert (len(f.terms), len(g.terms)) == shape
+    assert f * g == _by_single_terms(f, g)
+    assert bool(calls) == (shape[0] * shape[1] >= PACK_PAIRS)
+
+
+def test_packed_product_reaching_field_width_raises(reg):
+    y, t = reg.var("y"), reg.var("t")
+    f = poly_sum(reg, [t ** i for i in range(49)]) + y ** (LIMIT - 5)
+    g = _dense(reg, 5, lambda: 1)
+    assert _packs(f, g)
+    with pytest.raises(OverflowError):
+        f * g
+    assert (f - y ** (LIMIT - 5)) * g == _by_single_terms(f - y ** (LIMIT - 5), g)

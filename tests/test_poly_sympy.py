@@ -3,9 +3,12 @@
 Seeded random polynomials in 4 variables, with up to about 100 terms and
 rational coefficients, go through `*`, `+`, `-`, `substitute`,
 `exact_divide` (on exact multiples and on non-multiples) and
-`Derivation`; every result must equal sympy's, term by term.
+`Derivation`; every result must equal sympy's, term by term.  Products
+of 60 to 120 terms per operand, and the cube of a 50-term polynomial,
+take the packed product.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,7 +16,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from fano22.poly import Derivation, Polynomial, Registry  # noqa: E402
+from fano22.poly import PACK_PAIRS, Derivation, Polynomial, Registry  # noqa: E402
 
 NAMES = ("x", "y", "z", "w")
 REG = Registry([(n, "coordinate") for n in NAMES])
@@ -28,6 +31,13 @@ def _random_poly(rng: random.Random, max_terms: int, max_degree: int) -> Polynom
         num = rng.choice([rng.randint(-9, 9), rng.randint(-10 ** 12, 10 ** 12)])
         terms[expo] = Fraction(num, rng.randint(1, 12))
     return Polynomial(REG, terms)
+
+
+def _random_exact(rng: random.Random, n_terms: int, max_degree: int) -> Polynomial:
+    """`n_terms` terms of degree <= max_degree in each variable, numerators up to 10**12."""
+    exps = rng.sample(list(itertools.product(range(max_degree + 1), repeat=len(NAMES))), n_terms)
+    return Polynomial(REG, {e: Fraction(rng.randint(1, 10 ** 12) * rng.choice([-1, 1]),
+                                        rng.randint(1, 12)) for e in exps})
 
 
 def _to_sympy(p: Polynomial) -> sympy.Poly:
@@ -96,3 +106,18 @@ def test_derivation_matches_sympy(seed):
     expected = sum((_to_sympy(img) * F.diff(GENS[NAMES.index(n)]) for n, img in images.items()),
                    sympy.Poly(0, *GENS, domain=QQ))
     assert Derivation(REG, images)(f) == _from_sympy(expected)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_packed_products_match_sympy(seed):
+    rng = random.Random(400 + seed)
+    f = _random_exact(rng, rng.randint(60, 120), rng.randint(3, 5))
+    g = _random_exact(rng, rng.randint(60, 120), rng.randint(3, 5))
+    assert len(f.terms) * len(g.terms) >= PACK_PAIRS
+    assert f * g == _from_sympy(_to_sympy(f) * _to_sympy(g))
+
+
+def test_packed_power_matches_sympy():
+    f = _random_exact(random.Random(500), 50, 2)
+    assert len(f.terms) ** 2 >= PACK_PAIRS
+    assert f ** 3 == _from_sympy(_to_sympy(f) ** 3)

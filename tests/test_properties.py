@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from fano22.linalg import ExactMatrix
-from fano22.poly import Derivation, Polynomial, Registry
+from fano22.poly import PACK_PAIRS, Derivation, Polynomial, Registry
 
 REG = Registry([("x", "coordinate"), ("y", "coordinate"), ("z", "coordinate")])
 
@@ -81,3 +81,31 @@ def test_rank_nullity(m):
     assert m.rank() + len(kern) == m.ncols
     for vec in kern:
         assert all(e.is_zero() for e in m.mul_vector(vec))
+
+
+def _evaluate(f: Polynomial, point) -> Fraction:
+    powers = [[p ** e for e in range(f.degree_in(n) + 1)] for p, n in zip(point, REG.names)]
+    total = Fraction(0)
+    for expo, c in f.terms.items():
+        for pw, e in zip(powers, expo):
+            c *= pw[e]
+        total += c
+    return total
+
+
+#: operands of at least 45 terms each, so that their product is packed
+_large_polys = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
+    st.integers(-10 ** 12, 10 ** 12).filter(bool),
+    min_size=45, max_size=70,
+).map(lambda terms: Polynomial(REG, terms))
+_points = st.tuples(_fractions, _fractions, _fractions)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_large_polys, _large_polys, st.lists(_points, min_size=2, max_size=2))
+def test_large_product_evaluates_to_product_of_values(f, g, points):
+    assert len(f.terms) * len(g.terms) >= PACK_PAIRS
+    product = f * g
+    for p in points:
+        assert _evaluate(product, p) == _evaluate(f, p) * _evaluate(g, p)

@@ -166,6 +166,15 @@ def test_cli_eval_subst(capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["eval", "y", "--subst", "x=1"], "y"),
+    (["eval", "x^2", "--def", "P=x"], "x^2"),
+])
+def test_cli_eval_binding_for_absent_variable_is_identity(capsys, argv, out):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip() == out
+
+
 def test_cli_eval_parse_error(capsys):
     assert main(["eval", "x^"]) == 2
     assert "position" in capsys.readouterr().err
