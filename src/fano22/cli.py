@@ -88,7 +88,9 @@ def _run_eval(argv: list[str]) -> int:
             result = result.substitute(
                 {n: parse(e, registry) for n, e in substitutions})
     except (ParseError, ValueError, KeyError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
     print(format_poly(result))
     return 0

@@ -13,6 +13,12 @@ Each row is first multiplied by the lcm of its denominators, which
 changes neither rank nor kernel.  Matrices whose entries are all constant
 are then reduced in plain `int`s with exact `//`; any other matrix in
 polynomials with integer coefficients, with `Polynomial.exact_divide`.
+
+`solve` reduces [S A | S] once per matrix and keeps it.  For a constant
+matrix it keeps the S-part of each reduced row as sparse integer pairs,
+so a later solve is one integer accumulation per unknown: the
+right-hand sides' numerators summed into one dict over a common
+denominator, which the pivot then divides.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Sequence
 
-from .poly import Polynomial, Registry, poly_sum
+from .poly import Polynomial, Registry, RegistryMismatch, _canon, poly_sum
 
 
 class ExactMatrix:
@@ -139,32 +145,88 @@ class ExactMatrix:
         """The solution x of A x = rhs whose free unknowns are 0, or None.
 
         None means the system is inconsistent.  Right-hand sides may be
-        polynomials in any variables of the registry.  [S A | S] is
-        reduced on the first call and kept, so every later call only
-        combines the right-hand side.  Raises ValueError when the solution is not
-        polynomial (a pivot of a polynomial A that does not divide).
+        scalars or polynomials in any variables of the registry.  [S A | S]
+        is reduced on the first call and kept.  Against a constant A each
+        unknown is then one integer accumulation: the numerators of the
+        right-hand sides, over the lcm of their denominators, summed with
+        the kept row's integer weights, then divided by the pivot.  Against
+        a polynomial A every row is combined with the right-hand sides and
+        divided by the pivot exactly; raises ValueError when the solution
+        is not polynomial (a pivot that does not divide).
         """
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side length mismatch")
-        m, pivots, d = self._augmented()
-        values = [combine(self.registry, row[self.ncols:], rhs) for row in m]
+        reg = self.registry
+        rows, pivots, d = self._augmented()
+        if isinstance(d, int):
+            polys = [p if isinstance(p, Polynomial) else reg.const(p) for p in rhs]
+            if any(p.registry is not reg for p in polys):
+                raise RegistryMismatch("right-hand side uses a different registry")
+            den = lcm(*[p._den for p in polys])
+            return self._solve_numerators(
+                [p._terms if p._den == den else
+                 {k: v * (den // p._den) for k, v in p._terms.items()} for p in polys],
+                den)
+        values = [combine(reg, row, rhs) for row in rows]
         if any(not v.is_zero() for v in values[len(pivots):]):
             return None
-        x = [self.registry.zero] * self.ncols
+        x = [reg.zero] * self.ncols
         for v, c in zip(values, pivots):
-            x[c] = v.scale(Fraction(1, d)) if isinstance(d, int) else _exact_divide(v, d)
+            x[c] = _exact_divide(v, d)
+        return x
+
+    def _solve_numerators(self, nums: Sequence[dict[int, int]], den: int
+                          ) -> list[Polynomial] | None:
+        """`solve` for a constant matrix and the right-hand side nums[i] / den.
+
+        nums[i] is the numerator dict of row i's right-hand side (empty
+        for 0) over the common positive denominator den.
+        """
+        rows, pivots, d = self._augmented()
+        if any(_accumulate(row, nums) for row in rows[len(pivots):]):
+            return None
+        reg = self.registry
+        x = [reg.zero] * self.ncols
+        for row, c in zip(rows, pivots):
+            acc = _accumulate(row, nums)
+            if acc:
+                x[c] = _canon(reg, acc, den * d)
         return x
 
     def _augmented(self):
-        """The reduction of [S A | S], computed once: (rows, pivot columns, d)."""
+        """The reduction of [S A | S], computed once: (S-parts of the rows, pivot columns, d).
+
+        For a constant matrix each S-part is a sparse list of (i, int), i
+        indexing the right-hand side, and d > 0: if the last pivot is
+        negative, the S-parts are negated with it.  Otherwise S-parts are
+        lists of polynomials.
+        """
         if self._solver is None:
-            self._solver = self._reduce(augment=True)[:3]
+            m, pivots, d, _, _ = self._reduce(augment=True)
+            n = self.ncols
+            if isinstance(d, int):
+                sign = 1 if d > 0 else -1
+                parts = [[(j, sign * v) for j, v in enumerate(row[n:]) if v] for row in m]
+                d = abs(d)
+            else:
+                parts = [row[n:] for row in m]
+            self._solver = parts, pivots, d
         return self._solver
 
     def mul_vector(self, vec: Sequence[Polynomial]) -> list[Polynomial]:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         return [combine(self.registry, row, vec) for row in self.rows]
+
+
+def _accumulate(row: Sequence[tuple[int, int]], nums: Sequence[dict[int, int]]) -> dict[int, int]:
+    """sum of s * nums[j] over the (j, s) of a kept row, zero numerators dropped."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for j, s in row:
+        for k, v in nums[j].items():
+            acc[k] = get(k, 0) + s * v
+    return {k: v for k, v in acc.items() if v}
 
 
 def _exact_divide(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -129,6 +129,10 @@ class Registry:
             raise OverflowError(f"total degree of {tuple(expo)!r} reaches 2**{FIELD_BITS - 1}")
         return key
 
+    def _fields_of(self, key: int) -> int:
+        """The bits of every variable field in which `key` is nonzero."""
+        return sum(_MASK << s for s in self._shifts if (key >> s) & _MASK)
+
     def _expo(self, key: int) -> tuple[int, ...]:
         """The exponent tuple of a key."""
         return tuple([(key >> s) & _MASK for s in self._shifts])

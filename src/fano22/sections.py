@@ -4,19 +4,23 @@ A grading assigns each variable an integer weight vector; section spaces
 are explicit spans of homogeneous polynomials with eagerly verified
 linear independence.  All solving is exact, via the one fraction-free
 elimination in `linalg`: a space reduces its coefficient matrix once, and
-every coordinate computation reuses that reduction.
+computes once which exponent fields are its coordinates and which row
+each basis monomial labels.  A coordinate computation then only groups
+f's integer numerators by basis monomial and runs the kept reduction on
+them, one integer accumulation per coordinate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import lcm
-from operator import mul
+from operator import mul, or_
 from typing import Mapping, Sequence
 
 from .linalg import ExactMatrix, coefficient_matrix, combine
-from .poly import Polynomial, Registry, _scalar
+from .poly import Polynomial, Registry, RegistryMismatch, _scalar
 
 
 class UnboundedDegreeCone(ValueError):
@@ -172,10 +176,15 @@ class SectionSpace:
                     raise ValueError(
                         f"basis element {b} is not homogeneous of degree {multidegree}"
                     )
-        # reduced once here; every `coords` call only combines its right-hand side
-        self._monomials, self._matrix = coefficient_matrix(registry, self.basis)
+        # reduced once here; every `coords` call only accumulates its right-hand side
+        monomials, self._matrix = coefficient_matrix(registry, self.basis)
         if len(self._matrix._augmented()[1]) != len(self.basis):
             raise ValueError("basis elements are linearly dependent")
+        # the fields of the coordinates (the variables of the basis), and
+        # (row, key) of each basis monomial by its coordinate fields
+        keys = [registry._key(e) for e in monomials]
+        self._mask = registry._fields_of(reduce(or_, keys, 0))
+        self._rows = {k & self._mask: (i, k) for i, k in enumerate(keys)}
 
     @property
     def dim(self) -> int:
@@ -201,14 +210,20 @@ class SectionSpace:
 
 def coords_in_space(f: Polynomial, space: SectionSpace) -> list[Polynomial] | None:
     """Solve f = sum c_i b_i exactly; c_i polynomial in parameter variables."""
-    coord_names = set()
-    for b in space.basis:
-        coord_names.update(b.variables())
-    split = f.coefficients_in(coord_names)
-    # any coordinate monomial of f outside the basis support is fatal
-    if not set(split).issubset(space._monomials):
-        return None
-    return space._matrix.solve([split.get(e, space.registry.zero) for e in space._monomials])
+    if f.registry is not space.registry:
+        raise RegistryMismatch("section and space use different registries")
+    mask, rows = space._mask, space._rows
+    groups: dict[int, dict[int, int]] = {}
+    for k, v in f._terms.items():
+        groups.setdefault(k & mask, {})[k] = v
+    nums: list[dict[int, int]] = [{}] * len(rows)
+    for part, members in groups.items():
+        # any coordinate monomial of f outside the basis support is fatal
+        if part not in rows:
+            return None
+        i, mono = rows[part]
+        nums[i] = {k - mono: v for k, v in members.items()}
+    return space._matrix._solve_numerators(nums, f._den)
 
 
 def _binary_coefficients(form: Polynomial, t0: str, t1: str, degree: int):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from fano22.linalg import ExactMatrix
-from fano22.poly import Registry
+from fano22.poly import Registry, RegistryMismatch
 
 
 @pytest.fixture
@@ -68,3 +68,27 @@ def test_rank_nullity(reg):
 def test_ragged_rows_rejected(reg):
     with pytest.raises(ValueError):
         ExactMatrix(reg, [[1, 2], [1]])
+
+
+def test_solve_rejects_a_right_hand_side_over_another_registry(reg):
+    other = Registry([("x", "coordinate"), ("t", "family-parameter")])
+    with pytest.raises(RegistryMismatch):
+        ExactMatrix(reg, [[1, 2], [3, -4]]).solve([other.var("x"), other.one])
+    t = reg.var("t")
+    with pytest.raises(RegistryMismatch):
+        ExactMatrix(reg, [[t, 1], [1, t]]).solve([other.var("x"), other.one])
+
+
+def test_solve_with_mixed_scalar_and_polynomial_right_hand_side(reg):
+    x = reg.var("x")
+    m = ExactMatrix(reg, [[1, 2, 0], [3, -4, 0], [0, 0, 7], [1, 0, 0]])
+    rhs = [Fraction(1, 2), x + 1, 3, (x + 2).scale(Fraction(1, 5))]
+    solution = m.solve(rhs)
+    assert solution == [(x + 2).scale(Fraction(1, 5)),
+                        reg.const(Fraction(1, 20)) - x.scale(Fraction(1, 10)),
+                        reg.const(Fraction(3, 7))]
+    assert m.mul_vector(solution) == [reg.const(Fraction(1, 2)), x + 1, reg.const(3),
+                                      (x + 2).scale(Fraction(1, 5))]
+    # the last equation now contradicts the first two
+    assert m.solve(rhs[:3] + [x]) is None
+    assert m.solve([0, 0, 0, 0]) == [reg.zero] * 3

@@ -1,11 +1,13 @@
 """Property-based checks of the algebra core on randomized small instances."""
 
+import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fano22.linalg import ExactMatrix
 from fano22.poly import PACK_PAIRS, Derivation, Polynomial, Registry
+from fano22.sections import SectionSpace
 
 REG = Registry([("x", "coordinate"), ("y", "coordinate"), ("z", "coordinate")])
 
@@ -109,3 +111,81 @@ def test_large_product_evaluates_to_product_of_values(f, g, points):
     product = f * g
     for p in points:
         assert _evaluate(product, p) == _evaluate(f, p) * _evaluate(g, p)
+
+
+REG_V = Registry([("x", "coordinate"), ("y", "coordinate"), ("z", "coordinate"),
+                  ("v", "family-parameter")])
+#: the 10 monomials of degree <= 2 in x, y, z
+_MONOMIALS = [e + (0,) for e in itertools.product(range(3), repeat=3) if sum(e) <= 2]
+
+
+def _rank(vectors) -> int:
+    """Rank of Fraction vectors by plain Gauss elimination."""
+    rows = [list(r) for r in vectors]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i, row in enumerate(rows):
+            if i != rank and row[c]:
+                f = row[c] / rows[rank][c]
+                rows[i] = [a - f * b for a, b in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def spans(draw):
+    """(monomials, rows, coefficients): basis element i has coefficient
+    rows[r][i] on monomials[r], each row over its own denominator, and
+    coefficients[i] lists the coefficients of v^0, v^1, ... of c_i."""
+    dim = draw(st.integers(3, 6))
+    monomials = draw(st.lists(st.sampled_from(_MONOMIALS), min_size=dim, max_size=8,
+                              unique=True))
+    rows = []
+    for _ in monomials:
+        q = draw(st.integers(1, 6))
+        rows.append([Fraction(draw(st.integers(-4, 4)), q) for _ in range(dim)])
+    coefficients = draw(st.lists(st.lists(_fractions, min_size=1, max_size=3),
+                                 min_size=dim, max_size=dim))
+    return monomials, rows, coefficients
+
+
+#: last pivot -1 (the z^2 row), with the xy row left as a consistency row
+_NEGATIVE_PIVOT = (
+    [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 0, 0)],
+    [[Fraction(1), Fraction(0), Fraction(0)],
+     [Fraction(0), Fraction(1, 2), Fraction(0)],
+     [Fraction(0), Fraction(0), Fraction(-1, 3)],
+     [Fraction(1), Fraction(1), Fraction(1)]],
+    [[Fraction(1), Fraction(-2)], [Fraction(0), Fraction(0), Fraction(3, 4)], [Fraction(5)]],
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spans())
+@example(_NEGATIVE_PIVOT)
+def test_coords_recover_parameter_coefficients(data):
+    monomials, rows, coefficients = data
+    dim = len(coefficients)
+    vectors = [[row[i] for row in rows] for i in range(dim)]
+    assume(_rank(vectors) == dim)
+    basis = [Polynomial(REG_V, dict(zip(monomials, vec))) for vec in vectors]
+    space = SectionSpace(REG_V, basis)
+    v = REG_V.var("v")
+    c = [sum((v ** k).scale(a) for k, a in enumerate(cs)) for cs in coefficients]
+    f = sum(ci * b for ci, b in zip(c, basis))
+    assert space.coords(f) == c
+    assert space.coords(REG_V.zero) == [REG_V.zero] * dim
+    # a basis monomial outside the span, with a coefficient in v, leaves it
+    support = [m for m, row in zip(monomials, rows) if any(row)]
+    for m in support:
+        unit = [Fraction(int(n == m)) for n in monomials]
+        if _rank(vectors + [unit]) > dim:
+            outside = f + (v + 1) * Polynomial(REG_V, {m: 1})
+            assert space.coords(outside) is None
+            break
+    else:
+        assert len(support) == dim

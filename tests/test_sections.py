@@ -6,7 +6,7 @@ import pytest
 
 from fano22.constants import PaperConstants
 from fano22.linalg import combine
-from fano22.poly import Registry
+from fano22.poly import Polynomial, Registry, RegistryMismatch
 from fano22.sections import (
     Grading,
     SectionSpace,
@@ -126,6 +126,15 @@ def test_section_space_coords_and_contains(consts):
     assert coords is not None
     assert combine(space.registry, coords, space.basis) == u
     assert not space.contains(consts.reg_f3.var("x0"))
+
+
+def test_coords_of_a_section_over_another_registry_rejected(consts):
+    space = consts.o11_space()
+    other = Registry([(n, "coordinate") for n in space.registry.names])
+    # a basis element, and a monomial outside the basis support
+    for f in (Polynomial(other, dict(space.basis[0].terms)), other.var("x0") * other.var("y0")):
+        with pytest.raises(RegistryMismatch):
+            space.coords(f)
 
 
 def test_coords_with_parameter_coefficients(consts):

@@ -181,6 +181,9 @@ def test_cli_eval_parse_error(capsys):
     # a degree past the packed field width is refused like a parse error
     assert main(["eval", "x^40000"]) == 2
     assert "2**15" in capsys.readouterr().err
+    # an unknown name is quoted once, as the registry quotes it
+    assert main(["eval", "x^2", "--subst", "2=x"]) == 2
+    assert capsys.readouterr().err == "error: unknown variable '2'\n"
 
 
 def test_cli_exit_one_on_failure(capsys, monkeypatch):
