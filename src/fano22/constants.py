@@ -136,6 +136,7 @@ class PaperConstants:
         self.reg_q = _registry_quadric()
         self._parsed: dict[tuple[str, int], Polynomial] = {}
         self._o11: SectionSpace | None = None
+        self._f3_action: ParametricAction | None = None
 
     # -- parsing helpers ---------------------------------------------------
 
@@ -191,18 +192,25 @@ class PaperConstants:
         )
 
     def f3_action(self) -> ParametricAction:
-        return ParametricAction(
-            registry=self.reg_f3,
-            params=("a", "lam"),
-            images={
-                "x0": self.poly_f3("f3_action.x0"),
-                "x1": self.poly_f3("f3_action.x1"),
-                "y0": self.poly_f3("f3_action.y0"),
-                "y1": self.poly_f3("f3_action.y1"),
-            },
-            factors=(("x0", "x1"), ("y0", "y1")),
-            identity={"a": Fraction(0), "lam": Fraction(1)},
-        )
+        """The action on F3, built once per table.
+
+        A build that fails is not kept, so every call on a table whose
+        action does not fix the coordinates at the identity raises again.
+        """
+        if self._f3_action is None:
+            self._f3_action = ParametricAction(
+                registry=self.reg_f3,
+                params=("a", "lam"),
+                images={
+                    "x0": self.poly_f3("f3_action.x0"),
+                    "x1": self.poly_f3("f3_action.x1"),
+                    "y0": self.poly_f3("f3_action.y0"),
+                    "y1": self.poly_f3("f3_action.y1"),
+                },
+                factors=(("x0", "x1"), ("y0", "y1")),
+                identity={"a": Fraction(0), "lam": Fraction(1)},
+            )
+        return self._f3_action
 
     def group_law(self) -> GroupLaw:
         return GroupLaw(

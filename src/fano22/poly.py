@@ -15,7 +15,9 @@ positive denominator with gcd(denominator, numerators) = 1.  That form
 is canonical, so equal polynomials have equal dicts.  Sums, products,
 substitutions and derivations accumulate into one dict; exact division
 is heap-ordered long division over the integers (Johnson 1974;
-Monagan–Pearce 2007).  `Polynomial.terms` is a read-only view mapping
+Monagan–Pearce 2007).  A substitution image of at most one term moves
+keys and scales numerators; only images of two or more terms are
+multiplied out.  `Polynomial.terms` is a read-only view mapping
 exponent tuples to `Fraction`s, decoded on access.
 
 A product of at least `PACK_PAIRS` term pairs, with both operands longer
@@ -317,80 +319,110 @@ class Polynomial:
     # -- structural operations ----------------------------------------------
 
     def substitute(self, assignment: Mapping[str, "Polynomial"]) -> "Polynomial":
-        """Ring homomorphism replacing variables by polynomials.
+        """Ring homomorphism replacing variables by polynomials, all at once.
 
         Unassigned variables map to themselves.  All images must share
-        this polynomial's registry.  Terms are grouped by their exponents
-        in the assigned variables; each group's product of image powers
-        is formed once, scaled to a common denominator, and every term of
-        the group is accumulated against it into one dict.
+        this polynomial's registry.  An image of at most one term (zero,
+        a constant, or a scalar times a monomial) maps each term to one
+        term: its key moves by e * (image key - variable key), its
+        numerator is multiplied by the image numerator to the e, and a
+        zero image drops it.  Only images of two or more terms take part
+        in products: terms are grouped by their exponents in those
+        variables, each group's product of image powers is formed once,
+        and every member, after the one-term images, is accumulated
+        against it into one dict.  Every image exponent is read from the
+        original key, so the images never see one another.
         """
         reg = self.registry
-        images: dict[int, Polynomial] = {}
-        for name, img in assignment.items():
-            if isinstance(img, (int, Fraction)):
-                img = reg.const(img)
-            if img.registry is not reg:
-                raise RegistryMismatch("substitution image uses a different registry")
-            images[reg.index(name)] = img
         t = self._terms
-        # (shift, key of the variable, image, highest exponent) per occurring variable
-        subs = []
-        field_mask = 0
-        for i, img in images.items():
-            s = reg._shifts[i]
-            top = max((k >> s) & _MASK for k in t) if t else 0
-            if top:
-                subs.append((s, reg._units[i], img, top))
-                field_mask |= _MASK << s
-        if not subs:
-            return self
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for k, c in t.items():
-            groups.setdefault(k & field_mask, []).append((k, c))
-        # powers[j][e]: numerators of image j to the power e, over den_j**e
-        powers = [[{0: 1}] for _ in subs]
-        limit = reg._limit
+        seen = 0
+        for k in t:
+            seen |= k
+        # per occurring variable with an image of two or more terms:
+        # (shift, key of the variable, image numerators, image denominator, top);
+        # with one term: (shift, image key - variable key, numerator, denominator, top).
+        # top, the highest exponent, is needed (and computed) only when the
+        # denominator is not 1.
+        multi = []
+        single = []
+        multi_mask = 0
+        dead_mask = 0
         den = self._den
-        for _, _, img, top in subs:
-            den *= img._den ** top
+        shifts, units = reg._shifts, reg._units
+        for name, img in assignment.items():
+            if not isinstance(img, Polynomial):
+                img = reg.const(img)
+            elif img.registry is not reg:
+                raise RegistryMismatch("substitution image uses a different registry")
+            i = reg.index(name)
+            s = shifts[i]
+            if not (seen >> s) & _MASK:
+                continue
+            it, d = img._terms, img._den
+            if not it:
+                dead_mask |= _MASK << s
+                continue
+            top = 0
+            if d != 1:
+                top = max((k >> s) & _MASK for k in t)
+                den *= d ** top
+            if len(it) > 1:
+                multi.append((s, units[i], it, d, top))
+                multi_mask |= _MASK << s
+            else:
+                ((ik, n),) = it.items()
+                single.append((s, ik - units[i], n, d, top))
+        if not (multi or single or dead_mask):
+            return self
+        groups: Mapping[int, Iterable[tuple[int, int]]] = {0: t.items()}
+        if multi:
+            groups = {}
+            for k, c in t.items():
+                groups.setdefault(k & multi_mask, []).append((k, c))
+        # powers[j][e]: numerators of multi-term image j to the power e, over d_j**e
+        powers = [[{0: 1}] for _ in multi]
+        limit = reg._limit
         acc: dict[int, int] = {}
         get = acc.get
         for part, members in groups.items():
             product = {0: 1}
             scale = 1
             mono = 0
-            for (s, unit, img, top), cache in zip(subs, powers):
+            for (s, unit, it, d, top), cache in zip(multi, powers):
                 e = (part >> s) & _MASK
-                scale *= img._den ** (top - e)
+                if d != 1:
+                    scale *= d ** (top - e)
                 if not e:
                     continue
                 mono += e * unit
                 while len(cache) <= e:
                     prev = cache[-1]
-                    if not prev or not img._terms:
-                        cache.append({})
-                        continue
-                    if max(prev) + max(img._terms) >= limit:
+                    if max(prev) + max(it) >= limit:
                         raise _overflow(reg)
-                    cache.append(_mul_terms(reg, prev, img._terms))
+                    cache.append(_mul_terms(reg, prev, it))
                 power = cache[e]
-                if not power:
-                    product = {}
-                    break
                 if max(product) + max(power) >= limit:
                     raise _overflow(reg)
                 product = _mul_terms(reg, product, power)
-            if not product:
-                continue
-            if max(members)[0] - mono + max(product) >= limit:
-                raise _overflow(reg)
             items = [(pk, pv * scale) for pk, pv in product.items()]
             for k, c in members:
+                if k & dead_mask:
+                    continue
                 rest = k - mono
+                for s, delta, n, d, top in single:
+                    e = (k >> s) & _MASK
+                    if e:
+                        rest += e * delta
+                        c *= n ** e
+                    if d != 1:
+                        c *= d ** (top - e)
                 for pk, pv in items:
                     key = rest + pk
                     acc[key] = get(key, 0) + c * pv
+        # a key of total degree 2**(FIELD_BITS - 1) or more is at least the
+        # limit whatever its fields carried, so one look at the largest suffices
+        if acc and max(acc) >= limit:
+            raise _overflow(reg)
         return _canon(reg, {k: v for k, v in acc.items() if v}, den)
 
     def exact_divide(self, g: "Polynomial") -> "Polynomial | None":

@@ -32,6 +32,15 @@ def test_identity_validation(consts):
         )
 
 
+def test_f3_action_built_once_per_table_unless_it_fails(consts):
+    assert consts.f3_action() is consts.f3_action()
+    raw = dict(consts.raw, **{"f3_action.x0": "lam*x0 + x1"})
+    tampered = PaperConstants(raw=raw)
+    for _ in range(2):
+        with pytest.raises(ActionError):
+            tampered.f3_action()
+
+
 def test_act_on_section(consts):
     action = consts.f3_action()
     reg = consts.reg_f3

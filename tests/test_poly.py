@@ -54,6 +54,7 @@ def test_scalar_coercion_and_scale(reg):
     lambda reg: reg.var("x").scale(0.1),
     lambda reg: reg.var("x") + 0.5,
     lambda reg: 0.5 * reg.var("x"),
+    lambda reg: reg.var("x").substitute({"x": 0.5}),
 ])
 def test_float_scalars_rejected(reg, make):
     with pytest.raises(TypeError):
@@ -158,8 +159,21 @@ def test_degree_reaching_field_width_raises(reg):
     with pytest.raises(OverflowError):
         (x * y).substitute({"x": y ** (LIMIT - 1)})
     with pytest.raises(OverflowError):
+        (x * y).substitute({"x": y ** (LIMIT - 1), "y": y + 1})
+    with pytest.raises(OverflowError):
         Derivation(reg, {"y": y ** 2})(top)
     assert Derivation(reg, {"y": y})(top) == (LIMIT - 1) * top
+
+
+def test_degree_lowering_substitution_at_the_limit(reg):
+    x, y, t = reg.var("x"), reg.var("y"), reg.var("t")
+    f = x * y ** (LIMIT - 2) + 3 * t
+    assert f.total_degree() == LIMIT - 1
+    g = f.substitute({"x": 1})
+    assert g == y ** (LIMIT - 2) + 3 * t
+    assert g.degree_in("y") == LIMIT - 2 and g.degree_in("x") == 0
+    assert f.substitute({"x": Fraction(1, 2), "t": t + 1}) == \
+        (y ** (LIMIT - 2)).scale(Fraction(1, 2)) + 3 * t + 3
 
 
 def test_exact_divide_never_borrows_between_fields(reg):

@@ -3,7 +3,9 @@
 Seeded random polynomials in 4 variables, with up to about 100 terms and
 rational coefficients, go through `*`, `+`, `-`, `substitute`,
 `exact_divide` (on exact multiples and on non-multiples) and
-`Derivation`; every result must equal sympy's, term by term.  Products
+`Derivation`; every result must equal sympy's, term by term.  The
+substitution images are zero, constants, single terms over a denominator
+and sums of 2 to 3 terms, some of them swapping two variables.  Products
 of 60 to 120 terms per operand, and the cube of a 50-term polynomial,
 take the packed product.
 """
@@ -61,12 +63,34 @@ def test_ring_operations_match_sympy(seed):
     assert (f - f).is_zero()
 
 
-@pytest.mark.parametrize("seed", range(12))
+def _random_image(rng: random.Random) -> Polynomial:
+    """Zero, a constant p/q, one term over a denominator, or 2 to 3 terms."""
+    kind = rng.choice(("zero", "constant", "term", "terms"))
+    if kind == "zero":
+        return REG.zero
+    if kind == "constant":
+        return REG.const(Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+    if kind == "term":
+        expo = tuple(rng.randint(0, 2) for _ in NAMES)
+        q = rng.randint(2, 12)
+        return Polynomial(REG, {expo: Fraction(rng.choice([-1, 1]) * (rng.randint(0, 9) * q + 1), q)})
+    terms, size = {}, rng.randint(2, 3)
+    while len(terms) < size:
+        terms[tuple(rng.randint(0, 1) for _ in NAMES)] = Fraction(rng.randint(1, 9), rng.randint(1, 12))
+    return Polynomial(REG, terms)
+
+
+@pytest.mark.parametrize("seed", range(24))
 def test_substitute_matches_sympy(seed):
     rng = random.Random(100 + seed)
     f = _random_poly(rng, 100, 4)
     names = rng.sample(NAMES, rng.randint(1, 4))
-    images = {n: _random_poly(rng, 3, 1) for n in names}
+    images = {n: _random_image(rng) for n in names}
+    if len(names) > 1 and seed % 2:
+        # a swap: each of two images mentions the other's variable
+        a, b = names[:2]
+        images[a] = REG.var(b).scale(Fraction(1, rng.randint(1, 5)))
+        images[b] = REG.var(a)
     # sympy's sum over the terms of c * prod(image ** e), a variable without
     # an image standing for itself
     targets = [_to_sympy(images[n]) if n in images else sympy.Poly(g, *GENS, domain=QQ)
@@ -78,7 +102,9 @@ def test_substitute_matches_sympy(seed):
         for pw, k in zip(powers, expo):
             term *= pw[k]
         expected += term
-    assert f.substitute(images) == _from_sympy(expected)
+    result = f.substitute(images)
+    assert result == _from_sympy(expected)
+    assert all(type(v) is int for v in result._terms.values()) and type(result._den) is int
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -103,6 +103,24 @@ _large_polys = st.dictionaries(
 ).map(lambda terms: Polynomial(REG, terms))
 _points = st.tuples(_fractions, _fractions, _fractions)
 
+#: substitution images of every kind: zero, a constant, one term, 2 to 3 terms
+_images = st.one_of(
+    st.just(REG.zero),
+    _fractions.map(REG.const),
+    *(st.dictionaries(_exponents, _fractions.filter(bool), min_size=lo, max_size=hi)
+      .map(lambda terms: Polynomial(REG, terms)) for lo, hi in ((1, 1), (2, 3))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), st.dictionaries(st.sampled_from(REG.names), _images, min_size=1), _points)
+@example(f=Polynomial(REG, {(1, 1, 0): 1, (0, 0, 2): Fraction(1, 2)}),
+         sub={"x": Polynomial(REG, {(0, 1, 1): Fraction(2, 3)})},
+         point=(Fraction(1, 2), Fraction(3), Fraction(-1)))
+def test_substitution_commutes_with_evaluation(f, sub, point):
+    images = tuple(_evaluate(sub[n], point) if n in sub else p for n, p in zip(REG.names, point))
+    assert _evaluate(f.substitute(sub), point) == _evaluate(f, images)
+
 
 @settings(max_examples=20, deadline=None)
 @given(_large_polys, _large_polys, st.lists(_points, min_size=2, max_size=2))
