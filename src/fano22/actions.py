@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .linalg import coefficient_matrix, combine
+from .maps import proportional_mod
 from .poly import Derivation, Polynomial, Registry
 from .sections import SectionSpace, coords_in_space
 
@@ -68,19 +69,13 @@ class GroupLaw:
     primed: Mapping[str, str]  # param name -> primed-copy variable name
 
 
-@dataclass
-class GroupLawReport:
-    ok: bool
-    witness: Polynomial | None = None
-
-
-def verify_group_law(action: ParametricAction, law: GroupLaw) -> GroupLawReport:
+def verify_group_law(action: ParametricAction, law: GroupLaw) -> tuple[bool, Polynomial | None]:
     """Check that acting twice matches acting by the law-composed element.
 
     Both group elements stay fully formal.  Per projective factor the
     composed substitution must be proportional to the substitution at the
-    composed parameters; otherwise the first failing cross-difference is
-    reported.
+    composed parameters (`proportional_mod`); otherwise the first failing
+    cross-difference is returned as witness.
     """
     reg = action.registry
     prime_assignment = {p: reg.var(law.primed[p]) for p in action.params}
@@ -89,12 +84,11 @@ def verify_group_law(action: ParametricAction, law: GroupLaw) -> GroupLawReport:
     composed = {n: img.substitute(sigma) for n, img in sigma_prime.items()}
     target = {n: img.substitute(dict(law.rule)) for n, img in sigma.items()}
     for factor in action.factors:
-        for i, ni in enumerate(factor):
-            for nj in factor[i + 1:]:
-                cross = composed[ni] * target[nj] - composed[nj] * target[ni]
-                if not cross.is_zero():
-                    return GroupLawReport(ok=False, witness=cross)
-    return GroupLawReport(ok=True)
+        ok, witness = proportional_mod([composed[n] for n in factor],
+                                       [target[n] for n in factor], None)
+        if not ok:
+            return False, witness
+    return True, None
 
 
 def lie_derivation(action: ParametricAction, direction: str) -> Derivation:
@@ -150,27 +144,9 @@ def semi_invariant_lines(
     lines: list[Polynomial] = []
     for _, elems in sorted(buckets.items()):
         images = [nilpotent_derivation(b) for b in elems]
-        monomials, matrix = coefficient_matrix(reg, images)
-        if not monomials:
-            lines.extend(b.primitive_normal() for b in elems)
-            continue
-        for vec in matrix.kernel():
+        for vec in coefficient_matrix(reg, images)[1].kernel():
             lines.append(combine(reg, vec, elems).primitive_normal())
     return lines
-
-
-@dataclass
-class StabilizerConditions:
-    """Generators (in group and family parameters) of the condition ideal.
-
-    All generators vanish at the identity parameters; they vanish
-    identically iff the section is semi-invariant.
-    """
-
-    generators: list[Polynomial]
-
-    def is_trivial(self) -> bool:
-        return not self.generators
 
 
 def stabilizer_conditions(
@@ -178,12 +154,14 @@ def stabilizer_conditions(
     action: ParametricAction,
     space: SectionSpace,
     unit_params: Sequence[str] = (),
-) -> StabilizerConditions:
-    """2x2 minors forcing act(f) proportional to f inside the space.
+) -> list[Polynomial]:
+    """Generators of the condition ideal: 2x2 minors forcing act(f) proportional to f.
 
-    Generators are normalized by stripping monomial factors in the unit
-    parameters (the torus coordinate is invertible on the group) and the
-    rational content.
+    The generators are polynomials in group and family parameters.  All
+    vanish at the identity parameters, and there are none iff the section
+    is semi-invariant.  They are normalized by stripping monomial factors
+    in the unit parameters (the torus coordinate is invertible on the
+    group) and the rational content.
     """
     u = coords_in_space(f, space)
     if u is None:
@@ -207,16 +185,15 @@ def stabilizer_conditions(
             if minor not in seen:
                 seen.add(minor)
                 generators.append(minor)
-    conds = StabilizerConditions(generators)
     id_assignment = {p: reg.const(v) for p, v in action.identity.items()}
     for gen in generators:
         if not gen.substitute(id_assignment).is_zero():
             raise ActionError(f"generator {gen} does not vanish at the identity")
-    return conds
+    return generators
 
 
 def conditions_equal_principal(
-    conds: StabilizerConditions,
+    conds: Sequence[Polynomial],
     candidate: Polynomial,
     unit_params: Sequence[str] = (),
 ) -> bool:
@@ -228,14 +205,14 @@ def conditions_equal_principal(
     """
     if candidate.is_zero():
         raise ValueError("candidate generator must be nonzero")
-    if conds.is_trivial():
+    if not conds:
         return False
     normal_candidate = candidate
     for p in unit_params:
         normal_candidate = normal_candidate.strip_variable_factor(p)
     normal_candidate = normal_candidate.primitive_normal()
     attained = False
-    for g in conds.generators:
+    for g in conds:
         if g.exact_divide(candidate) is None:
             return False
         stripped = g

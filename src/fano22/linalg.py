@@ -14,11 +14,15 @@ changes neither rank nor kernel.  Matrices whose entries are all constant
 are then reduced in plain `int`s with exact `//`; any other matrix in
 polynomials with integer coefficients, with `Polynomial.exact_divide`.
 
-`solve` reduces [S A | S] once per matrix and keeps it.  For a constant
-matrix it keeps the S-part of each reduced row as sparse integer pairs,
-so a later solve is one integer accumulation per unknown: the
-right-hand sides' numerators summed into one dict over a common
-denominator, which the pivot then divides.
+Every subspace is cut out the same way: `coefficient_matrix` turns a span
+of polynomials into the matrix of their coefficients, and its `kernel`,
+passed to `combine`, gives the subspace.
+
+`solve` is for matrices of constants only (a polynomial matrix raises
+ValueError).  It reduces [S A | S] once per matrix and keeps the S-part
+of each reduced row as sparse integer pairs, so a later solve is one
+integer accumulation per unknown: the right-hand sides' numerators summed
+into one dict over a common denominator, which the pivot then divides.
 """
 
 from __future__ import annotations
@@ -32,12 +36,16 @@ from .poly import Polynomial, Registry, RegistryMismatch, _canon, poly_sum
 
 
 class ExactMatrix:
-    """Rectangular matrix of Polynomial entries over one registry."""
+    """Rectangular matrix of Polynomial entries over one registry.
 
-    def __init__(self, registry: Registry, rows: Sequence[Sequence]):
+    `ncols`, when given, is the column count, checked against every row;
+    so a matrix without rows still has its columns.  Otherwise the first
+    row gives the count.
+    """
+
+    def __init__(self, registry: Registry, rows: Sequence[Sequence], ncols: int | None = None):
         self.registry = registry
         coerced = []
-        width = None
         for row in rows:
             out = []
             for entry in row:
@@ -46,14 +54,15 @@ class ExactMatrix:
                 if entry.registry is not registry:
                     raise ValueError("matrix entries must share the registry")
                 out.append(entry)
-            if width is None:
-                width = len(out)
-            elif len(out) != width:
+            if ncols is None:
+                ncols = len(out)
+            elif len(out) != ncols:
                 raise ValueError("matrix rows must have equal length")
             coerced.append(out)
         self.rows: list[list[Polynomial]] = coerced
         self.nrows = len(coerced)
-        self.ncols = width if width is not None else 0
+        self.ncols = 0 if ncols is None else ncols
+        self._constant = all(e.is_constant() for row in coerced for e in row)
         self._solver = None
 
     def _reduce(self, augment: bool = False):
@@ -71,7 +80,7 @@ class ExactMatrix:
         determinant of the pivot block of S A up to that sign.
         """
         scales = [lcm(*[e._den for e in row]) for row in self.rows]
-        if all(e.is_constant() for row in self.rows for e in row):
+        if self._constant:
             m = [[e._terms.get(0, 0) * (s // e._den) for e in row]
                  for row, s in zip(self.rows, scales)]
             lift, divide = int, operator.floordiv
@@ -144,40 +153,29 @@ class ExactMatrix:
     def solve(self, rhs: Sequence) -> list[Polynomial] | None:
         """The solution x of A x = rhs whose free unknowns are 0, or None.
 
-        None means the system is inconsistent.  Right-hand sides may be
-        scalars or polynomials in any variables of the registry.  [S A | S]
-        is reduced on the first call and kept.  Against a constant A each
-        unknown is then one integer accumulation: the numerators of the
-        right-hand sides, over the lcm of their denominators, summed with
-        the kept row's integer weights, then divided by the pivot.  Against
-        a polynomial A every row is combined with the right-hand sides and
-        divided by the pivot exactly; raises ValueError when the solution
-        is not polynomial (a pivot that does not divide).
+        A must be a matrix of constants; None means the system is
+        inconsistent.  Right-hand sides may be scalars or polynomials in
+        any variables of the registry.  [S A | S] is reduced on the first
+        call and kept, and each unknown is then one integer accumulation:
+        the numerators of the right-hand sides, over the lcm of their
+        denominators, summed with the kept row's integer weights, then
+        divided by the pivot.
         """
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side length mismatch")
         reg = self.registry
-        rows, pivots, d = self._augmented()
-        if isinstance(d, int):
-            polys = [p if isinstance(p, Polynomial) else reg.const(p) for p in rhs]
-            if any(p.registry is not reg for p in polys):
-                raise RegistryMismatch("right-hand side uses a different registry")
-            den = lcm(*[p._den for p in polys])
-            return self._solve_numerators(
-                [p._terms if p._den == den else
-                 {k: v * (den // p._den) for k, v in p._terms.items()} for p in polys],
-                den)
-        values = [combine(reg, row, rhs) for row in rows]
-        if any(not v.is_zero() for v in values[len(pivots):]):
-            return None
-        x = [reg.zero] * self.ncols
-        for v, c in zip(values, pivots):
-            x[c] = _exact_divide(v, d)
-        return x
+        polys = [p if isinstance(p, Polynomial) else reg.const(p) for p in rhs]
+        if any(p.registry is not reg for p in polys):
+            raise RegistryMismatch("right-hand side uses a different registry")
+        den = lcm(*[p._den for p in polys])
+        return self._solve_numerators(
+            [p._terms if p._den == den else
+             {k: v * (den // p._den) for k, v in p._terms.items()} for p in polys],
+            den)
 
     def _solve_numerators(self, nums: Sequence[dict[int, int]], den: int
                           ) -> list[Polynomial] | None:
-        """`solve` for a constant matrix and the right-hand side nums[i] / den.
+        """`solve` for the right-hand side nums[i] / den.
 
         nums[i] is the numerator dict of row i's right-hand side (empty
         for 0) over the common positive denominator den.
@@ -196,21 +194,18 @@ class ExactMatrix:
     def _augmented(self):
         """The reduction of [S A | S], computed once: (S-parts of the rows, pivot columns, d).
 
-        For a constant matrix each S-part is a sparse list of (i, int), i
-        indexing the right-hand side, and d > 0: if the last pivot is
-        negative, the S-parts are negated with it.  Otherwise S-parts are
-        lists of polynomials.
+        Each S-part is a sparse list of (i, int), i indexing the
+        right-hand side, and d > 0: if the last pivot is negative, the
+        S-parts are negated with it.  Raises ValueError, before any
+        reduction, unless every entry of A is constant.
         """
         if self._solver is None:
+            if not self._constant:
+                raise ValueError("solve needs a matrix of constants")
             m, pivots, d, _, _ = self._reduce(augment=True)
-            n = self.ncols
-            if isinstance(d, int):
-                sign = 1 if d > 0 else -1
-                parts = [[(j, sign * v) for j, v in enumerate(row[n:]) if v] for row in m]
-                d = abs(d)
-            else:
-                parts = [row[n:] for row in m]
-            self._solver = parts, pivots, d
+            sign = 1 if d > 0 else -1
+            parts = [[(j, sign * v) for j, v in enumerate(row[self.ncols:]) if v] for row in m]
+            self._solver = parts, pivots, abs(d)
         return self._solver
 
     def mul_vector(self, vec: Sequence[Polynomial]) -> list[Polynomial]:
@@ -246,14 +241,14 @@ def coefficient_matrix(
     Coefficients are taken on the monomials in `variables` (default: every
     variable of the registry), so entries are polynomials in the others.
     Returns (the monomials occurring, sorted, which label the rows; the
-    matrix).
+    matrix), which has len(polys) columns even when every poly is zero.
     """
     names = registry.names if variables is None else variables
     columns = [p.coefficients_in(names) for p in polys]
     monomials = sorted({e for column in columns for e in column})
     zero = registry.zero
     rows = [[column.get(e, zero) for column in columns] for e in monomials]
-    return monomials, ExactMatrix(registry, rows)
+    return monomials, ExactMatrix(registry, rows, len(polys))
 
 
 def combine(registry: Registry, coeffs: Sequence, polys: Sequence[Polynomial]) -> Polynomial:

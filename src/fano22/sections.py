@@ -7,7 +7,10 @@ elimination in `linalg`: a space reduces its coefficient matrix once, and
 computes once which exponent fields are its coordinates and which row
 each basis monomial labels.  A coordinate computation then only groups
 f's integer numerators by basis monomial and runs the kept reduction on
-them, one integer accumulation per coordinate.
+them, one integer accumulation per coordinate.  Vanishing orders along a
+curve are read off the `coefficient_matrix` of the restricted sections:
+the conditions are its rows of low local exponent, the subspace their
+kernel.
 """
 
 from __future__ import annotations
@@ -226,20 +229,6 @@ def coords_in_space(f: Polynomial, space: SectionSpace) -> list[Polynomial] | No
     return space._matrix._solve_numerators(nums, f._den)
 
 
-def _binary_coefficients(form: Polynomial, t0: str, t1: str, degree: int):
-    """Coefficients [a_0..a_degree] of t0^(d-j) t1^j; entries are Fractions."""
-    reg = form.registry
-    i0, i1 = reg.index(t0), reg.index(t1)
-    coeffs = [Fraction(0)] * (degree + 1)
-    for e in form.exponents():
-        if e[i0] + e[i1] != degree or any(
-            k for i, k in enumerate(e) if i not in (i0, i1)
-        ):
-            raise ValueError("restriction is not a binary form of the common degree")
-        coeffs[e[i1]] += form.coefficient(e)
-    return coeffs
-
-
 def restricted_order_subspace(
     space: SectionSpace,
     curve: Mapping[str, Polynomial],
@@ -249,46 +238,39 @@ def restricted_order_subspace(
     """Sections whose restriction along the curve vanishes to given orders.
 
     Each condition is ((alpha, beta), k): vanishing order >= k at the
-    point [alpha : beta] of the parameter line.  Orders at general points
-    are computed through the linear coordinate change
-    t0 -> alpha*t0, t1 -> beta*t0 + t1, keeping everything polynomial.
+    point [alpha : beta] of the parameter line, whose linear form is
+    beta*t0 - alpha*t1.  At [0:1] that is the order in t0.  Any other
+    point goes to t1 = 0 under the linear coordinate change
+    t0 -> alpha*t0, t1 -> beta*t0 + t1, where it is the order in t1.  A
+    condition keeps the rows of the restrictions' `coefficient_matrix`
+    whose monomial has local exponent < k, and the subspace is the kernel
+    of every kept row.
     """
     reg = space.registry
     t0, t1 = binary_vars
+    i0, i1 = reg.index(t0), reg.index(t1)
     restrictions = [b.substitute(curve) for b in space.basis]
     degrees = {r.total_degree() for r in restrictions if not r.is_zero()}
     if len(degrees) > 1:
         raise ValueError(f"inconsistent restricted degrees {sorted(degrees)}")
-    if not degrees:
-        return SectionSpace(reg, list(space.basis), space.multidegree)
-    d = degrees.pop()
+    # checked once: the coordinate changes below keep binary forms of the degree
+    if any(e[i0] + e[i1] not in degrees for r in restrictions for e in r.exponents()):
+        raise ValueError("restriction is not a binary form of the common degree")
 
-    constraint_rows: list[list[Fraction]] = []
+    rows = []
     for (alpha, beta), order in conditions:
         alpha, beta = _scalar(alpha), _scalar(beta)
         if alpha == 0 and beta == 0:
             raise ValueError("point must be nonzero")
-        per_basis = []
-        for r in restrictions:
-            if r.is_zero():
-                per_basis.append([Fraction(0)] * (d + 1))
-                continue
-            if alpha == 0:
-                # order at [0:1] is the order in t0
-                coeffs = _binary_coefficients(r, t0, t1, d)
-                per_basis.append(list(reversed(coeffs)))
-            else:
-                moved = r.substitute(
-                    {
-                        t0: reg.var(t0).scale(alpha),
-                        t1: reg.var(t0).scale(beta) + reg.var(t1),
-                    }
-                )
-                per_basis.append(_binary_coefficients(moved, t0, t1, d))
-        for j in range(min(order, d + 1)):
-            constraint_rows.append([per_basis[i][j] for i in range(space.dim)])
+        if alpha == 0:
+            moved, local = restrictions, i0
+        else:
+            change = {t0: reg.var(t0).scale(alpha),
+                      t1: reg.var(t0).scale(beta) + reg.var(t1)}
+            moved, local = [r.substitute(change) for r in restrictions], i1
+        monomials, matrix = coefficient_matrix(reg, moved, binary_vars)
+        rows += [row for e, row in zip(monomials, matrix.rows) if e[local] < order]
 
-    matrix = ExactMatrix(reg, constraint_rows)
-    kernel = matrix.kernel()
-    new_basis = [combine(reg, vec, space.basis) for vec in kernel]
-    return SectionSpace(reg, new_basis, space.multidegree)
+    kernel = ExactMatrix(reg, rows, space.dim).kernel()
+    return SectionSpace(reg, [combine(reg, vec, space.basis) for vec in kernel],
+                        space.multidegree)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fano22.linalg import ExactMatrix
+from fano22.linalg import ExactMatrix, coefficient_matrix
 from fano22.poly import Registry, RegistryMismatch
 
 
@@ -65,6 +65,15 @@ def test_rank_nullity(reg):
     assert m.rank() + len(m.kernel()) == m.ncols
 
 
+def test_a_matrix_without_rows_keeps_its_columns(reg):
+    monomials, m = coefficient_matrix(reg, [reg.zero, reg.zero])
+    assert monomials == [] and (m.nrows, m.ncols) == (0, 2)
+    assert len(m.kernel()) == 2
+    assert len(ExactMatrix(reg, [], 3).kernel()) == 3
+    with pytest.raises(ValueError):
+        ExactMatrix(reg, [[1, 2]], 3)
+
+
 def test_ragged_rows_rejected(reg):
     with pytest.raises(ValueError):
         ExactMatrix(reg, [[1, 2], [1]])
@@ -77,6 +86,12 @@ def test_solve_rejects_a_right_hand_side_over_another_registry(reg):
     t = reg.var("t")
     with pytest.raises(RegistryMismatch):
         ExactMatrix(reg, [[t, 1], [1, t]]).solve([other.var("x"), other.one])
+
+
+def test_solve_rejects_a_polynomial_matrix(reg):
+    t = reg.var("t")
+    with pytest.raises(ValueError, match="constants"):
+        ExactMatrix(reg, [[t, 1], [1, t]]).solve([1, 0])
 
 
 def test_solve_with_mixed_scalar_and_polynomial_right_hand_side(reg):

@@ -5,10 +5,10 @@ factors, plus the shapes the integer elimination of constant matrices is
 sensitive to: 12 x 15, rows with different denominators, zero rows,
 integer rows, and polynomial right-hand sides.  Over Q[v]: up to 4 x 6,
 entries linear in v, some rows repeated as sums of others.  About a third
-of the matrices are square.  rank and det are compared with sympy,
-kernels are checked by annihilation and size, and `solve` must give
-sympy's solution with every free unknown 0, or None exactly when sympy
-finds no solution.
+of the matrices are square.  rank and det are compared with sympy, and
+kernels are checked by annihilation and size.  On matrices of constants,
+`solve` must give sympy's solution with every free unknown 0, or None
+exactly when sympy finds no solution.
 """
 
 import random
@@ -105,6 +105,7 @@ def test_rational_matrices_match_sympy():
 
 
 def test_polynomial_matrices_match_sympy():
+    # rank, det and kernel only: `solve` is for matrices of constants
     rng = random.Random(1018)
     v = REG.var("v")
     for _ in range(25):
@@ -114,20 +115,7 @@ def test_polynomial_matrices_match_sympy():
                 for _ in range(nrows)]
         if nrows > 2 and rng.random() < 0.5:
             rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
-        # a polynomial solution on the pivot columns: the solution whose
-        # free unknowns are 0 is then polynomial
-        _, pivots = _domain_matrix(rows, QV).rref()
-        x0 = [v.scale(_rational(rng)) + _rational(rng) if j in pivots else REG.zero
-              for j in range(ncols)]
-        consistent = ExactMatrix(REG, rows).mul_vector(x0)
-        # an arbitrary right-hand side is kept only when it is inconsistent:
-        # a consistent one may have a solution that is not polynomial
-        arbitrary = [REG.const(_rational(rng)) for _ in range(nrows)]
-        rhs_list = [consistent]
-        if _particular_solution(rows, arbitrary, QV) is None:
-            rhs_list.append(arbitrary)
-        matrix = _check_against_sympy(rows, rhs_list, QV)
-        assert matrix.solve(consistent) == x0
+        _check_against_sympy(rows, [], QV)
 
 
 def test_integer_elimination_shapes_match_sympy():

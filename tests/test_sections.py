@@ -181,3 +181,63 @@ def test_restricted_order_general_point():
     # double vanishing at [1:1] leaves the square (t1 - t0)^2
     assert sub.dim == 1
     assert sub.contains((t1 - t0) ** 2)
+
+
+def test_restricted_order_without_conditions_keeps_the_space():
+    reg = Registry([("t0", "curve-parameter"), ("t1", "curve-parameter")])
+    t0, t1 = reg.var("t0"), reg.var("t1")
+    space = SectionSpace(reg, [t0 ** 2, t0 * t1, t1 ** 2])
+    for conditions in ([], [((Fraction(0), Fraction(1)), 0)],
+                       [((Fraction(2), Fraction(-1)), 0)]):
+        sub = restricted_order_subspace(space, {}, conditions, ("t0", "t1"))
+        assert sub.same_span(space)
+
+
+def test_restrictions_must_be_binary_forms_of_one_degree():
+    reg = Registry([("t0", "curve-parameter"), ("t1", "curve-parameter"),
+                    ("s", "coordinate")])
+    t0, t1, s = reg.var("t0"), reg.var("t1"), reg.var("s")
+    point = [((Fraction(0), Fraction(1)), 1)]
+    for basis, message in (([t0 ** 2, t0 * s], "not a binary form"),
+                           ([t0 ** 2, t1], "inconsistent restricted degrees")):
+        with pytest.raises(ValueError, match=message):
+            restricted_order_subspace(SectionSpace(reg, basis), {}, point, ("t0", "t1"))
+
+
+def _vanishing_case(rng):
+    """(degree d, points [alpha:beta] with [0:1] first, orders summing to <= d + 1)."""
+    d = rng.randint(1, 6)
+    points = [(Fraction(0), Fraction(1))]
+    ratios = set()
+    count = rng.randint(1, 4)
+    while len(points) < count:
+        alpha = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        beta = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if beta / alpha not in ratios:
+            ratios.add(beta / alpha)
+            points.append((alpha, beta))
+    orders = [0] * count
+    for _ in range(rng.randint(0, d + 1)):
+        orders[rng.randrange(count)] += 1
+    return d, points, orders
+
+
+def test_vanishing_orders_on_all_binary_forms():
+    # the binary d-forms vanishing to order k_i at distinct points [alpha_i:beta_i]
+    # are the multiples of the product of (beta_i*t0 - alpha_i*t1)^k_i
+    reg = Registry([("t0", "curve-parameter"), ("t1", "curve-parameter")])
+    t0, t1 = reg.var("t0"), reg.var("t1")
+    rng = random.Random(1019)
+    cases = [(5, [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(3)),
+                  (Fraction(2), Fraction(-1))], [2, 1, 2])]
+    cases += [_vanishing_case(rng) for _ in range(40)]
+    for d, points, orders in cases:
+        space = SectionSpace(reg, [t0 ** (d - j) * t1 ** j for j in range(d + 1)])
+        conditions = list(zip(points, orders))
+        sub = restricted_order_subspace(space, {}, conditions, ("t0", "t1"))
+        assert sub.dim == d + 1 - sum(orders), (d, conditions)
+        for b in sub.basis:
+            assert space.contains(b)
+            for (alpha, beta), k in conditions:
+                factor = (t0.scale(beta) - t1.scale(alpha)) ** k
+                assert b.exact_divide(factor) is not None, (d, conditions, b)
