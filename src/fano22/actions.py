@@ -199,28 +199,20 @@ def conditions_equal_principal(
 ) -> bool:
     """True iff the condition ideal is principal with the stated generator.
 
-    Certified by: the candidate divides every generator exactly, and is
-    itself attained among the generators up to a rational scalar and a
-    monomial in the unit parameters.
+    `conds` must come from `stabilizer_conditions` with the same
+    `unit_params`, so each is already stripped of unit-parameter factors
+    and primitive.  Certified by: the candidate divides every generator
+    exactly, and is itself attained among the generators up to a
+    rational scalar and a monomial in the unit parameters.
     """
     if candidate.is_zero():
         raise ValueError("candidate generator must be nonzero")
-    if not conds:
-        return False
     normal_candidate = candidate
     for p in unit_params:
         normal_candidate = normal_candidate.strip_variable_factor(p)
     normal_candidate = normal_candidate.primitive_normal()
-    attained = False
-    for g in conds:
-        if g.exact_divide(candidate) is None:
-            return False
-        stripped = g
-        for p in unit_params:
-            stripped = stripped.strip_variable_factor(p)
-        if stripped.primitive_normal() == normal_candidate:
-            attained = True
-    return attained
+    return (all(g.exact_divide(candidate) is not None for g in conds)
+            and normal_candidate in conds)
 
 
 def action_preserves_space(action: ParametricAction, space: SectionSpace) -> bool:

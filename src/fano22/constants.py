@@ -352,32 +352,24 @@ def mobius_projective(
 ) -> tuple[Fraction, Fraction]:
     """Evaluate the affine fractional map projectively at [p : q].
 
-    Homogenizes num/den to the common degree in `var`; q = 0 is the point
-    at infinity.  The result is (a/b, 1) for a finite image and (1, 0)
-    for the point at infinity.
+    Homogenizes num/den to the common degree d in `var`; q = 0 is the
+    point at infinity, where the coefficients of var^d are the values.
+    The result is (a/b, 1) for a finite image and (1, 0) for the point
+    at infinity.
     """
     p, q = Fraction(point[0]), Fraction(point[1])
     if p == 0 and q == 0:
         raise ValueError("not a projective point")
-    d = max(num.degree_in(var), den.degree_in(var))
-
-    def homog_eval(poly: Polynomial) -> Fraction:
-        acc = Fraction(0)
-        for k in range(poly.degree_in(var) + 1):
-            coeff = poly.coefficient_of(var, k)
-            if coeff.is_zero():
-                continue
-            acc += coeff.constant_value() * p**k * q ** (d - k)
-        return acc
-
-    a, b = homog_eval(num), homog_eval(den)
+    if q != 0:
+        # the common factor q^d of the homogenized values cancels in a/b
+        x = {var: num.registry.const(p / q)}
+        a, b = num.substitute(x), den.substitute(x)
+    else:
+        d = max(num.degree_in(var), den.degree_in(var))
+        a, b = num.coefficient_of(var, d), den.coefficient_of(var, d)
+    a, b = a.constant_value(), b.constant_value()
     if a == 0 and b == 0:
         raise ValueError("map is undefined at the point")
-    return normalize_projective((a, b))
-
-
-def normalize_projective(point: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    a, b = point
     if b != 0:
         return (a / b, Fraction(1))
     return (Fraction(1), Fraction(0))

@@ -209,9 +209,12 @@ def _clear_inverse(polys: Sequence[Polynomial], inv: str, base: str) -> list[Pol
 # -- tangent directions at the fixed point --------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TangentDirection:
-    """A point of P^1 given as [alpha : beta] with polynomial entries."""
+    """A point of P^1 given as [alpha : beta] with polynomial entries.
+
+    Equality is projective, so directions are not hashable.
+    """
 
     alpha: Polynomial
     beta: Polynomial
@@ -227,9 +230,6 @@ class TangentDirection:
             return (self.alpha * other.beta - self.beta * other.alpha).is_zero()
         return NotImplemented
 
-    def __hash__(self):
-        return 0  # equality is projective; hashing is not meaningful
-
     def __repr__(self):
         if self.beta.is_zero():
             return "TangentDirection(inf)"
@@ -244,14 +244,23 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
+def affine_jet(
+    f: Polynomial, xname: str, yname: str
+) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """The 1-jet at the origin: (const, alpha, beta) of const + alpha*x + beta*y + h.o.t."""
+    const = f.coefficient_of(xname, 0).coefficient_of(yname, 0)
+    alpha = f.coefficient_of(xname, 1).coefficient_of(yname, 0)
+    beta = f.coefficient_of(yname, 1).coefficient_of(xname, 0)
+    return const, alpha, beta
+
+
 def tangent_of_affine(
     f: Polynomial, xname: str, yname: str
 ) -> TangentDirection:
     """Linear-part direction alpha/beta of a curve alpha*x + beta*y + h.o.t."""
-    if not f.coefficient_of(xname, 0).coefficient_of(yname, 0).is_zero():
+    const, alpha, beta = affine_jet(f, xname, yname)
+    if not const.is_zero():
         raise MapError("curve does not pass through the origin")
-    alpha = f.coefficient_of(xname, 1).coefficient_of(yname, 0)
-    beta = f.coefficient_of(yname, 1).coefficient_of(xname, 0)
     if alpha.is_zero() and beta.is_zero():
         raise MapError("vanishing linear part; tangent direction undefined")
     return TangentDirection(alpha, beta)

@@ -17,8 +17,8 @@ substitutions and derivations accumulate into one dict; exact division
 is heap-ordered long division over the integers (Johnson 1974;
 Monagan–Pearce 2007).  A substitution image of at most one term moves
 keys and scales numerators; only images of two or more terms are
-multiplied out.  `Polynomial.terms` is a read-only view mapping
-exponent tuples to `Fraction`s, decoded on access.
+multiplied out.  `Polynomial.terms` decodes the keys into a fresh
+read-only map from exponent tuples to `Fraction`s on every call.
 
 A product of at least `PACK_PAIRS` term pairs, with both operands longer
 than one term, is a Kronecker substitution in the last variable
@@ -32,10 +32,10 @@ paper's suites make, keep the dict loop, at the cost of one comparison.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Mapping as _MappingABC
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -158,7 +158,7 @@ class Polynomial:
     """Immutable sparse polynomial over the rationals.
 
     Built from a map exponent tuple -> int or Fraction; read back through
-    the `terms` view.
+    the `terms` map.
     """
 
     __slots__ = ("registry", "_terms", "_den")
@@ -181,8 +181,9 @@ class Polynomial:
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], Fraction]:
-        """Read-only view: exponent tuple -> nonzero Fraction coefficient."""
-        return _TermView(self)
+        """Read-only map: exponent tuple -> nonzero Fraction coefficient."""
+        expo, den = self.registry._expo, self._den
+        return MappingProxyType({expo(k): Fraction(v, den) for k, v in self._terms.items()})
 
     # -- basic predicates -------------------------------------------------
 
@@ -234,10 +235,6 @@ class Polynomial:
         """Exponent tuples of the terms, in no particular order."""
         expo = self.registry._expo
         return [expo(k) for k in self._terms]
-
-    def coefficient(self, expo: Sequence[int]) -> Fraction:
-        """The coefficient of the monomial with exponent tuple `expo` (0 if absent)."""
-        return Fraction(self._terms.get(self.registry._key(expo), 0), self._den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -541,32 +538,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({format_poly(self)})"
-
-
-class _TermView(_MappingABC):
-    """Read-only view of a polynomial's terms: exponent tuple -> Fraction."""
-
-    __slots__ = ("_poly",)
-
-    def __init__(self, poly: Polynomial):
-        self._poly = poly
-
-    def __len__(self) -> int:
-        return len(self._poly._terms)
-
-    def __iter__(self):
-        return map(self._poly.registry._expo, self._poly._terms)
-
-    def __getitem__(self, expo) -> Fraction:
-        p = self._poly
-        try:
-            key = p.registry._key(expo)
-        except (TypeError, ValueError, OverflowError):
-            raise KeyError(expo) from None
-        return Fraction(p._terms[key], p._den)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
 
 
 _new = object.__new__

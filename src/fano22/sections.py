@@ -179,7 +179,8 @@ class SectionSpace:
                     raise ValueError(
                         f"basis element {b} is not homogeneous of degree {multidegree}"
                     )
-        # reduced once here; every `coords` call only accumulates its right-hand side
+        # reduced once here; every `coords_in_space` call only accumulates
+        # its right-hand side
         monomials, self._matrix = coefficient_matrix(registry, self.basis)
         if len(self._matrix._augmented()[1]) != len(self.basis):
             raise ValueError("basis elements are linearly dependent")
@@ -193,16 +194,8 @@ class SectionSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coords(self, f: Polynomial) -> list[Polynomial] | None:
-        """Exact coordinates of f in the basis, or None if f is outside.
-
-        Coefficients may be polynomials in non-coordinate (parameter)
-        variables; the basis itself must be rational.
-        """
-        return coords_in_space(f, self)
-
     def contains(self, f: Polynomial) -> bool:
-        return self.coords(f) is not None
+        return coords_in_space(f, self) is not None
 
     def same_span(self, other: "SectionSpace") -> bool:
         return (
@@ -212,7 +205,10 @@ class SectionSpace:
 
 
 def coords_in_space(f: Polynomial, space: SectionSpace) -> list[Polynomial] | None:
-    """Solve f = sum c_i b_i exactly; c_i polynomial in parameter variables."""
+    """Solve f = sum c_i b_i exactly; c_i polynomial in parameter variables.
+
+    None when f lies outside the space.
+    """
     if f.registry is not space.registry:
         raise RegistryMismatch("section and space use different registries")
     mask, rows = space._mask, space._rows

@@ -27,12 +27,13 @@ from .linalg import coefficient_matrix, combine
 from .maps import (
     INFINITY,
     ParamCurve,
+    TangentDirection,
+    affine_jet,
     compose,
     equivariance_up_to_scalar,
     image_in_hypersurface,
     is_rational_normal_curve,
     proportional_mod,
-    tangent_of_affine,
     tangent_parameter,
 )
 from .poly import Polynomial, format_poly
@@ -141,7 +142,7 @@ def _suite_w_module(cfg: SuiteConfig, rec: _Recorder):
     rec.run(
         "s1.independent",
         "the seven basis vectors are linearly independent",
-        lambda: SectionSpace(c.reg_w, basis, (5, 1), grading).dim == 7,
+        lambda: c.w_space().dim == 7,
     )
 
     def weights_consecutive():
@@ -456,26 +457,18 @@ def _suite_tangent_directions(cfg: SuiteConfig, rec: _Recorder):
 
     def blow_down_kernel():
         """Tangent direction killed by the differential of the morphism."""
-        psi = c.psi()
         dehom = {"x1": reg.one, "y1": reg.one}
-        affine = [comp.substitute(dehom) for comp in psi.components]
         # at the fixed point only the first component is nonzero; the
         # differential there is carried by the remaining components
-        linear = []
-        for comp in affine[1:]:
-            alpha = comp.coefficient_of("x0", 1).coefficient_of("y0", 0)
-            beta = comp.coefficient_of("y0", 1).coefficient_of("x0", 0)
-            const = comp.coefficient_of("x0", 0).coefficient_of("y0", 0)
-            if not const.is_zero():
-                return None
-            linear.append((alpha, beta))
-        nonzero = [(al, be) for al, be in linear
+        jets = [affine_jet(comp.substitute(dehom), "x0", "y0")
+                for comp in c.psi().components[1:]]
+        if any(not const.is_zero() for const, _, _ in jets):
+            return None
+        nonzero = [(al, be) for _, al, be in jets
                    if not (al.is_zero() and be.is_zero())]
         if len(nonzero) != 1:
             return None
-        alpha, beta = nonzero[0]
-        return tangent_of_affine(alpha * reg.var("x0") + beta * reg.var("y0"),
-                                 "x0", "y0")
+        return TangentDirection(*nonzero[0])
 
     def quadruple():
         q_section = tangent_parameter(reg.var("y0"))

@@ -120,6 +120,19 @@ def test_conditions_equal_principal_empty_is_false(consts):
     assert not conditions_equal_principal(conds, reg.var("a"))
 
 
+def test_stabilizer_conditions_are_stripped_and_primitive(consts):
+    # conditions_equal_principal compares against them without normalizing
+    action, space = consts.f3_action(), consts.o11_space()
+    sections = [consts.upsilon_t(), consts.upsilon_a()]
+    for val in (Fraction(2), Fraction(3), Fraction(-1), Fraction(-4), Fraction(0)):
+        sections += [consts.upsilon_t(val), consts.upsilon_a(val)]
+    generators = [g for f in sections
+                  for g in stabilizer_conditions(f, action, space, ("lam",))]
+    assert generators
+    for g in generators:
+        assert g.strip_variable_factor("lam").primitive_normal() == g
+
+
 def test_section_outside_space_rejected(consts):
     with pytest.raises(ActionError):
         stabilizer_conditions(

@@ -1,0 +1,43 @@
+from fractions import Fraction
+
+import pytest
+
+from fano22.constants import mobius_projective
+from fano22.poly import Registry
+
+REG = Registry([("v", "family-parameter")])
+V = REG.var("v")
+ONE = Fraction(1)
+
+
+def _at(num, den, p, q=ONE):
+    return mobius_projective(num, den, "v", (Fraction(p), Fraction(q)))
+
+
+def test_finite_points():
+    num, den = V, V + 4
+    assert _at(num, den, 1) == (Fraction(1, 5), ONE)
+    assert _at(num, den, 2, 3) == (Fraction(1, 7), ONE)
+    assert _at(num, den, -4) == (ONE, Fraction(0))
+    assert _at(num, den, 0) == (Fraction(0), ONE)
+    assert _at(V ** 2 + 1, 2 * V, 3, 2) == (Fraction(13, 12), ONE)
+
+
+def test_point_at_infinity():
+    # equal degrees: the ratio of the leading coefficients
+    assert _at(3 * V - 1, 2 * V + 5, 7, 0) == (Fraction(3, 2), ONE)
+    # numerator of lower degree: 0; of higher degree: infinity
+    assert _at(V + 1, V ** 2, -2, 0) == (Fraction(0), ONE)
+    assert _at(V ** 3, V + 1, 1, 0) == (ONE, Fraction(0))
+    assert _at(REG.const(5), REG.const(2), 1, 0) == (Fraction(5, 2), ONE)
+
+
+def test_not_a_projective_point():
+    with pytest.raises(ValueError, match="not a projective point"):
+        _at(V, V + 4, 0, 0)
+
+
+def test_undefined_at_a_common_zero():
+    # v / v^2 homogenizes to p*q / p^2, which vanishes twice at [0:1]
+    with pytest.raises(ValueError, match="map is undefined at the point"):
+        _at(V, V ** 2, 0, 1)

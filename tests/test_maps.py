@@ -8,6 +8,8 @@ from fano22.maps import (
     MapError,
     ParamCurve,
     RationalMap,
+    TangentDirection,
+    affine_jet,
     compose,
     image_in_hypersurface,
     is_rational_normal_curve,
@@ -126,6 +128,27 @@ def test_tangent_of_affine(consts):
         tangent_of_affine(x0 + 1, "x0", "y0")  # misses the origin
     with pytest.raises(MapError):
         tangent_of_affine(x0 ** 2 + y0 ** 2, "x0", "y0")  # no linear part
+
+
+def test_affine_jet(consts):
+    reg = consts.reg_f3
+    x0, y0, v = reg.var("x0"), reg.var("y0"), reg.var("v")
+    assert affine_jet(2 + v * x0 - 3 * y0 + x0 * y0 + x0 ** 2, "x0", "y0") == (2, v, -3)
+    assert affine_jet(x0 * y0, "x0", "y0") == (0, 0, 0)
+
+
+def test_tangent_direction_is_projective_and_unhashable(consts):
+    reg = consts.reg_f3
+    two, three, zero = reg.const(2), reg.const(3), reg.zero
+    d = TangentDirection(reg.const(-8), two)
+    with pytest.raises(TypeError):
+        hash(d)
+    assert d == -4 and d != 4
+    assert d == TangentDirection(reg.const(4), reg.const(-1))
+    assert d != TangentDirection(three, two)
+    assert d != INFINITY
+    assert TangentDirection(three, zero) == INFINITY
+    assert TangentDirection(three, zero) == TangentDirection(two, zero)
 
 
 def test_tangent_parameter(consts):

@@ -241,7 +241,7 @@ def test_packed_digits_below_a_positive_leading_one_carry():
     assert _packs(f, g)
     product = f * g
     assert product == _by_single_terms(f, g)
-    assert product.coefficient((99,)) > 0 and product.coefficient((50,)) < 0
+    assert product.terms[(99,)] > 0 and product.terms[(50,)] < 0
 
 
 @pytest.mark.parametrize("m", [2 ** 64 - 1, 10 ** 30])

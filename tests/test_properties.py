@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from fano22.linalg import ExactMatrix
 from fano22.poly import PACK_PAIRS, Derivation, Polynomial, Registry
-from fano22.sections import SectionSpace
+from fano22.sections import SectionSpace, coords_in_space
 
 REG = Registry([("x", "coordinate"), ("y", "coordinate"), ("z", "coordinate")])
 
@@ -195,15 +195,15 @@ def test_coords_recover_parameter_coefficients(data):
     v = REG_V.var("v")
     c = [sum((v ** k).scale(a) for k, a in enumerate(cs)) for cs in coefficients]
     f = sum(ci * b for ci, b in zip(c, basis))
-    assert space.coords(f) == c
-    assert space.coords(REG_V.zero) == [REG_V.zero] * dim
+    assert coords_in_space(f, space) == c
+    assert coords_in_space(REG_V.zero, space) == [REG_V.zero] * dim
     # a basis monomial outside the span, with a coefficient in v, leaves it
     support = [m for m, row in zip(monomials, rows) if any(row)]
     for m in support:
         unit = [Fraction(int(n == m)) for n in monomials]
         if _rank(vectors + [unit]) > dim:
             outside = f + (v + 1) * Polynomial(REG_V, {m: 1})
-            assert space.coords(outside) is None
+            assert coords_in_space(outside, space) is None
             break
     else:
         assert len(support) == dim

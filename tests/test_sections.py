@@ -11,6 +11,7 @@ from fano22.sections import (
     Grading,
     SectionSpace,
     UnboundedDegreeCone,
+    coords_in_space,
     monomial_basis,
     restricted_order_subspace,
 )
@@ -122,7 +123,7 @@ def test_monomial_basis_with_non_integral_functional(weights):
 def test_section_space_coords_and_contains(consts):
     space = consts.o11_space()
     u = consts.upsilon_p()
-    coords = space.coords(u)
+    coords = coords_in_space(u, space)
     assert coords is not None
     assert combine(space.registry, coords, space.basis) == u
     assert not space.contains(consts.reg_f3.var("x0"))
@@ -134,12 +135,12 @@ def test_coords_of_a_section_over_another_registry_rejected(consts):
     # a basis element, and a monomial outside the basis support
     for f in (Polynomial(other, dict(space.basis[0].terms)), other.var("x0") * other.var("y0")):
         with pytest.raises(RegistryMismatch):
-            space.coords(f)
+            coords_in_space(f, space)
 
 
 def test_coords_with_parameter_coefficients(consts):
     space = consts.o11_space()
-    coords = space.coords(consts.upsilon_t())
+    coords = coords_in_space(consts.upsilon_t(), space)
     assert coords is not None
     v = consts.reg_f3.var("v")
     assert any(c == v for c in coords)
