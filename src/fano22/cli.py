@@ -41,8 +41,9 @@ def _verify_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", default=[], metavar="v=P/Q",
                    help="extra rational specialization of the family "
                    "parameter, e.g. v=7/3 (repeatable); it adds checks to the "
-                   "stabilizers suite only, and tangent-directions keeps its "
-                   "fixed v in {0, 1, 2}")
+                   "stabilizers suite only, a value already present adds no "
+                   "check, and tangent-directions keeps its fixed v in "
+                   "{0, 1, 2}")
     return p
 
 

@@ -8,6 +8,7 @@ the stored generators rather than duplicated.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from .actions import GroupLaw, ParametricAction
 from .maps import ParamCurve, RationalMap
 from .parsing import parse
 from .poly import Derivation, Polynomial, Registry
-from .sections import Grading, SectionSpace
+from .sections import Grading, SectionSpace, monomial_basis
 
 #: default polynomial constants; keys are stable identifiers
 DEFAULT_RAW: dict[str, str] = {
@@ -88,142 +89,161 @@ DEFAULT_RAW: dict[str, str] = {
 }
 
 
-def _registry_w() -> Registry:
-    return Registry(
-        [("x1", "coordinate"), ("y1", "coordinate"),
-         ("x2", "coordinate"), ("y2", "coordinate")]
-    )
+#: the three fixed registries: P^1 x P^1 of the seven-dimensional module,
+#: the Hirzebruch surface F_3 with P^5, and P^4 with its curve parameters
+REG_W = Registry(
+    [("x1", "coordinate"), ("y1", "coordinate"),
+     ("x2", "coordinate"), ("y2", "coordinate")]
+)
+REG_F3 = Registry(
+    [("x0", "coordinate"), ("x1", "coordinate"),
+     ("y0", "coordinate"), ("y1", "coordinate"),
+     ("w0", "coordinate"), ("w1", "coordinate"), ("w2", "coordinate"),
+     ("w3", "coordinate"), ("w4", "coordinate"), ("w5", "coordinate"),
+     ("a", "group-parameter"), ("lam", "group-parameter"),
+     ("a2", "group-parameter"), ("lam2", "group-parameter"),
+     ("v", "family-parameter"),
+     ("eps", "infinitesimal")]
+)
+REG_Q = Registry(
+    [("w0", "coordinate"), ("w1", "coordinate"), ("w2", "coordinate"),
+     ("w3", "coordinate"), ("w4", "coordinate"),
+     ("c", "family-parameter"),
+     ("lam", "group-parameter"), ("lam_inv", "group-parameter"),
+     ("t0", "curve-parameter"), ("t1", "curve-parameter"),
+     ("u0", "curve-parameter"), ("u1", "curve-parameter"),
+     ("eps", "infinitesimal")]
+)
+
+W_GRADING = Grading(REG_W, {"x1": (1, 0), "y1": (1, 0), "x2": (0, 1), "y2": (0, 1)})
+F3_GRADING = Grading(REG_F3, {"x0": (1, 0), "x1": (1, 0), "y0": (-3, 1), "y1": (0, 1)})
+
+#: key prefix -> (registry the constant parses over, variables a random
+#: mutation may add to it); the first prefix that a key starts with wins
+KEY_FAMILIES: dict[str, tuple[Registry, tuple[str, ...]]] = {
+    "w_basis": (REG_W, ("x1", "y1", "x2", "y2")),
+    "f3_action": (REG_F3, ("x0", "x1", "y0", "y1", "a", "lam")),
+    "group_law": (REG_F3, ("a", "lam", "a2", "lam2")),
+    "upsilon": (REG_F3, ("x0", "x1", "y0", "y1", "v")),
+    "psi": (REG_F3, ("x0", "x1", "y0", "y1")),
+    "wprime": (REG_F3, ("x0", "x1", "y0", "y1")),
+    "mobius": (REG_F3, ("v",)),
+    "quartic_ideal": (REG_Q, ("w0", "w1", "w2", "w3", "w4")),
+    "gamma4": (REG_Q, ("t0", "t1", "c")),
+    "reversal": (REG_Q, ("w0", "w1", "w2", "w3", "w4")),
+    "alpha": (REG_Q, ("u0", "u1", "c")),
+    "iota_c": (REG_Q, ("u0", "u1", "c")),
+}
 
 
-def _registry_f3() -> Registry:
-    return Registry(
-        [("x0", "coordinate"), ("x1", "coordinate"),
-         ("y0", "coordinate"), ("y1", "coordinate"),
-         ("w0", "coordinate"), ("w1", "coordinate"), ("w2", "coordinate"),
-         ("w3", "coordinate"), ("w4", "coordinate"), ("w5", "coordinate"),
-         ("a", "group-parameter"), ("lam", "group-parameter"),
-         ("a2", "group-parameter"), ("lam2", "group-parameter"),
-         ("v", "family-parameter"),
-         ("eps", "infinitesimal")]
-    )
+def _family(key: str) -> tuple[Registry, tuple[str, ...]]:
+    for prefix, family in KEY_FAMILIES.items():
+        if key.startswith(prefix):
+            return family
+    raise KeyError(f"no variable pool for constant {key!r}")
 
 
-def _registry_quadric() -> Registry:
-    return Registry(
-        [("w0", "coordinate"), ("w1", "coordinate"), ("w2", "coordinate"),
-         ("w3", "coordinate"), ("w4", "coordinate"),
-         ("c", "family-parameter"),
-         ("lam", "group-parameter"), ("lam_inv", "group-parameter"),
-         ("t0", "curve-parameter"), ("t1", "curve-parameter"),
-         ("u0", "curve-parameter"), ("u1", "curve-parameter"),
-         ("eps", "infinitesimal")]
-    )
+def _once(build):
+    """Keep a zero-argument method's result per table; a raise is not kept."""
+
+    name = build.__name__
+
+    @functools.wraps(build)
+    def method(self):
+        if name not in self._memo:
+            self._memo[name] = build(self)
+        return self._memo[name]
+
+    return method
+
+
+@functools.cache
+def _o11_space() -> SectionSpace:
+    basis = monomial_basis(REG_F3, F3_GRADING, (1, 1), ["x0", "x1", "y0", "y1"])
+    return SectionSpace(REG_F3, basis, (1, 1), F3_GRADING)
+
+
+def _at_v(p: Polynomial, value: Fraction | None) -> Polynomial:
+    """p with the family parameter v set to `value`, or p itself for None."""
+    return p if value is None else p.substitute({"v": REG_F3.const(value)})
 
 
 @dataclass
 class PaperConstants:
-    """All constants, parsed over three fixed registries.
+    """All constants of one table, each parsed over its key family's registry.
 
-    `raw` may be a perturbed copy of `DEFAULT_RAW`; derived objects are
-    rebuilt from it so a single perturbation propagates everywhere.
+    The registries and gradings are shared by every table (`reg_w`,
+    `reg_f3`, `reg_q`).  `raw` may be a perturbed copy of `DEFAULT_RAW`;
+    derived objects are rebuilt from it so a single perturbation
+    propagates everywhere.  Each constant is parsed once per table, and
+    `f3_action`, `w_space` and `psi` are built once per table.
+    `o11_space` reads no constant and is built once per process.
     """
 
     raw: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_RAW))
 
+    reg_w = REG_W
+    reg_f3 = REG_F3
+    reg_q = REG_Q
+
     def __post_init__(self):
-        self.reg_w = _registry_w()
-        self.reg_f3 = _registry_f3()
-        self.reg_q = _registry_quadric()
-        self._parsed: dict[tuple[str, int], Polynomial] = {}
-        self._o11: SectionSpace | None = None
-        self._f3_action: ParametricAction | None = None
+        self._parsed: dict[str, Polynomial] = {}
+        self._memo: dict[str, object] = {}
 
-    # -- parsing helpers ---------------------------------------------------
-
-    def poly_w(self, key: str) -> Polynomial:
-        return self._get(key, self.reg_w)
-
-    def poly_f3(self, key: str) -> Polynomial:
-        return self._get(key, self.reg_f3)
-
-    def poly_q(self, key: str) -> Polynomial:
-        return self._get(key, self.reg_q)
-
-    def _get(self, key: str, reg: Registry) -> Polynomial:
-        cache_key = (key, id(reg))
-        if cache_key not in self._parsed:
-            self._parsed[cache_key] = parse(self.raw[key], reg)
-        return self._parsed[cache_key]
+    def poly(self, key: str) -> Polynomial:
+        """The constant `key`, parsed over the registry of its key family."""
+        if key not in self._parsed:
+            self._parsed[key] = parse(self.raw[key], _family(key)[0])
+        return self._parsed[key]
 
     # -- the seven-dimensional module ---------------------------------------
 
     def w_basis(self) -> list[Polynomial]:
-        return [self.poly_w(f"w_basis.e{i}") for i in range(7)]
+        return [self.poly(f"w_basis.e{i}") for i in range(7)]
 
     def w_grading(self) -> Grading:
-        return Grading(
-            self.reg_w,
-            {"x1": (1, 0), "y1": (1, 0), "x2": (0, 1), "y2": (0, 1)},
-        )
+        return W_GRADING
 
+    @_once
     def w_space(self) -> SectionSpace:
-        return SectionSpace(self.reg_w, self.w_basis(), (5, 1), self.w_grading())
+        return SectionSpace(REG_W, self.w_basis(), (5, 1), W_GRADING)
 
     def sl2_raising(self) -> Derivation:
         """E = x1 d/dy1 + x2 d/dy2 (kills the highest-weight vector)."""
-        reg = self.reg_w
-        return Derivation(reg, {"y1": reg.var("x1"), "y2": reg.var("x2")})
+        return Derivation(REG_W, {"y1": REG_W.var("x1"), "y2": REG_W.var("x2")})
 
     def sl2_lowering(self) -> Derivation:
         """F = y1 d/dx1 + y2 d/dx2."""
-        reg = self.reg_w
-        return Derivation(reg, {"x1": reg.var("y1"), "x2": reg.var("y2")})
+        return Derivation(REG_W, {"x1": REG_W.var("y1"), "x2": REG_W.var("y2")})
 
     def w_torus_derivation(self) -> Derivation:
-        reg = self.reg_w
-        return Derivation(reg, {"x1": reg.var("x1"), "x2": reg.var("x2")})
+        return Derivation(REG_W, {"x1": REG_W.var("x1"), "x2": REG_W.var("x2")})
 
     # -- the Hirzebruch surface side -----------------------------------------
 
     def f3_grading(self) -> Grading:
-        return Grading(
-            self.reg_f3,
-            {"x0": (1, 0), "x1": (1, 0), "y0": (-3, 1), "y1": (0, 1)},
-        )
+        return F3_GRADING
 
+    @_once
     def f3_action(self) -> ParametricAction:
-        """The action on F3, built once per table.
-
-        A build that fails is not kept, so every call on a table whose
-        action does not fix the coordinates at the identity raises again.
-        """
-        if self._f3_action is None:
-            self._f3_action = ParametricAction(
-                registry=self.reg_f3,
-                params=("a", "lam"),
-                images={
-                    "x0": self.poly_f3("f3_action.x0"),
-                    "x1": self.poly_f3("f3_action.x1"),
-                    "y0": self.poly_f3("f3_action.y0"),
-                    "y1": self.poly_f3("f3_action.y1"),
-                },
-                factors=(("x0", "x1"), ("y0", "y1")),
-                identity={"a": Fraction(0), "lam": Fraction(1)},
-            )
-        return self._f3_action
+        """The action on F3; every call raises again if its build fails."""
+        return ParametricAction(
+            registry=REG_F3,
+            params=("a", "lam"),
+            images={n: self.poly(f"f3_action.{n}") for n in ("x0", "x1", "y0", "y1")},
+            factors=(("x0", "x1"), ("y0", "y1")),
+            identity={"a": Fraction(0), "lam": Fraction(1)},
+        )
 
     def group_law(self) -> GroupLaw:
         return GroupLaw(
-            rule={
-                "a": self.poly_f3("group_law.a"),
-                "lam": self.poly_f3("group_law.lam"),
-            },
+            rule={"a": self.poly("group_law.a"), "lam": self.poly("group_law.lam")},
             primed={"a": "a2", "lam": "lam2"},
         )
 
     def wrong_group_law(self) -> GroupLaw:
         """Deliberately wrong composition (a + a', lam * lam')."""
-        reg = self.reg_f3
+        reg = REG_F3
         return GroupLaw(
             rule={"a": reg.var("a") + reg.var("a2"),
                   "lam": reg.var("lam") * reg.var("lam2")},
@@ -231,120 +251,87 @@ class PaperConstants:
         )
 
     def o11_space(self) -> SectionSpace:
-        """H^0(O(1,1)) on F3, built once per table: it reads no constant."""
-        if self._o11 is None:
-            from .sections import monomial_basis
-
-            basis = monomial_basis(
-                self.reg_f3, self.f3_grading(), (1, 1), ["x0", "x1", "y0", "y1"]
-            )
-            self._o11 = SectionSpace(self.reg_f3, basis, (1, 1), self.f3_grading())
-        return self._o11
+        """H^0(O(1,1)) on F3, shared by every table: it reads no constant."""
+        return _o11_space()
 
     def upsilon_p(self) -> Polynomial:
-        return self.poly_f3("upsilon_p")
+        return self.poly("upsilon_p")
 
     def upsilon_t(self, value: Fraction | None = None) -> Polynomial:
-        f = self.poly_f3("upsilon_t")
-        if value is not None:
-            f = f.substitute({"v": self.reg_f3.const(value)})
-        return f
+        return _at_v(self.poly("upsilon_t"), value)
 
     def upsilon_a(self, value: Fraction | None = None) -> Polynomial:
-        f = self.poly_f3("upsilon_a")
-        if value is not None:
-            f = f.substitute({"v": self.reg_f3.const(value)})
-        return f
+        return _at_v(self.poly("upsilon_a"), value)
 
     def upsilon_p_parametrization(self) -> dict[str, Polynomial]:
-        return {
-            "y0": self.poly_f3("upsilon_p_param.y0"),
-            "y1": self.poly_f3("upsilon_p_param.y1"),
-        }
+        return {n: self.poly(f"upsilon_p_param.{n}") for n in ("y0", "y1")}
 
     def upsilon_t_parametrization(self, value: Fraction | None = None) -> dict[str, Polynomial]:
-        sub = {
-            "y0": self.poly_f3("upsilon_t_param.y0"),
-            "y1": self.poly_f3("upsilon_t_param.y1"),
-        }
-        if value is not None:
-            vconst = self.reg_f3.const(value)
-            sub = {k: p.substitute({"v": vconst}) for k, p in sub.items()}
-        return sub
+        return {n: _at_v(self.poly(f"upsilon_t_param.{n}"), value) for n in ("y0", "y1")}
 
+    @_once
     def psi(self) -> RationalMap:
         return RationalMap(
-            registry=self.reg_f3,
+            registry=REG_F3,
             source_vars=("x0", "x1", "y0", "y1"),
             target_vars=("w0", "w1", "w2", "w3", "w4", "w5"),
-            components=tuple(self.poly_f3(f"psi.w{i}") for i in range(6)),
+            components=tuple(self.poly(f"psi.w{i}") for i in range(6)),
         )
 
     def wprime_space(self) -> SectionSpace:
-        basis = [self.poly_f3(f"wprime.{i}") for i in range(6)]
-        return SectionSpace(self.reg_f3, basis, (1, 1), self.f3_grading())
+        basis = [self.poly(f"wprime.{i}") for i in range(6)]
+        return SectionSpace(REG_F3, basis, (1, 1), F3_GRADING)
 
     # -- the quadric threefold side -------------------------------------------
 
     def quartic_generators(self) -> list[Polynomial]:
         return [
-            self.poly_q(f"quartic_ideal.{k}")
+            self.poly(f"quartic_ideal.{k}")
             for k in ("f2", "f3", "f40", "f41", "f5", "f6")
         ]
 
     def family_quadric(self) -> Polynomial:
         """f_c = c^2 * f40 - f41, the T-stable quadric with c^2 = a/b."""
-        c = self.reg_q.var("c")
-        return c * c * self.poly_q("quartic_ideal.f40") - self.poly_q("quartic_ideal.f41")
+        c = REG_Q.var("c")
+        return c * c * self.poly("quartic_ideal.f40") - self.poly("quartic_ideal.f41")
 
     def quadric_involution(self) -> RationalMap:
         """j_Q = [f2 : c*f3 : c^2*f40 : c*f5 : f6] on the family quadric."""
-        c = self.reg_q.var("c")
+        c = REG_Q.var("c")
         comps = (
-            self.poly_q("quartic_ideal.f2"),
-            c * self.poly_q("quartic_ideal.f3"),
-            c * c * self.poly_q("quartic_ideal.f40"),
-            c * self.poly_q("quartic_ideal.f5"),
-            self.poly_q("quartic_ideal.f6"),
+            self.poly("quartic_ideal.f2"),
+            c * self.poly("quartic_ideal.f3"),
+            c * c * self.poly("quartic_ideal.f40"),
+            c * self.poly("quartic_ideal.f5"),
+            self.poly("quartic_ideal.f6"),
         )
         wvars = ("w0", "w1", "w2", "w3", "w4")
-        return RationalMap(self.reg_q, wvars, wvars, comps, self.family_quadric())
+        return RationalMap(REG_Q, wvars, wvars, comps, self.family_quadric())
 
     def reversal(self) -> RationalMap:
         wvars = ("w0", "w1", "w2", "w3", "w4")
-        comps = tuple(self.poly_q(f"reversal.{w}") for w in wvars)
-        return RationalMap(self.reg_q, wvars, wvars, comps, self.family_quadric())
+        comps = tuple(self.poly(f"reversal.{w}") for w in wvars)
+        return RationalMap(REG_Q, wvars, wvars, comps, self.family_quadric())
 
     def gamma4(self) -> ParamCurve:
-        return ParamCurve(
-            self.reg_q,
-            ("t0", "t1"),
-            tuple(self.poly_q(f"gamma4.w{i}") for i in range(5)),
-        )
+        return ParamCurve(REG_Q, ("t0", "t1"), tuple(self.poly(f"gamma4.w{i}") for i in range(5)))
 
     def alpha_curve(self) -> ParamCurve:
-        return ParamCurve(
-            self.reg_q,
-            ("u0", "u1"),
-            tuple(self.poly_q(f"alpha.w{i}") for i in range(5)),
-        )
+        return ParamCurve(REG_Q, ("u0", "u1"), tuple(self.poly(f"alpha.w{i}") for i in range(5)))
 
     def iota_c(self) -> RationalMap:
         return RationalMap(
-            self.reg_q,
-            ("u0", "u1"),
-            ("u0", "u1"),
-            (self.poly_q("iota_c.u0"), self.poly_q("iota_c.u1")),
+            REG_Q, ("u0", "u1"), ("u0", "u1"),
+            (self.poly("iota_c.u0"), self.poly("iota_c.u1")),
         )
 
     def quadric_torus_images(self) -> dict[str, Polynomial]:
         """Torus scaling w_i -> lam^i * w_i induced by the quartic parametrization."""
-        reg = self.reg_q
-        lam = reg.var("lam")
-        return {f"w{i}": (lam ** i) * reg.var(f"w{i}") for i in range(5)}
+        lam = REG_Q.var("lam")
+        return {f"w{i}": (lam ** i) * REG_Q.var(f"w{i}") for i in range(5)}
 
     def mobius(self) -> tuple[Polynomial, Polynomial]:
-        return self.poly_f3("mobius.num"), self.poly_f3("mobius.den")
+        return self.poly("mobius.num"), self.poly("mobius.den")
 
 
 def mobius_projective(
@@ -377,29 +364,6 @@ def mobius_projective(
 
 # -- mutation support (tampering detection) --------------------------------
 
-#: variable pool available to each constant, keyed by identifier prefix
-_MUTATION_POOLS: dict[str, tuple[str, ...]] = {
-    "w_basis": ("x1", "y1", "x2", "y2"),
-    "f3_action": ("x0", "x1", "y0", "y1", "a", "lam"),
-    "group_law": ("a", "lam", "a2", "lam2"),
-    "upsilon": ("x0", "x1", "y0", "y1", "v"),
-    "psi": ("x0", "x1", "y0", "y1"),
-    "wprime": ("x0", "x1", "y0", "y1"),
-    "mobius": ("v",),
-    "quartic_ideal": ("w0", "w1", "w2", "w3", "w4"),
-    "gamma4": ("t0", "t1", "c"),
-    "reversal": ("w0", "w1", "w2", "w3", "w4"),
-    "alpha": ("u0", "u1", "c"),
-    "iota_c": ("u0", "u1", "c"),
-}
-
-
-def _pool_for(key: str) -> tuple[str, ...]:
-    for prefix, pool in _MUTATION_POOLS.items():
-        if key.startswith(prefix):
-            return pool
-    raise KeyError(f"no variable pool for constant {key!r}")
-
 
 def random_mutation(rng, raw: dict[str, str] | None = None) -> tuple[str, dict[str, str]]:
     """Perturb one randomly chosen constant by one random monomial.
@@ -410,7 +374,7 @@ def random_mutation(rng, raw: dict[str, str] | None = None) -> tuple[str, dict[s
     """
     base = dict(DEFAULT_RAW if raw is None else raw)
     key = rng.choice(sorted(base))
-    pool = _pool_for(key)
+    pool = _family(key)[1]
     nvars = rng.randint(1, min(3, len(pool)))
     names = rng.sample(sorted(pool), nvars)
     factors = [f"{n}^{rng.randint(1, 4)}" for n in names]

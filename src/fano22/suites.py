@@ -27,6 +27,7 @@ from .linalg import coefficient_matrix, combine
 from .maps import (
     INFINITY,
     ParamCurve,
+    RationalMap,
     TangentDirection,
     affine_jet,
     compose,
@@ -167,27 +168,19 @@ def _suite_w_module(cfg: SuiteConfig, rec: _Recorder):
     rec.run("s1.lowest-killed", "the lowering operator kills the last basis vector",
             lambda: (F(basis[6]).is_zero(), F(basis[6])))
 
-    def lowering_chain():
-        for i in range(6):
-            q = F(basis[i]).exact_divide(basis[i + 1])
+    def chain(op, pairs):
+        for i, j in pairs:
+            q = op(basis[i]).exact_divide(basis[j])
             if q is None or not q.is_constant() or q.is_zero():
-                return False, F(basis[i])
+                return False, op(basis[i])
         return True, None
 
     rec.run("s1.lowering-chain",
             "lowering sends each basis vector to a nonzero multiple of the next",
-            lowering_chain)
-
-    def raising_chain():
-        for i in range(1, 7):
-            q = E(basis[i]).exact_divide(basis[i - 1])
-            if q is None or not q.is_constant() or q.is_zero():
-                return False, E(basis[i])
-        return True, None
-
+            lambda: chain(F, zip(range(6), range(1, 7))))
     rec.run("s1.raising-chain",
             "raising sends each basis vector to a nonzero multiple of the previous",
-            raising_chain)
+            lambda: chain(E, zip(range(1, 7), range(6))))
 
 
 # -- S2: the unique Borel-stable line ---------------------------------------
@@ -291,56 +284,33 @@ def _suite_stabilizers(cfg: SuiteConfig, rec: _Recorder):
     unit = ("lam",)
     a, lam, v = reg.var("a"), reg.var("lam"), reg.var("v")
 
-    rec.run(
-        "s5.torus-family-generic",
-        "stabilizer ideal of the torus family is principal with generator a*(v+4)",
-        lambda: conditions_equal_principal(
-            stabilizer_conditions(c.upsilon_t(), action, space, unit),
-            a * (v + 4), unit,
-        ),
-    )
-    rec.run(
-        "s5.additive-family-generic",
-        "stabilizer ideal of the additive family is principal with generator "
-        "v*(lam^4 - 1)",
-        lambda: conditions_equal_principal(
-            stabilizer_conditions(c.upsilon_a(), action, space, unit),
-            v * (lam ** 4 - 1), unit,
-        ),
+    # (family, curve, generic generator, v where the curve is fully stable,
+    # generator at every other v)
+    families = (
+        ("torus", c.upsilon_t, (a * (v + 4), "a*(v+4)"), -4, (a, "a")),
+        ("additive", c.upsilon_a, (v * (lam ** 4 - 1), "v*(lam^4 - 1)"), 0,
+         (lam ** 4 - 1, "lam^4 - 1")),
     )
 
-    for val in cfg.v_specializations:
-        tag = str(val)
+    def ideal_is(curve, generator):
+        """The stabilizer ideal of `curve` is (generator), or empty for None."""
+        conds = stabilizer_conditions(curve, action, space, unit)
+        return not conds if generator is None else conditions_equal_principal(
+            conds, generator, unit)
 
-        def torus_case(val=val):
-            conds = stabilizer_conditions(c.upsilon_t(val), action, space, unit)
-            if val == -4:
-                return not conds
-            return conditions_equal_principal(conds, a, unit)
-
-        statement = (
-            "torus family at v=%s: %s" % (
-                tag,
-                "fully stable (empty condition ideal)" if val == -4
-                else "stabilizer ideal is principal with generator a",
-            )
-        )
-        rec.run(f"s5.torus-family-v={tag}", statement, torus_case)
-
-        def additive_case(val=val):
-            conds = stabilizer_conditions(c.upsilon_a(val), action, space, unit)
-            if val == 0:
-                return not conds
-            return conditions_equal_principal(conds, lam ** 4 - 1, unit)
-
-        statement = (
-            "additive family at v=%s: %s" % (
-                tag,
-                "fully stable (empty condition ideal)" if val == 0
-                else "stabilizer ideal is principal with generator lam^4 - 1",
-            )
-        )
-        rec.run(f"s5.additive-family-v={tag}", statement, additive_case)
+    for name, curve, (generic, text), _, _ in families:
+        rec.run(f"s5.{name}-family-generic",
+                f"stabilizer ideal of the {name} family is principal with generator {text}",
+                lambda: ideal_is(curve(), generic))
+    # a value given twice would repeat its check ids
+    for val in dict.fromkeys(cfg.v_specializations):
+        for name, curve, _, stable_at, (generator, text) in families:
+            if val == stable_at:
+                generator, outcome = None, "fully stable (empty condition ideal)"
+            else:
+                outcome = f"stabilizer ideal is principal with generator {text}"
+            rec.run(f"s5.{name}-family-v={val}", f"{name} family at v={val}: {outcome}",
+                    lambda: ideal_is(curve(val), generator))
 
 
 # -- S6: the normalization morphism -------------------------------------------
@@ -371,6 +341,12 @@ def _equalizer_kernel(c: PaperConstants) -> SectionSpace:
     kernel = coefficient_matrix(reg, diffs)[1].kernel()
     combos = [combine(reg, vec, basis) for vec in kernel]
     return SectionSpace(reg, combos, (1, 1), c.f3_grading())
+
+
+def _psi_image(psi: RationalMap, sub: dict[str, Polynomial]) -> ParamCurve:
+    """The image under the morphism of the curve [x0:x1] -> (x0, x1, sub)."""
+    return ParamCurve(psi.registry, ("x0", "x1"),
+                      tuple(comp.substitute(sub) for comp in psi.components))
 
 
 def _suite_normalization(cfg: SuiteConfig, rec: _Recorder):
@@ -422,15 +398,10 @@ def _suite_normalization(cfg: SuiteConfig, rec: _Recorder):
             "the fixed point maps to [1:0:0:0:0:0]",
             base_point_image)
 
-    def quintic_image():
-        sub = c.upsilon_p_parametrization()
-        comps = tuple(comp.substitute(sub) for comp in psi.components)
-        curve = ParamCurve(reg, ("x0", "x1"), comps)
-        return is_rational_normal_curve(curve)
-
     rec.run("s6.distinguished-curve-quintic",
             "the distinguished curve maps to a rational normal quintic",
-            quintic_image)
+            lambda: is_rational_normal_curve(
+                _psi_image(psi, c.upsilon_p_parametrization())))
 
 
 # -- S7: tangent directions at the fixed point ---------------------------------
@@ -487,9 +458,7 @@ def _suite_tangent_directions(cfg: SuiteConfig, rec: _Recorder):
     psi = c.psi()
 
     def image_curve(val: Fraction):
-        sub = c.upsilon_t_parametrization(val)
-        comps = tuple(comp.substitute(sub) for comp in psi.components)
-        return ParamCurve(reg, ("x0", "x1"), comps)
+        return _psi_image(psi, c.upsilon_t_parametrization(val))
 
     rec.run("s7.degenerate-at-one",
             "the torus-family image degenerates exactly at v=1",

@@ -33,7 +33,13 @@ def test_identity_validation(consts):
 
 
 def test_f3_action_built_once_per_table_unless_it_fails(consts):
-    assert consts.f3_action() is consts.f3_action()
+    other = PaperConstants()
+    assert other.reg_f3 is consts.reg_f3
+    assert other.o11_space() is consts.o11_space()
+    for name in ("f3_action", "w_space", "psi"):
+        built = getattr(consts, name)()
+        assert getattr(consts, name)() is built
+        assert getattr(other, name)() is not built
     raw = dict(consts.raw, **{"f3_action.x0": "lam*x0 + x1"})
     tampered = PaperConstants(raw=raw)
     for _ in range(2):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fano22.constants import mobius_projective
+from fano22.constants import DEFAULT_RAW, PaperConstants, _family, mobius_projective
 from fano22.poly import Registry
 
 REG = Registry([("v", "family-parameter")])
@@ -41,3 +41,21 @@ def test_undefined_at_a_common_zero():
     # v / v^2 homogenizes to p*q / p^2, which vanishes twice at [0:1]
     with pytest.raises(ValueError, match="map is undefined at the point"):
         _at(V, V ** 2, 0, 1)
+
+
+def test_every_key_parses_over_its_family_registry_with_every_mutation_variable():
+    quadric = ("quartic_ideal", "gamma4", "reversal", "alpha", "iota_c")
+    table = PaperConstants()
+    for key in DEFAULT_RAW:
+        if key.startswith("w_basis."):
+            expected = table.reg_w
+        elif key.startswith(quadric):
+            expected = table.reg_q
+        else:
+            expected = table.reg_f3
+        assert table.poly(key).registry is expected, key
+        for name in _family(key)[1]:
+            raw = dict(DEFAULT_RAW, **{key: f"({DEFAULT_RAW[key]}) + 2/3*{name}^2"})
+            assert PaperConstants(raw=raw).poly(key).registry is expected, (key, name)
+    with pytest.raises(KeyError, match="no variable pool for constant 'bogus.k'"):
+        PaperConstants(raw={"bogus.k": "1"}).poly("bogus.k")

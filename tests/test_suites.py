@@ -58,6 +58,20 @@ def test_extra_specialization_adds_checks():
     assert any(c.id == "s5.torus-family-v=7/3" for c in extended.checks)
 
 
+def test_check_ids_are_unique():
+    def ids(reports):
+        return [c.id for r in reports for c in r.checks]
+
+    default = ids(run_all())
+    assert len(set(default)) == len(default)
+    cfg = SuiteConfig(v_specializations=(2, 2, Fraction(4, 2), Fraction(7, 3)))
+    repeated = ids([run_suite("stabilizers", cfg)])
+    assert len(set(repeated)) == len(repeated)
+    assert [i for i in repeated if not i.endswith("generic")] == [
+        "s5.torus-family-v=2", "s5.additive-family-v=2",
+        "s5.torus-family-v=7/3", "s5.additive-family-v=7/3"]
+
+
 def test_reports_deterministic():
     def shape(reports):
         return [(r.suite, [(c.id, c.status, c.statement, c.witness)
