@@ -51,15 +51,6 @@ class ParametricAction:
         """Pullback: compose f with the point-action substitution."""
         return f.substitute(dict(self.images))
 
-    def at_params(self, values: Mapping[str, Polynomial | Fraction | int]) -> dict[str, Polynomial]:
-        """The substitution rule with (some) parameters specialized."""
-        reg = self.registry
-        assignment = {
-            p: reg.const(v) if isinstance(v, (int, Fraction)) else v
-            for p, v in values.items()
-        }
-        return {name: img.substitute(assignment) for name, img in self.images.items()}
-
 
 @dataclass(frozen=True)
 class GroupLaw:

@@ -82,12 +82,8 @@ def _run_eval(argv: list[str]) -> int:
             [args.expression] + [e for _, e in bindings + substitutions]
             + [n for n, _ in bindings + substitutions])
         result = parse(args.expression, registry)
-        if bindings:
-            result = result.substitute(
-                {n: parse(e, registry) for n, e in bindings})
-        if substitutions:
-            result = result.substitute(
-                {n: parse(e, registry) for n, e in substitutions})
+        for group in (bindings, substitutions):
+            result = result.substitute({n: parse(e, registry) for n, e in group})
     except (ParseError, ValueError, KeyError, OverflowError) as exc:
         # str() of a KeyError is the repr of its message
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -109,7 +109,7 @@ REG_Q = Registry(
     [("w0", "coordinate"), ("w1", "coordinate"), ("w2", "coordinate"),
      ("w3", "coordinate"), ("w4", "coordinate"),
      ("c", "family-parameter"),
-     ("lam", "group-parameter"), ("lam_inv", "group-parameter"),
+     ("lam", "group-parameter"),
      ("t0", "curve-parameter"), ("t1", "curve-parameter"),
      ("u0", "curve-parameter"), ("u1", "curve-parameter"),
      ("eps", "infinitesimal")]
@@ -117,6 +117,19 @@ REG_Q = Registry(
 
 W_GRADING = Grading(REG_W, {"x1": (1, 0), "y1": (1, 0), "x2": (0, 1), "y2": (0, 1)})
 F3_GRADING = Grading(REG_F3, {"x0": (1, 0), "x1": (1, 0), "y0": (-3, 1), "y1": (0, 1)})
+
+#: the sl2 raising operator E = x1 d/dy1 + x2 d/dy2 (kills the highest-weight vector)
+SL2_RAISING = Derivation(REG_W, {"y1": REG_W.var("x1"), "y2": REG_W.var("x2")})
+#: the sl2 lowering operator F = y1 d/dx1 + y2 d/dx2
+SL2_LOWERING = Derivation(REG_W, {"x1": REG_W.var("y1"), "x2": REG_W.var("y2")})
+#: the torus derivation x1 d/dx1 + x2 d/dx2 of the seven-dimensional module
+W_TORUS = Derivation(REG_W, {"x1": REG_W.var("x1"), "x2": REG_W.var("x2")})
+#: a deliberately wrong composition (a + a', lam * lam') of the group on F_3
+WRONG_GROUP_LAW = GroupLaw(
+    rule={"a": REG_F3.var("a") + REG_F3.var("a2"),
+          "lam": REG_F3.var("lam") * REG_F3.var("lam2")},
+    primed={"a": "a2", "lam": "lam2"},
+)
 
 #: key prefix -> (registry the constant parses over, variables a random
 #: mutation may add to it); the first prefix that a key starts with wins
@@ -172,12 +185,15 @@ def _at_v(p: Polynomial, value: Fraction | None) -> Polynomial:
 class PaperConstants:
     """All constants of one table, each parsed over its key family's registry.
 
-    The registries and gradings are shared by every table (`reg_w`,
-    `reg_f3`, `reg_q`).  `raw` may be a perturbed copy of `DEFAULT_RAW`;
-    derived objects are rebuilt from it so a single perturbation
-    propagates everywhere.  Each constant is parsed once per table, and
-    `f3_action`, `w_space` and `psi` are built once per table.
-    `o11_space` reads no constant and is built once per process.
+    Every method reads the table, except `o11_space`, which reads no
+    constant and is built once per process.  Objects that read no
+    constant are module constants shared by every table: the registries
+    (also readable as `reg_w`, `reg_f3`, `reg_q`), the gradings, the sl2
+    and torus derivations and the wrong group law.  `raw` may be a
+    perturbed copy of `DEFAULT_RAW`; derived objects are rebuilt from it
+    so a single perturbation propagates everywhere.  Each constant is
+    parsed once per table, and `f3_action`, `w_space` and `psi` are built
+    once per table.
     """
 
     raw: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_RAW))
@@ -201,28 +217,11 @@ class PaperConstants:
     def w_basis(self) -> list[Polynomial]:
         return [self.poly(f"w_basis.e{i}") for i in range(7)]
 
-    def w_grading(self) -> Grading:
-        return W_GRADING
-
     @_once
     def w_space(self) -> SectionSpace:
         return SectionSpace(REG_W, self.w_basis(), (5, 1), W_GRADING)
 
-    def sl2_raising(self) -> Derivation:
-        """E = x1 d/dy1 + x2 d/dy2 (kills the highest-weight vector)."""
-        return Derivation(REG_W, {"y1": REG_W.var("x1"), "y2": REG_W.var("x2")})
-
-    def sl2_lowering(self) -> Derivation:
-        """F = y1 d/dx1 + y2 d/dx2."""
-        return Derivation(REG_W, {"x1": REG_W.var("y1"), "x2": REG_W.var("y2")})
-
-    def w_torus_derivation(self) -> Derivation:
-        return Derivation(REG_W, {"x1": REG_W.var("x1"), "x2": REG_W.var("x2")})
-
     # -- the Hirzebruch surface side -----------------------------------------
-
-    def f3_grading(self) -> Grading:
-        return F3_GRADING
 
     @_once
     def f3_action(self) -> ParametricAction:
@@ -238,15 +237,6 @@ class PaperConstants:
     def group_law(self) -> GroupLaw:
         return GroupLaw(
             rule={"a": self.poly("group_law.a"), "lam": self.poly("group_law.lam")},
-            primed={"a": "a2", "lam": "lam2"},
-        )
-
-    def wrong_group_law(self) -> GroupLaw:
-        """Deliberately wrong composition (a + a', lam * lam')."""
-        reg = REG_F3
-        return GroupLaw(
-            rule={"a": reg.var("a") + reg.var("a2"),
-                  "lam": reg.var("lam") * reg.var("lam2")},
             primed={"a": "a2", "lam": "lam2"},
         )
 
@@ -325,11 +315,6 @@ class PaperConstants:
             (self.poly("iota_c.u0"), self.poly("iota_c.u1")),
         )
 
-    def quadric_torus_images(self) -> dict[str, Polynomial]:
-        """Torus scaling w_i -> lam^i * w_i induced by the quartic parametrization."""
-        lam = REG_Q.var("lam")
-        return {f"w{i}": (lam ** i) * REG_Q.var(f"w{i}") for i in range(5)}
-
     def mobius(self) -> tuple[Polynomial, Polynomial]:
         return self.poly("mobius.num"), self.poly("mobius.den")
 
@@ -365,14 +350,14 @@ def mobius_projective(
 # -- mutation support (tampering detection) --------------------------------
 
 
-def random_mutation(rng, raw: dict[str, str] | None = None) -> tuple[str, dict[str, str]]:
-    """Perturb one randomly chosen constant by one random monomial.
+def random_mutation(rng) -> tuple[str, dict[str, str]]:
+    """Perturb one randomly chosen constant of `DEFAULT_RAW` by one random monomial.
 
     Returns (mutated key, new raw table).  The perturbation draws a
     nonzero rational coefficient and a small random monomial over the
     variables available to that constant.
     """
-    base = dict(DEFAULT_RAW if raw is None else raw)
+    base = dict(DEFAULT_RAW)
     key = rng.choice(sorted(base))
     pool = _family(key)[1]
     nvars = rng.randint(1, min(3, len(pool)))

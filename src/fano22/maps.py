@@ -153,32 +153,23 @@ def equivariance_up_to_scalar(
     mp: RationalMap,
     src_images: Mapping[str, Polynomial],
     tgt_images: Mapping[str, Polynomial],
-    invert: tuple[str, str] | None = None,
 ) -> tuple[bool, Polynomial | None]:
     """Whether act-then-map is proportional to map-then-act (mod modulus).
 
-    For semi-commutation checks, `invert = (param, inv_var)` replaces the
-    target parameter by a formal inverse, cleared afterwards through a
-    uniform power of the original parameter.
+    The comparison is projective, so a semi-commutation with an inverse
+    action passes that inverse as `tgt_images` with denominators cleared
+    (the inverse of w_i -> lam^i * w_i on P^4 is w_i -> lam^(4-i) * w_i).
 
     Returns (ok, scalar) on success (scalar None when only determined
     modulo the hypersurface), (False, witness) on failure.
     """
     A = [c.substitute(dict(src_images)) for c in mp.components]
-    tgt = dict(tgt_images)
-    if invert is not None:
-        param, inv = invert
-        swap = {param: mp.registry.var(inv)}
-        tgt = {n: img.substitute(swap) for n, img in tgt.items()}
     B = [
-        tgt.get(n, mp.registry.var(n)).substitute(
+        tgt_images.get(n, mp.registry.var(n)).substitute(
             dict(zip(mp.target_vars, mp.components))
         )
         for n in mp.target_vars
     ]
-    if invert is not None:
-        param, inv = invert
-        B = _clear_inverse(B, inv, param)
     ok, witness = proportional_mod(A, B, mp.modulus)
     if not ok:
         return False, witness
@@ -188,22 +179,6 @@ def equivariance_up_to_scalar(
             scalar = a.exact_divide(b)
             break
     return True, scalar
-
-
-def _clear_inverse(polys: Sequence[Polynomial], inv: str, base: str) -> list[Polynomial]:
-    """Replace inv^k by base^(N-k) with N the maximal inv-degree of the tuple."""
-    N = max((p.degree_in(inv) for p in polys if not p.is_zero()), default=0)
-    reg = polys[0].registry
-    out = []
-    base_var = reg.var(base)
-    for p in polys:
-        acc = reg.zero
-        for k in range(p.degree_in(inv) + 1):
-            part = p.coefficient_of(inv, k)
-            if not part.is_zero():
-                acc = acc + part * base_var ** (N - k)
-        out.append(acc)
-    return out
 
 
 # -- tangent directions at the fixed point --------------------------------

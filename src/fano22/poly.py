@@ -218,12 +218,6 @@ class Polynomial:
         s = self.registry._shifts[self.registry.index(name)]
         return max((k >> s) & _MASK for k in self._terms)
 
-    def min_degree_in(self, name: str) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no minimal degree")
-        s = self.registry._shifts[self.registry.index(name)]
-        return min((k >> s) & _MASK for k in self._terms)
-
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         """Leading (exponent, coefficient) under graded lex order."""
         if not self._terms:
@@ -524,10 +518,12 @@ class Polynomial:
         """Divide out the largest power of `name` dividing every term."""
         if not self._terms:
             return self
-        k = self.min_degree_in(name)
+        i = self.registry.index(name)
+        s = self.registry._shifts[i]
+        k = min((key >> s) & _MASK for key in self._terms)
         if k == 0:
             return self
-        drop = k * self.registry._units[self.registry.index(name)]
+        drop = k * self.registry._units[i]
         return _make(self.registry, {key - drop: v for key, v in self._terms.items()},
                      self._den)
 

@@ -22,7 +22,16 @@ from .actions import (
     stabilizer_conditions,
     verify_group_law,
 )
-from .constants import PaperConstants, mobius_projective
+from .constants import (
+    F3_GRADING,
+    SL2_LOWERING,
+    SL2_RAISING,
+    W_GRADING,
+    W_TORUS,
+    WRONG_GROUP_LAW,
+    PaperConstants,
+    mobius_projective,
+)
 from .linalg import coefficient_matrix, combine
 from .maps import (
     INFINITY,
@@ -130,15 +139,11 @@ def _same_line(p: Polynomial, q: Polynomial) -> bool:
 def _suite_w_module(cfg: SuiteConfig, rec: _Recorder):
     c = cfg.constants
     basis = c.w_basis()
-    grading = c.w_grading()
-    E = c.sl2_raising()
-    F = c.sl2_lowering()
-    D = c.w_torus_derivation()
 
     rec.run(
         "s1.homogeneous",
         "all seven basis vectors are bihomogeneous of degree (5,1)",
-        lambda: all(grading.multidegree(b) == (5, 1) for b in basis),
+        lambda: all(W_GRADING.multidegree(b) == (5, 1) for b in basis),
     )
     rec.run(
         "s1.independent",
@@ -149,7 +154,7 @@ def _suite_w_module(cfg: SuiteConfig, rec: _Recorder):
     def weights_consecutive():
         weights = []
         for b in basis:
-            img = D(b)
+            img = W_TORUS(b)
             q = img.exact_divide(b)
             if q is None or not q.is_constant():
                 return False, img
@@ -164,9 +169,9 @@ def _suite_w_module(cfg: SuiteConfig, rec: _Recorder):
         weights_consecutive,
     )
     rec.run("s1.highest-killed", "the raising operator kills the first basis vector",
-            lambda: (E(basis[0]).is_zero(), E(basis[0])))
+            lambda: (SL2_RAISING(basis[0]).is_zero(), SL2_RAISING(basis[0])))
     rec.run("s1.lowest-killed", "the lowering operator kills the last basis vector",
-            lambda: (F(basis[6]).is_zero(), F(basis[6])))
+            lambda: (SL2_LOWERING(basis[6]).is_zero(), SL2_LOWERING(basis[6])))
 
     def chain(op, pairs):
         for i, j in pairs:
@@ -177,10 +182,10 @@ def _suite_w_module(cfg: SuiteConfig, rec: _Recorder):
 
     rec.run("s1.lowering-chain",
             "lowering sends each basis vector to a nonzero multiple of the next",
-            lambda: chain(F, zip(range(6), range(1, 7))))
+            lambda: chain(SL2_LOWERING, zip(range(6), range(1, 7))))
     rec.run("s1.raising-chain",
             "raising sends each basis vector to a nonzero multiple of the previous",
-            lambda: chain(E, zip(range(1, 7), range(6))))
+            lambda: chain(SL2_RAISING, zip(range(1, 7), range(6))))
 
 
 # -- S2: the unique Borel-stable line ---------------------------------------
@@ -189,7 +194,7 @@ def _suite_w_module(cfg: SuiteConfig, rec: _Recorder):
 def _suite_borel_line(cfg: SuiteConfig, rec: _Recorder):
     c = cfg.constants
     space = c.w_space()
-    lines = semi_invariant_lines(space, c.w_torus_derivation(), c.sl2_raising())
+    lines = semi_invariant_lines(space, W_TORUS, SL2_RAISING)
     rec.run("s2.unique-line",
             "the module has exactly one Borel-semi-invariant line",
             lambda: (len(lines) == 1, f"found {len(lines)} lines"))
@@ -210,7 +215,7 @@ def _suite_g_action(cfg: SuiteConfig, rec: _Recorder):
             lambda: verify_group_law(action, c.group_law()))
 
     def wrong_law_fails():
-        ok, witness = verify_group_law(action, c.wrong_group_law())
+        ok, witness = verify_group_law(action, WRONG_GROUP_LAW)
         return not ok and witness is not None and not witness.is_zero()
 
     rec.run("s3.wrong-law-fails",
@@ -232,8 +237,8 @@ def _suite_g_action(cfg: SuiteConfig, rec: _Recorder):
             lambda: scalar_stable("x0"))
 
     def torus_only(name: str):
-        torus_images = action.at_params({"a": 0})
-        q = torus_images[name].exact_divide(reg.var(name))
+        torus_image = action.images[name].substitute({"a": reg.zero})
+        q = torus_image.exact_divide(reg.var(name))
         torus_stable = q is not None and not q.is_zero()
         full = action.act_on_section(reg.var(name))
         not_full_stable = full.exact_divide(reg.var(name)) is None
@@ -340,7 +345,7 @@ def _equalizer_kernel(c: PaperConstants) -> SectionSpace:
     diffs = [b.substitute(to_section) - b.substitute(to_fiber) for b in basis]
     kernel = coefficient_matrix(reg, diffs)[1].kernel()
     combos = [combine(reg, vec, basis) for vec in kernel]
-    return SectionSpace(reg, combos, (1, 1), c.f3_grading())
+    return SectionSpace(reg, combos, (1, 1), F3_GRADING)
 
 
 def _psi_image(psi: RationalMap, sub: dict[str, Polynomial]) -> ParamCurve:
@@ -368,7 +373,7 @@ def _suite_normalization(cfg: SuiteConfig, rec: _Recorder):
     rec.run("s6.map-components-span",
             "the components of the morphism span the 6-dimensional subspace",
             lambda: SectionSpace(reg, list(psi.components), (1, 1),
-                                 c.f3_grading()).same_span(wprime))
+                                 F3_GRADING).same_span(wprime))
 
     def restriction(sub):
         return [comp.substitute(sub) for comp in psi.components]
@@ -535,6 +540,10 @@ def _suite_quadric_involution(cfg: SuiteConfig, rec: _Recorder):
     jq = c.quadric_involution()
     rev = c.reversal()
     lam = reg.var("lam")
+    # the torus w_i -> lam^i * w_i of the quartic parametrization, and its
+    # inverse, projectively w_i -> lam^-i * w_i, cleared of denominators
+    torus = {n: lam ** i * reg.var(n) for i, n in enumerate(wnames)}
+    inverse = {n: lam ** (4 - i) * reg.var(n) for i, n in enumerate(wnames)}
 
     def generators_vanish():
         sub = gamma.substitution(wnames)
@@ -561,8 +570,6 @@ def _suite_quadric_involution(cfg: SuiteConfig, rec: _Recorder):
             lambda: proportional_mod(
                 compose(rev, jq).components, compose(jq, rev).components, f_c))
 
-    torus = c.quadric_torus_images()
-
     def torus_scalar():
         ok, scalar = equivariance_up_to_scalar(jq, torus, torus)
         if not ok:
@@ -575,8 +582,7 @@ def _suite_quadric_involution(cfg: SuiteConfig, rec: _Recorder):
 
     def semi_commutation():
         iota = compose(rev, jq)
-        ok, scalar = equivariance_up_to_scalar(
-            iota, torus, torus, invert=("lam", "lam_inv"))
+        ok, scalar = equivariance_up_to_scalar(iota, torus, inverse)
         if not ok:
             return False, scalar
         return scalar is not None and not scalar.is_zero(), scalar

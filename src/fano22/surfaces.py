@@ -60,25 +60,20 @@ def is_irreducible_class(D: DivisorClass) -> bool:
     return D.b >= D.a * D.e
 
 
-def degree_pairing(a: int, b: int, e: int = 3, section_fibers: int = 4) -> int:
-    """(a*s + b*f) . (s + section_fibers*f) on F_e.
+def degree_pairing(a: int, b: int) -> int:
+    """(a*s + b*f) . (s + 4f) on F_3, which collapses to a + b."""
+    return intersect(DivisorClass(3, a, b), DivisorClass(3, 1, 4))
 
-    With the defaults this is the pairing against s + 4f on F_3, which
-    collapses to a + b.
+
+def genus_zero_classes_with_pairing(total: int) -> list[tuple[int, int]]:
+    """Irreducible genus-0 classes (a, b) on F_3 with (a*s+b*f).(s+4f) = total.
+
+    The pairing is a + b (`degree_pairing`), so the search walks that line.
     """
-    return intersect(DivisorClass(e, a, b), DivisorClass(e, 1, section_fibers))
-
-
-def genus_zero_classes_with_pairing(
-    total: int, e: int = 3, section_fibers: int = 4
-) -> list[tuple[int, int]]:
-    """Irreducible genus-0 classes (a, b) with (a*s+b*f).(s+4f) = total."""
     out = []
     for a in range(total + 1):
         b = total - a
-        if degree_pairing(a, b, e, section_fibers) != total:
-            continue
-        D = DivisorClass(e, a, b)
+        D = DivisorClass(3, a, b)
         if is_irreducible_class(D) and adjunction_genus(D) == 0:
             out.append((a, b))
     return out

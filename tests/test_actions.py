@@ -12,7 +12,7 @@ from fano22.actions import (
     stabilizer_conditions,
     verify_group_law,
 )
-from fano22.constants import PaperConstants
+from fano22.constants import SL2_RAISING, W_TORUS, WRONG_GROUP_LAW, PaperConstants
 
 
 @pytest.fixture
@@ -59,7 +59,7 @@ def test_group_law_holds(consts):
 
 
 def test_wrong_group_law_fails(consts):
-    ok, witness = verify_group_law(consts.f3_action(), consts.wrong_group_law())
+    ok, witness = verify_group_law(consts.f3_action(), WRONG_GROUP_LAW)
     assert not ok
     assert witness is not None and not witness.is_zero()
 
@@ -88,9 +88,7 @@ def test_lie_derivations(consts):
 
 
 def test_semi_invariant_lines_of_w(consts):
-    lines = semi_invariant_lines(
-        consts.w_space(), consts.w_torus_derivation(), consts.sl2_raising()
-    )
+    lines = semi_invariant_lines(consts.w_space(), W_TORUS, SL2_RAISING)
     assert len(lines) == 1
     assert lines[0].primitive_normal() == consts.w_basis()[0].primitive_normal()
 

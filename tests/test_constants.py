@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -59,3 +60,31 @@ def test_every_key_parses_over_its_family_registry_with_every_mutation_variable(
             assert PaperConstants(raw=raw).poly(key).registry is expected, (key, name)
     with pytest.raises(KeyError, match="no variable pool for constant 'bogus.k'"):
         PaperConstants(raw={"bogus.k": "1"}).poly("bogus.k")
+
+
+class _RecordingRaw(dict):
+    """A raw table that records every key read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_every_table_method_reads_the_table():
+    """Objects that read no constant are module constants, not methods."""
+    names = [name for name, fn in vars(PaperConstants).items()
+             if callable(fn) and not name.startswith("_") and name != "o11_space"
+             and all(p.default is not p.empty
+                     for p in list(inspect.signature(fn).parameters.values())[1:])]
+    assert "w_basis" in names and "upsilon_t" in names
+    unread = []
+    for name in names:
+        raw = _RecordingRaw(DEFAULT_RAW)
+        getattr(PaperConstants(raw=raw), name)()
+        if not raw.read:
+            unread.append(name)
+    assert unread == []

@@ -11,6 +11,7 @@ from fano22.maps import (
     TangentDirection,
     affine_jet,
     compose,
+    equivariance_up_to_scalar,
     image_in_hypersurface,
     is_rational_normal_curve,
     proportional_mod,
@@ -61,6 +62,22 @@ def test_proportional_mod_with_modulus(consts):
 def test_image_in_hypersurface(consts):
     assert image_in_hypersurface(consts.quadric_involution(),
                                  consts.family_quadric())
+
+
+def test_equivariance_up_to_scalar(consts):
+    reg = consts.reg_q
+    lam = reg.var("lam")
+    wnames = ("w0", "w1", "w2", "w3", "w4")
+    torus = {n: lam ** i * reg.var(n) for i, n in enumerate(wnames)}
+    # w_i -> lam^-i * w_i, projectively, with denominators cleared
+    inverse = {n: lam ** (4 - i) * reg.var(n) for i, n in enumerate(wnames)}
+    jq = consts.quadric_involution()
+    assert equivariance_up_to_scalar(jq, torus, torus) == (True, lam ** 2)
+    iota = compose(consts.reversal(), jq)
+    ok, scalar = equivariance_up_to_scalar(iota, torus, inverse)
+    assert ok and scalar is not None and not scalar.is_zero()
+    ok, witness = equivariance_up_to_scalar(iota, torus, torus)
+    assert not ok and witness is not None and not witness.is_zero()
 
 
 def test_param_curve_validation(consts):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fano22.constants import PaperConstants
+from fano22.constants import F3_GRADING, PaperConstants
 from fano22.linalg import combine
 from fano22.poly import Polynomial, Registry, RegistryMismatch
 from fano22.sections import (
@@ -23,20 +23,18 @@ def consts():
 
 
 def test_multidegree(consts):
-    grading = consts.f3_grading()
     reg = consts.reg_f3
-    assert grading.multidegree(consts.upsilon_p()) == (1, 1)
-    assert grading.multidegree(reg.var("x0") + reg.var("y0")) is None
-    assert grading.multidegree(reg.zero) is None
+    assert F3_GRADING.multidegree(consts.upsilon_p()) == (1, 1)
+    assert F3_GRADING.multidegree(reg.var("x0") + reg.var("y0")) is None
+    assert F3_GRADING.multidegree(reg.zero) is None
 
 
 def test_bidegree_11_basis_has_7_monomials(consts):
     basis = monomial_basis(
-        consts.reg_f3, consts.f3_grading(), (1, 1), ["x0", "x1", "y0", "y1"]
+        consts.reg_f3, F3_GRADING, (1, 1), ["x0", "x1", "y0", "y1"]
     )
     assert len(basis) == 7
-    grading = consts.f3_grading()
-    assert all(grading.multidegree(m) == (1, 1) for m in basis)
+    assert all(F3_GRADING.multidegree(m) == (1, 1) for m in basis)
 
 
 def test_unbounded_cone_detected():
@@ -156,7 +154,7 @@ def test_inhomogeneous_basis_rejected(consts):
     reg = consts.reg_f3
     with pytest.raises(ValueError):
         SectionSpace(reg, [reg.var("x0") + reg.var("y0")], (1, 0),
-                     consts.f3_grading())
+                     F3_GRADING)
 
 
 def test_restricted_order_subspace_simple():

@@ -48,6 +48,17 @@ def test_degree_pairing_collapses():
 
 def test_class_elimination():
     assert genus_zero_classes_with_pairing(5) == [(1, 4)]
+    # against a brute-force search of a box that holds every class of the
+    # pairing (a + b on F_3, so 3*total + 3 is far beyond the line)
+    section = DivisorClass(3, 1, 4)
+    for total in range(9):
+        bound = 3 * total + 3
+        classes = [DivisorClass(3, a, b)
+                   for a in range(bound + 1) for b in range(bound + 1)]
+        brute = [(D.a, D.b) for D in classes
+                 if intersect(D, section) == total
+                 and is_irreducible_class(D) and adjunction_genus(D) == 0]
+        assert genus_zero_classes_with_pairing(total) == brute, total
 
 
 def test_mismatch_and_validation():
