@@ -3,7 +3,9 @@
 Every polynomial constant is stored as parseable text so that suites can
 be re-run against perturbed tables (mutation robustness).  Composite
 objects (the quadric involution, the family quadric) are derived from
-the stored generators rather than duplicated.
+the stored generators rather than duplicated.  Each text of `DEFAULT_RAW`
+is parsed once per process, and every table that keeps that text shares
+the parsed polynomial; a changed text is parsed once per table.
 """
 
 from __future__ import annotations
@@ -171,6 +173,12 @@ def _once(build):
 
 
 @functools.cache
+def _paper_poly(key: str) -> Polynomial:
+    """The paper's constant `key`, parsed once per process."""
+    return parse(DEFAULT_RAW[key], _family(key)[0])
+
+
+@functools.cache
 def _o11_space() -> SectionSpace:
     basis = monomial_basis(REG_F3, F3_GRADING, (1, 1), ["x0", "x1", "y0", "y1"])
     return SectionSpace(REG_F3, basis, (1, 1), F3_GRADING)
@@ -191,9 +199,10 @@ class PaperConstants:
     (also readable as `reg_w`, `reg_f3`, `reg_q`), the gradings, the sl2
     and torus derivations and the wrong group law.  `raw` may be a
     perturbed copy of `DEFAULT_RAW`; derived objects are rebuilt from it
-    so a single perturbation propagates everywhere.  Each constant is
-    parsed once per table, and `f3_action`, `w_space` and `psi` are built
-    once per table.
+    so a single perturbation propagates everywhere.  A constant whose text
+    is the paper's is the polynomial parsed once per process and shared by
+    every table; a changed text is parsed once per table.  `f3_action`,
+    `w_space` and `psi` are built once per table.
     """
 
     raw: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_RAW))
@@ -209,7 +218,11 @@ class PaperConstants:
     def poly(self, key: str) -> Polynomial:
         """The constant `key`, parsed over the registry of its key family."""
         if key not in self._parsed:
-            self._parsed[key] = parse(self.raw[key], _family(key)[0])
+            text = self.raw[key]
+            if text == DEFAULT_RAW.get(key):
+                self._parsed[key] = _paper_poly(key)
+            else:
+                self._parsed[key] = parse(text, _family(key)[0])
         return self._parsed[key]
 
     # -- the seven-dimensional module ---------------------------------------

@@ -702,8 +702,8 @@ def run_all(config: SuiteConfig | None = None,
             names: tuple[str, ...] | None = None) -> list[CheckReport]:
     """Run the named suites (all of them by default) in fixed order.
 
-    Every suite reads one configuration, so one constants table is parsed
-    and its derived objects are built once.
+    Every suite reads one configuration, so each constant of its table is
+    parsed at most once and the table's derived objects are built once.
     """
     selected = SUITE_ORDER if names is None else tuple(names)
     config = config if config is not None else SuiteConfig()

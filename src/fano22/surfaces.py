@@ -60,15 +60,11 @@ def is_irreducible_class(D: DivisorClass) -> bool:
     return D.b >= D.a * D.e
 
 
-def degree_pairing(a: int, b: int) -> int:
-    """(a*s + b*f) . (s + 4f) on F_3, which collapses to a + b."""
-    return intersect(DivisorClass(3, a, b), DivisorClass(3, 1, 4))
-
-
 def genus_zero_classes_with_pairing(total: int) -> list[tuple[int, int]]:
     """Irreducible genus-0 classes (a, b) on F_3 with (a*s+b*f).(s+4f) = total.
 
-    The pairing is a + b (`degree_pairing`), so the search walks that line.
+    On F_3, (a*s + b*f).(s + 4f) = a*(-3 + 4) + b = a + b, so the search
+    walks that line.
     """
     out = []
     for a in range(total + 1):

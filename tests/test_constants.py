@@ -3,8 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from fano22.constants import DEFAULT_RAW, PaperConstants, _family, mobius_projective
+from fano22 import constants
+from fano22.constants import (
+    DEFAULT_RAW,
+    PaperConstants,
+    _family,
+    _paper_poly,
+    mobius_projective,
+)
+from fano22.parsing import ParseError, parse
 from fano22.poly import Registry
+from fano22.suites import SuiteConfig, run_all
 
 REG = Registry([("v", "family-parameter")])
 V = REG.var("v")
@@ -88,3 +97,70 @@ def test_every_table_method_reads_the_table():
         if not raw.read:
             unread.append(name)
     assert unread == []
+
+
+def _mutant(key: str) -> dict[str, str]:
+    """The paper's table with `key` perturbed in the first variable of its pool."""
+    name = _family(key)[1][0]
+    return dict(DEFAULT_RAW, **{key: f"({DEFAULT_RAW[key]}) + 2/3*{name}^2"})
+
+
+def test_tables_share_the_constants_whose_text_they_keep():
+    paper = PaperConstants()
+    shared = {key: paper.poly(key) for key in DEFAULT_RAW}
+    for key, p in shared.items():
+        fresh = parse(DEFAULT_RAW[key], _family(key)[0])
+        assert p == fresh and p is not fresh, key
+    for key in DEFAULT_RAW:
+        raw = _mutant(key)
+        table = PaperConstants(raw=raw)
+        own = table.poly(key)
+        assert own == parse(raw[key], _family(key)[0]) and own != shared[key], key
+        assert table.poly(key) is own, key
+        for other in DEFAULT_RAW:
+            if other != key:
+                assert table.poly(other) is shared[other], (key, other)
+
+
+def test_an_unparsable_mutant_raises_every_time_and_leaves_the_paper_cache():
+    paper = PaperConstants()
+    shared = {key: paper.poly(key) for key in DEFAULT_RAW}
+    cached = _paper_poly.cache_info().currsize
+    table = PaperConstants(raw=dict(DEFAULT_RAW, **{"psi.w1": "(x0*y1 +"}))
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            table.poly("psi.w1")
+    assert _paper_poly.cache_info().currsize == cached == len(DEFAULT_RAW)
+    assert PaperConstants().poly("psi.w1") is shared["psi.w1"]
+    assert table.poly("psi.w0") is shared["psi.w0"]
+
+
+def test_the_paper_table_is_parsed_once_per_process_and_a_mutant_parses_one_key(monkeypatch):
+    texts = []
+
+    def spy(text, registry=None):
+        texts.append(text)
+        return parse(text, registry)
+
+    monkeypatch.setattr(constants, "parse", spy)
+    _paper_poly.cache_clear()
+    run_all()
+    assert sorted(texts) == sorted(DEFAULT_RAW.values())
+    texts.clear()
+    run_all()
+    assert texts == []
+    raw = _mutant("upsilon_p")
+    run_all(SuiteConfig(constants=PaperConstants(raw=raw)))
+    assert texts == [raw["upsilon_p"]]
+
+
+def test_a_recording_table_records_every_key_it_returns():
+    whole = _RecordingRaw(DEFAULT_RAW)
+    table = PaperConstants(raw=whole)
+    for key in DEFAULT_RAW:
+        table.poly(key)
+    assert whole.read == set(DEFAULT_RAW)
+    for key in DEFAULT_RAW:  # every key is now taken from the shared parse
+        raw = _RecordingRaw(DEFAULT_RAW)
+        PaperConstants(raw=raw).poly(key)
+        assert raw.read == {key}
