@@ -1,18 +1,28 @@
 """Exact fraction-free linear algebra over polynomial entries.
 
 Everything is read off one fraction-free Gauss–Jordan elimination (Bareiss
-1968; Nakos–Turner–Williams 1997).  A pivot step replaces every other row
-by (pivot * row - head * pivot row) / previous pivot; by Sylvester's
-identity every division is exact, so the routine works verbatim over Q and
-over polynomial rings in family parameters, and no entry is ever
-evaluated.  At the end every pivot equals the determinant of the pivot
-block and every other entry of a pivot row is a maximal minor, which gives
-rank, determinant, kernel (Cramer's rule) and solutions of linear systems.
+1968; Nakos–Turner–Williams 1997) over `int`s.  A pivot step replaces
+every other row by (pivot * row - head * pivot row) // previous pivot; by
+Sylvester's identity every entry it produces is, up to sign, a minor of
+the matrix, so the division is exact.  At the end every pivot equals the
+determinant of the pivot block and every other entry of a pivot row is a
+maximal minor, which gives rank, determinant, kernel (Cramer's rule) and
+solutions of linear systems.
 
 Each row is first multiplied by the lcm of its denominators, which
-changes neither rank nor kernel.  Matrices whose entries are all constant
-are then reduced in plain `int`s with exact `//`; any other matrix in
-polynomials with integer coefficients, with `Polynomial.exact_divide`.
+changes neither rank nor kernel.  A constant entry is then its
+numerator.  A polynomial entry is packed into one `int` by Kronecker
+substitution (`poly._pack_matrix`): each occurring variable x becomes
+2**(W * weight_x), the weights being mixed-radix places, where the radix
+of x is 1 + the sum over rows of the row's largest degree in x and
+W = bit_length(product over rows of max(1, row 1-norm)) + 2.  A minor
+takes one entry from each of some rows, so its degree in x is below the
+radix of x and each of its coefficients is at most that product in
+absolute value: the packing, a ring homomorphism, is injective on
+minors, so the zero tests and the `//` of the integer loop are exact and
+decoding a reduced entry's signed W-bit digits gives back the
+polynomial.  `kernel` and `det` decode only the pivot-row entries and
+the pivot.  No entry is ever evaluated at a point.
 
 Every subspace is cut out the same way: `coefficient_matrix` turns a span
 of polynomials into the matrix of their coefficients, and its `kernel`,
@@ -27,12 +37,11 @@ into one dict over a common denominator, which the pivot then divides.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Sequence
 
-from .poly import Polynomial, Registry, RegistryMismatch, _canon, poly_sum
+from .poly import Polynomial, Registry, RegistryMismatch, _canon, _pack_matrix, poly_sum
 
 
 class ExactMatrix:
@@ -40,19 +49,22 @@ class ExactMatrix:
 
     `ncols`, when given, is the column count, checked against every row;
     so a matrix without rows still has its columns.  Otherwise the first
-    row gives the count.
+    row gives the count.  Scalar entries must be int or Fraction.
     """
 
     def __init__(self, registry: Registry, rows: Sequence[Sequence], ncols: int | None = None):
         self.registry = registry
         coerced = []
+        seen = 0
         for row in rows:
             out = []
             for entry in row:
-                if isinstance(entry, (int, Fraction)):
+                if not isinstance(entry, Polynomial):
                     entry = registry.const(entry)
-                if entry.registry is not registry:
+                elif entry.registry is not registry:
                     raise ValueError("matrix entries must share the registry")
+                for k in entry._terms:
+                    seen |= k
                 out.append(entry)
             if ncols is None:
                 ncols = len(out)
@@ -62,7 +74,8 @@ class ExactMatrix:
         self.rows: list[list[Polynomial]] = coerced
         self.nrows = len(coerced)
         self.ncols = 0 if ncols is None else ncols
-        self._constant = all(e.is_constant() for row in coerced for e in row)
+        #: bitwise or of every entry's keys: 0 exactly when every entry is constant
+        self._seen = seen
         self._solver = None
 
     def _reduce(self, augment: bool = False):
@@ -71,34 +84,29 @@ class ExactMatrix:
         S is diagonal: row i is multiplied by its scale, the lcm of the
         denominators of its entries, so that every entry is integral.  Row
         scaling changes neither the rank, the pivot columns nor the
-        kernel, and S A x = S b has the solutions of A x = b.  A constant
-        matrix is then reduced in `int`s with `//`, any other in
-        polynomials with `exact_divide`; both divisions are exact.
-        Pivots are taken in the columns of A only.  Returns (reduced rows,
-        pivot columns in row order, last pivot d, sign of the row
-        permutation, det S); every pivot entry then equals d, the
-        determinant of the pivot block of S A up to that sign.
+        kernel, and S A x = S b has the solutions of A x = b.  Each entry
+        of S A is then packed into one int (`poly._pack_matrix`), and the
+        ints are reduced with `//`, which is exact.  `augment` is for
+        matrices of constants only.  Pivots are taken in the columns of A
+        only.  Returns (reduced rows of ints, pivot columns in row order,
+        last pivot d, sign of the row permutation, det S, unpack); every
+        pivot entry then equals d, the determinant of the pivot block of
+        S A up to that sign, and `unpack` turns any reduced entry into its
+        numerator dict.
         """
         scales = [lcm(*[e._den for e in row]) for row in self.rows]
-        if self._constant:
-            m = [[e._terms.get(0, 0) * (s // e._den) for e in row]
-                 for row, s in zip(self.rows, scales)]
-            lift, divide = int, operator.floordiv
-        else:
-            m = [[e.scale(s) for e in row] for row, s in zip(self.rows, scales)]
-            lift, divide = self.registry.const, _exact_divide
-        zero = lift(0)
+        m, unpack = _pack_matrix(self.registry, self.rows, scales, self._seen)
         if augment:
             for i, (row, s) in enumerate(zip(m, scales)):
-                row.extend(lift(s) if j == i else zero for j in range(self.nrows))
+                row.extend(s if j == i else 0 for j in range(self.nrows))
         pivots: list[int] = []
-        prev = lift(1)
+        prev = 1
         sign = 1
         for c in range(self.ncols):
             r = len(pivots)
             if r == self.nrows:
                 break
-            pivot_row = next((i for i in range(r, self.nrows) if m[i][c] != 0), None)
+            pivot_row = next((i for i in range(r, self.nrows) if m[i][c]), None)
             if pivot_row is None:
                 continue
             if pivot_row != r:
@@ -110,13 +118,10 @@ class ExactMatrix:
                 head = row[c]
                 if i == r or (head == 0 and p == prev):
                     continue
-                m[i] = [divide(p * x - head * y, prev) for x, y in zip(row, top)]
+                m[i] = [(p * x - head * y) // prev for x, y in zip(row, top)]
             prev = p
             pivots.append(c)
-        return m, pivots, prev, sign, prod(scales)
-
-    def _lift(self, entry) -> Polynomial:
-        return entry if isinstance(entry, Polynomial) else self.registry.const(entry)
+        return m, pivots, prev, sign, prod(scales), unpack
 
     def rank(self) -> int:
         return len(self._reduce()[1])
@@ -124,10 +129,10 @@ class ExactMatrix:
     def det(self) -> Polynomial:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        _, pivots, d, sign, det_s = self._reduce()
+        _, pivots, d, sign, det_s, unpack = self._reduce()
         if len(pivots) < self.nrows:
             return self.registry.zero
-        return self._lift(d).scale(Fraction(sign, det_s))
+        return _canon(self.registry, unpack(d), 1).scale(Fraction(sign, det_s))
 
     def kernel(self) -> list[list[Polynomial]]:
         """Basis of the right kernel, one vector per free column.
@@ -138,16 +143,18 @@ class ExactMatrix:
         parameters in the matrix.  Each vector is divided by its rational
         content.
         """
-        m, pivots, d, _, _ = self._reduce()
+        m, pivots, d, _, _, unpack = self._reduce()
+        reg = self.registry
+        pivot = _canon(reg, unpack(d), 1)
         basis: list[list[Polynomial]] = []
         for j in range(self.ncols):
             if j in pivots:
                 continue
-            vec = [0] * self.ncols
-            vec[j] = d
+            vec = [reg.zero] * self.ncols
+            vec[j] = pivot
             for row, c in zip(m, pivots):
-                vec[c] = -row[j]
-            basis.append(_normalize_vector([self._lift(x) for x in vec]))
+                vec[c] = _canon(reg, unpack(-row[j]), 1)
+            basis.append(_normalize_vector(vec))
         return basis
 
     def solve(self, rhs: Sequence) -> list[Polynomial] | None:
@@ -200,9 +207,9 @@ class ExactMatrix:
         reduction, unless every entry of A is constant.
         """
         if self._solver is None:
-            if not self._constant:
+            if self._seen:
                 raise ValueError("solve needs a matrix of constants")
-            m, pivots, d, _, _ = self._reduce(augment=True)
+            m, pivots, d, _, _, _ = self._reduce(augment=True)
             sign = 1 if d > 0 else -1
             parts = [[(j, sign * v) for j, v in enumerate(row[self.ncols:]) if v] for row in m]
             self._solver = parts, pivots, abs(d)
@@ -222,13 +229,6 @@ def _accumulate(row: Sequence[tuple[int, int]], nums: Sequence[dict[int, int]]) 
         for k, v in nums[j].items():
             acc[k] = get(k, 0) + s * v
     return {k: v for k, v in acc.items() if v}
-
-
-def _exact_divide(a: Polynomial, b: Polynomial) -> Polynomial:
-    q = a.exact_divide(b)
-    if q is None:
-        raise ValueError(f"{b} does not divide {a} exactly")
-    return q
 
 
 def coefficient_matrix(

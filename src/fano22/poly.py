@@ -27,6 +27,13 @@ per monomial in the other variables, whose width-bit digits are the
 coefficients of the last variable's powers, and CPython's big-int
 product does the inner loop.  Smaller products, the only kind the
 paper's suites make, keep the dict loop, at the cost of one comparison.
+
+Kronecker substitution in every occurring variable at once also serves
+elimination: `_pack_matrix` maps a matrix of integral polynomials to one
+of `int`s, with digits wide enough and radices large enough that every
+minor is read back exactly, so `linalg` reduces polynomial and constant
+matrices in the same integer loop.  Products and eliminations read their
+packed results back through one signed-digit reader, `_signed_digits`.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -609,26 +616,37 @@ def _mul_packed(unit: int, a: dict[int, int], b: dict[int, int]) -> dict[int, in
         for kb, vb in pb:
             k = ka + kb
             acc[k] = get(k, 0) + va * vb
-    full = 1 << width
-    half, low = full >> 1, full - 1
     out: dict[int, int] = {}
     for key, v in acc.items():
-        while v:
-            d = v & low
-            if not d:
-                # jump a run of zero digits at once: a gap in the last
-                # variable's exponents must not cost one big shift per digit
-                z = ((v & -v).bit_length() - 1) // width
-                v >>= z * width
-                key += z * unit
-                continue
-            v >>= width
-            if d >= half:
-                d -= full
-                v += 1
-            out[key] = d
-            key += unit
+        for e, d in _signed_digits(v, width):
+            out[key + e * unit] = d
     return out
+
+
+def _signed_digits(v: int, width: int) -> Iterator[tuple[int, int]]:
+    """The nonzero digits of v in base 2**width, lowest first, as (position, digit).
+
+    Digits are signed, in [-2**(width - 1), 2**(width - 1)), so every
+    sum of d * 2**(width * position) with such digits is read back
+    exactly.  A run of zero digits is jumped at once: a gap in the
+    exponents must not cost one big shift per digit.
+    """
+    full = 1 << width
+    half, low = full >> 1, full - 1
+    pos = 0
+    while v:
+        d = v & low
+        if not d:
+            z = ((v & -v).bit_length() - 1) // width
+            v >>= z * width
+            pos += z
+            continue
+        v >>= width
+        if d >= half:
+            d -= full
+            v += 1
+        yield pos, d
+        pos += 1
 
 
 def _pack(unit: int, width: int, terms: dict[int, int]) -> dict[int, int]:
@@ -640,6 +658,70 @@ def _pack(unit: int, width: int, terms: dict[int, int]) -> dict[int, int]:
         s = k - e * unit
         slices[s] = get(s, 0) + (c << width * e)
     return slices
+
+
+def _pack_matrix(reg: Registry, rows: Sequence[Sequence[Polynomial]], scales: Sequence[int],
+                 seen: int) -> tuple[list[list[int]], Callable[[int], dict[int, int]]]:
+    """Each rows[i][j] * scales[i], an integral polynomial, as one int, and the way back.
+
+    `seen` is the bitwise or of every entry's keys.  When it is 0 the
+    entries are constants and an entry's int is its numerator.  Otherwise
+    every occurring variable x maps to 2**(width * weight_x), a ring
+    homomorphism from the integral polynomials to the integers (Kronecker
+    substitution).  The weights are mixed-radix places: the radix of x is
+    1 + the sum over rows of the row's largest degree in x, and
+    width = bit_length(B) + 2, B the product over rows of max(1, row
+    1-norm).  Every minor of the scaled matrix has degree in x below its
+    radix (it takes one entry per row) and coefficients at most B in
+    absolute value (its 1-norm is at most the product of the row
+    1-norms), so the map is injective on minors and `unpack`, which
+    reads the signed width-bit digits of a minor's image, returns the
+    minor's numerator dict.  Raises OverflowError when a minor's total
+    degree could reach 2**(FIELD_BITS - 1).
+    """
+    if not seen:
+        return ([[e._terms.get(0, 0) * (s // e._den) for e in row]
+                 for row, s in zip(rows, scales)], _unpack_constant)
+    fields = [(s, u) for s, u in zip(reg._shifts, reg._units) if (seen >> s) & _MASK]
+    nums = [[e._terms if e._den == s else {k: v * (s // e._den) for k, v in e._terms.items()}
+             for e in row] for row, s in zip(rows, scales)]
+    bound = 1
+    radices = [1] * len(fields)
+    total = 0
+    for row in nums:
+        bound *= max(1, sum(sum(map(abs, t.values())) for t in row))
+        keys = [k for t in row for k in t]
+        if keys:
+            total += max(keys) >> reg._top
+            for i, (s, _) in enumerate(fields):
+                radices[i] += max((k >> s) & _MASK for k in keys)
+    if total >= 1 << (FIELD_BITS - 1):
+        raise _overflow(reg)
+    width = bound.bit_length() + 2
+    places = []
+    weight = 1
+    for (s, _), radix in zip(fields, radices):
+        places.append((s, width * weight))
+        weight *= radix
+    packed = [[sum(v << sum(((k >> s) & _MASK) * w for s, w in places) for k, v in t.items())
+               for t in row] for row in nums]
+    steps = [(u, radix) for (_, u), radix in zip(fields, radices)]
+
+    def unpack(v: int) -> dict[int, int]:
+        out = {}
+        for pos, d in _signed_digits(v, width):
+            key = 0
+            for unit, radix in steps:
+                pos, e = divmod(pos, radix)
+                key += e * unit
+            out[key] = d
+        return out
+
+    return packed, unpack
+
+
+def _unpack_constant(v: int) -> dict[int, int]:
+    return {0: v} if v else {}
 
 
 def _add(f: Polynomial, g: Polynomial, sign: int) -> Polynomial:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from fano22.constants import REG_F3, PaperConstants
 from fano22.linalg import ExactMatrix, coefficient_matrix
 from fano22.poly import Registry, RegistryMismatch
 
@@ -72,6 +73,31 @@ def test_a_matrix_without_rows_keeps_its_columns(reg):
     assert len(ExactMatrix(reg, [], 3).kernel()) == 3
     with pytest.raises(ValueError):
         ExactMatrix(reg, [[1, 2]], 3)
+
+
+def test_scalar_entries_must_be_int_or_fraction(reg):
+    for bad in (0.5, "1", None):
+        with pytest.raises(TypeError, match="scalars must be int or Fraction"):
+            ExactMatrix(reg, [[1, bad]])
+
+
+def test_det_over_q_v_of_the_torus_family_image():
+    # the coefficients of psi's components on the torus family: the image
+    # is a rational normal quintic exactly where -(4/5)*v^4*(v - 1) != 0
+    c = PaperConstants()
+    comps = [p.substitute(c.upsilon_t_parametrization()) for p in c.psi().components]
+    _, m = coefficient_matrix(REG_F3, comps, ("x0", "x1"))
+    v = REG_F3.var("v")
+    assert (m.nrows, m.ncols) == (6, 6)
+    assert m.det() == (v ** 4 * (v - 1)).scale(Fraction(-4, 5))
+    assert m.rank() == 6 and m.kernel() == []
+
+
+def test_overflowing_minor_degree_raises(reg):
+    t = reg.var("t")
+    big = t ** (2 ** 14)
+    with pytest.raises(OverflowError):
+        ExactMatrix(reg, [[big, 1], [1, big]]).rank()
 
 
 def test_ragged_rows_rejected(reg):

@@ -9,6 +9,15 @@ of the matrices are square.  rank and det are compared with sympy, and
 kernels are checked by annihilation and size.  On matrices of constants,
 `solve` must give sympy's solution with every free unknown 0, or None
 exactly when sympy finds no solution.
+
+Polynomial matrices are eliminated as Kronecker-packed integers, so the
+packing's width and radices get their own cases: entries of degree <= 3
+in v and w with negative leading coefficients, over Q(v, w); a 4 x 4
+Sylvester-Hadamard +-1 matrix times (v - 1), whose minors come near the
+row-norm bound the width is taken from; a sparse v^200 entry, whose
+packed minors are mostly zero digits; and the coefficient matrices that
+`is_rational_normal_curve` ranks for torus-family images whose y1 image
+gains a y0 term, over Q(v, y0).
 """
 
 import random
@@ -20,12 +29,16 @@ sympy = pytest.importorskip("sympy")
 
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from fano22.linalg import ExactMatrix  # noqa: E402
+from fano22.constants import REG_F3, PaperConstants  # noqa: E402
+from fano22.linalg import ExactMatrix, coefficient_matrix  # noqa: E402
+from fano22.maps import ParamCurve, is_rational_normal_curve  # noqa: E402
 from fano22.poly import Registry  # noqa: E402
 
 REG = Registry([("v", "family-parameter")])
 V = sympy.Symbol("v")
 QV = sympy.QQ.frac_field(V)
+REG_VW = Registry([("v", "family-parameter"), ("w", "family-parameter")])
+QVW = sympy.QQ.frac_field(V, sympy.Symbol("w"))
 
 
 def _rational(rng: random.Random) -> Fraction:
@@ -33,10 +46,12 @@ def _rational(rng: random.Random) -> Fraction:
 
 
 def _to_sympy(entry):
-    """A Fraction or a Polynomial in v as a sympy expression."""
-    if isinstance(entry, Fraction):
+    """A scalar or a Polynomial as a sympy expression."""
+    if isinstance(entry, (int, Fraction)):
         return sympy.Rational(entry.numerator, entry.denominator)
-    return sum((sympy.Rational(c.numerator, c.denominator) * V ** e[0]
+    symbols = sympy.symbols(entry.registry.names)
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*[x ** k for x, k in zip(symbols, e)])
                 for e, c in entry.terms.items()), sympy.Integer(0))
 
 
@@ -70,8 +85,8 @@ def _particular_solution(rows, rhs, field):
     return solution
 
 
-def _check_against_sympy(rows, rhs_list, field) -> ExactMatrix:
-    matrix = ExactMatrix(REG, rows)
+def _check_against_sympy(rows, rhs_list, field, registry=REG) -> ExactMatrix:
+    matrix = ExactMatrix(registry, rows)
     A = _domain_matrix(rows, field)
     rank = matrix.rank()
     assert rank == A.rank()
@@ -155,3 +170,74 @@ def test_constant_matrix_with_polynomial_right_hand_sides():
         for rhs in (consistent, arbitrary):
             solution = matrix.solve(rhs) or []
             assert all(type(c) is Fraction for x in solution for c in x.terms.values())
+
+
+def _negative_lead(rng: random.Random, degree: int):
+    """A random polynomial in v, w of total degree <= `degree`, leading coefficient < 0."""
+    v, w = REG_VW.var("v"), REG_VW.var("w")
+    monomials = [v ** i * w ** j for i in range(degree + 1) for j in range(degree + 1 - i)]
+    chosen = rng.sample(monomials, min(len(monomials), rng.randint(1, 4)))
+    p = sum((m.scale(_rational(rng)) for m in chosen), REG_VW.zero)
+    if p.is_zero():
+        return p
+    return -p if p.leading()[1] > 0 else p
+
+
+def test_bivariate_matrices_match_sympy():
+    rng = random.Random(1519)
+    for _ in range(12):
+        nrows = rng.randint(2, 4)
+        ncols = nrows if rng.random() < 0.4 else rng.randint(2, 5)
+        rows = [[_negative_lead(rng, rng.randint(1, 3)) for _ in range(ncols)]
+                for _ in range(nrows)]
+        if nrows > 2 and rng.random() < 0.5:
+            rows[-1] = [a - b.scale(Fraction(3, 2)) for a, b in zip(rows[0], rows[1])]
+        _check_against_sympy(rows, [], QVW, REG_VW)
+
+
+def test_hadamard_minors_near_the_row_norm_bound_match_sympy():
+    v = REG.var("v")
+    h2 = [[1, 1], [1, -1]]
+    h4 = [[a * b for a in ra for b in rb] for ra in h2 for rb in h2]
+    rows = [[(v - 1).scale(x) for x in row] for row in h4]
+    matrix = _check_against_sympy(rows, [], QV)
+    # |det H4| = 16 meets Hadamard's bound 4^(4/2)
+    assert matrix.det() == (v - 1) ** 4 * 16
+    # one more column, a combination of two: a one-dimensional kernel
+    wide = [row + [row[0] - row[3].scale(Fraction(5, 3))] for row in rows]
+    assert len(_check_against_sympy(wide, [], QV).kernel()) == 1
+
+
+def test_sparse_high_degree_entry_matches_sympy():
+    v = REG.var("v")
+    rows = [[v ** 200, v - 2, 3, 0],
+            [1, v, 0, v ** 3 + Fraction(1, 7)],
+            [v ** 200 + 1, v.scale(2) - 2, 3, v ** 3 + Fraction(1, 7)]]
+    assert len(_check_against_sympy(rows, [], QV).kernel()) == 2
+    square = [row[:3] for row in rows[:2]] + [[0, v ** 5, Fraction(-1, 2)]]
+    matrix = _check_against_sympy(square, [], QV)
+    assert matrix.det() == (v ** 201).scale(Fraction(-1, 2)) + v ** 5 * 3 + v.scale(Fraction(1, 2)) - 1
+
+
+def test_rational_normal_curve_rank_over_two_parameters_matches_sympy():
+    # the (v, y0) shape of a mutant table: the torus family's y1 image
+    # gains a y0 term, so the coefficients on x0, x1 live in Q[v, y0]
+    c = PaperConstants()
+    x0, x1, y0, v = (REG_F3.var(n) for n in ("x0", "x1", "y0", "v"))
+    field = sympy.QQ.frac_field(V, sympy.Symbol("y0"))
+    extras = [y0 * x0 ** 4, (y0 * x0 ** 2 * x1 ** 2).scale(3),
+              (v * y0 ** 2 * x0 * x1 ** 3).scale(Fraction(-5, 4)),
+              (x1 ** 4).scale(-1) + y0 * x0 ** 4]
+    ranks = []
+    for extra in extras:
+        sub = c.upsilon_t_parametrization()
+        sub["y1"] = sub["y1"] + extra
+        curve = ParamCurve(REG_F3, ("x0", "x1"),
+                           tuple(p.substitute(sub) for p in c.psi().components))
+        _, matrix = coefficient_matrix(REG_F3, curve.components, ("x0", "x1"))
+        assert {"v", "y0"} <= {n for row in matrix.rows for e in row for n in e.variables()}
+        rank = _domain_matrix(matrix.rows, field).rank()
+        assert matrix.rank() == rank
+        assert is_rational_normal_curve(curve) == (rank == 6)
+        ranks.append(rank)
+    assert 6 in ranks and min(ranks) < 6
