@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .linalg import coefficient_matrix, combine
-from .maps import proportional_mod
+from .maps import cross_differences, proportional_mod
 from .poly import Derivation, Polynomial, Registry
 from .sections import SectionSpace, coords_in_space
 
@@ -38,14 +39,18 @@ class ParametricAction:
     identity: Mapping[str, Fraction]
 
     def __post_init__(self):
-        reg = self.registry
-        id_assignment = {p: reg.const(v) for p, v in self.identity.items()}
         for name, img in self.images.items():
-            at_identity = img.substitute(id_assignment)
-            if at_identity != reg.var(name):
-                raise ActionError(
-                    f"identity parameters do not fix coordinate {name}: {at_identity}"
-                )
+            fixed = self.at_identity(img)
+            if fixed != self.registry.var(name):
+                raise ActionError(f"identity parameters do not fix coordinate {name}: {fixed}")
+
+    @cached_property
+    def _identity_point(self) -> dict[str, Polynomial]:
+        return {p: self.registry.const(v) for p, v in self.identity.items()}
+
+    def at_identity(self, f: Polynomial) -> Polynomial:
+        """f with every group parameter set to its value at the identity."""
+        return f.substitute(self._identity_point)
 
     def act_on_section(self, f: Polynomial) -> Polynomial:
         """Pullback: compose f with the point-action substitution."""
@@ -85,21 +90,17 @@ def verify_group_law(action: ParametricAction, law: GroupLaw) -> tuple[bool, Pol
 def lie_derivation(action: ParametricAction, direction: str) -> Derivation:
     """Infinitesimal generator along one parameter direction.
 
-    Substitutes identity values except `direction`, which moves by the
-    registry variable `eps`, and extracts the eps-linear part of every
-    coordinate image.
+    Sends each coordinate x to the partial derivative of its image along
+    `direction`, evaluated at the identity (`at_identity`); coordinates
+    whose derivative vanishes there are left out.
     """
     if direction not in action.params:
         raise ActionError(f"{direction!r} is not a group parameter")
     reg = action.registry
-    assignment = {}
-    for p in action.params:
-        base = reg.const(action.identity[p])
-        assignment[p] = base + reg.var("eps") if p == direction else base
+    partial = Derivation(reg, {direction: reg.one})
     images = {}
     for name, img in action.images.items():
-        moved = img.substitute(assignment)
-        linear = moved.coefficient_of("eps", 1)
+        linear = action.at_identity(partial(img))
         if not linear.is_zero():
             images[name] = linear
     return Derivation(reg, images)
@@ -161,26 +162,20 @@ def stabilizer_conditions(
     w = coords_in_space(g, space)
     if w is None:
         raise ActionError("transformed section lies outside the given space")
-    reg = action.registry
-    generators: list[Polynomial] = []
-    seen: set[Polynomial] = set()
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            minor = u[i] * w[j] - u[j] * w[i]
-            if minor.is_zero():
-                continue
-            for p in unit_params:
-                minor = minor.strip_variable_factor(p)
-            minor = minor.primitive_normal()
-            if minor not in seen:
-                seen.add(minor)
-                generators.append(minor)
-    id_assignment = {p: reg.const(v) for p, v in action.identity.items()}
+    # the minors, normalized, each kept where it is first seen
+    generators = list(dict.fromkeys(
+        _normalize(minor, unit_params) for minor in cross_differences(u, w)))
     for gen in generators:
-        if not gen.substitute(id_assignment).is_zero():
+        if not action.at_identity(gen).is_zero():
             raise ActionError(f"generator {gen} does not vanish at the identity")
     return generators
+
+
+def _normalize(f: Polynomial, unit_params: Sequence[str]) -> Polynomial:
+    """f stripped of monomial factors in the unit parameters, then primitive."""
+    for p in unit_params:
+        f = f.strip_variable_factor(p)
+    return f.primitive_normal()
 
 
 def conditions_equal_principal(
@@ -198,12 +193,8 @@ def conditions_equal_principal(
     """
     if candidate.is_zero():
         raise ValueError("candidate generator must be nonzero")
-    normal_candidate = candidate
-    for p in unit_params:
-        normal_candidate = normal_candidate.strip_variable_factor(p)
-    normal_candidate = normal_candidate.primitive_normal()
     return (all(g.exact_divide(candidate) is not None for g in conds)
-            and normal_candidate in conds)
+            and _normalize(candidate, unit_params) in conds)
 
 
 def action_preserves_space(action: ParametricAction, space: SectionSpace) -> bool:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .actions import GroupLaw, ParametricAction
 from .maps import ParamCurve, RationalMap
 from .parsing import parse
-from .poly import Derivation, Polynomial, Registry
+from .poly import Derivation, Polynomial, Registry, _scalar
 from .sections import Grading, SectionSpace, monomial_basis
 
 #: default polynomial constants; keys are stable identifiers
@@ -104,8 +104,7 @@ REG_F3 = Registry(
      ("w3", "coordinate"), ("w4", "coordinate"), ("w5", "coordinate"),
      ("a", "group-parameter"), ("lam", "group-parameter"),
      ("a2", "group-parameter"), ("lam2", "group-parameter"),
-     ("v", "family-parameter"),
-     ("eps", "infinitesimal")]
+     ("v", "family-parameter")]
 )
 REG_Q = Registry(
     [("w0", "coordinate"), ("w1", "coordinate"), ("w2", "coordinate"),
@@ -113,8 +112,7 @@ REG_Q = Registry(
      ("c", "family-parameter"),
      ("lam", "group-parameter"),
      ("t0", "curve-parameter"), ("t1", "curve-parameter"),
-     ("u0", "curve-parameter"), ("u1", "curve-parameter"),
-     ("eps", "infinitesimal")]
+     ("u0", "curve-parameter"), ("u1", "curve-parameter")]
 )
 
 W_GRADING = Grading(REG_W, {"x1": (1, 0), "y1": (1, 0), "x2": (0, 1), "y2": (0, 1)})
@@ -342,7 +340,7 @@ def mobius_projective(
     The result is (a/b, 1) for a finite image and (1, 0) for the point
     at infinity.
     """
-    p, q = Fraction(point[0]), Fraction(point[1])
+    p, q = _scalar(point[0]), _scalar(point[1])
     if p == 0 and q == 0:
         raise ValueError("not a projective point")
     if q != 0:

@@ -62,7 +62,7 @@ class ExactMatrix:
                 if not isinstance(entry, Polynomial):
                     entry = registry.const(entry)
                 elif entry.registry is not registry:
-                    raise ValueError("matrix entries must share the registry")
+                    raise RegistryMismatch("matrix entries must share the registry")
                 for k in entry._terms:
                     seen |= k
                 out.append(entry)
@@ -140,8 +140,8 @@ class ExactMatrix:
         Free column j gets the pivot d in place j and minus the pivot-row
         entries of column j in the pivot places: polynomials (maximal
         minors), so the result is exact even with transcendental family
-        parameters in the matrix.  Each vector is divided by its rational
-        content.
+        parameters in the matrix.  Every entry is integral, and each
+        vector is divided by the gcd of its coefficients.
         """
         m, pivots, d, _, _, unpack = self._reduce()
         reg = self.registry
@@ -257,17 +257,9 @@ def combine(registry: Registry, coeffs: Sequence, polys: Sequence[Polynomial]) -
 
 
 def _normalize_vector(vec: list[Polynomial]) -> list[Polynomial]:
-    """Divide a polynomial vector by its common rational content."""
-    nonzero = [p for p in vec if not p.is_zero()]
-    if not nonzero:
-        return vec
-    num, den = 0, 1
-    for p in nonzero:
-        c = p.content()
-        num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    content = Fraction(num, den)
-    _, lead = nonzero[0].leading()
+    """Divide an integral, nonzero vector by its coefficient gcd; first nonzero entry leads +."""
+    content = gcd(*[v for p in vec for v in p._terms.values()])
+    _, lead = next(p for p in vec if p._terms).leading()
     if lead < 0:
         content = -content
-    return [p.scale(1 / content) for p in vec]
+    return [p.scale(Fraction(1, content)) for p in vec]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .linalg import coefficient_matrix
 from .poly import Polynomial, Registry
@@ -67,6 +67,17 @@ def compose(g: RationalMap, f: RationalMap) -> RationalMap:
     )
 
 
+def cross_differences(A: Sequence[Polynomial], B: Sequence[Polynomial]) -> Iterator[Polynomial]:
+    """Every nonzero A_i B_j - A_j B_i with i < j, in (i, j) order."""
+    if len(A) != len(B):
+        raise MapError("tuple lengths differ")
+    for i in range(len(A)):
+        for j in range(i + 1, len(A)):
+            cross = A[i] * B[j] - A[j] * B[i]
+            if not cross.is_zero():
+                yield cross
+
+
 def proportional_mod(
     A: Sequence[Polynomial],
     B: Sequence[Polynomial],
@@ -76,17 +87,11 @@ def proportional_mod(
 
     True iff every cross-difference A_i B_j - A_j B_i is divisible by the
     modulus (identically zero when the modulus is absent); otherwise the
-    first offending cross-difference is returned as witness.
+    first offending one of `cross_differences` is returned as witness.
     """
-    if len(A) != len(B):
-        raise MapError("tuple lengths differ")
-    for i in range(len(A)):
-        for j in range(i + 1, len(A)):
-            cross = A[i] * B[j] - A[j] * B[i]
-            if cross.is_zero():
-                continue
-            if modulus is None or cross.exact_divide(modulus) is None:
-                return False, cross
+    for cross in cross_differences(A, B):
+        if modulus is None or cross.exact_divide(modulus) is None:
+            return False, cross
     return True, None
 
 

@@ -48,8 +48,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 Scalar = Union[int, Fraction]
 
 #: variable role tags
-ROLES = ("coordinate", "group-parameter", "family-parameter",
-         "curve-parameter", "infinitesimal")
+ROLES = ("coordinate", "group-parameter", "family-parameter", "curve-parameter")
 
 #: bits per exponent field of a monomial key
 FIELD_BITS = 16

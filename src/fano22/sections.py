@@ -40,8 +40,10 @@ class Grading:
             raise ValueError("all weight vectors must have the same length")
         self.ncomponents = lengths.pop() if lengths else 1
         self.weights = {name: tuple(w) for name, w in weights.items()}
-        for name in self.weights:
+        for name, w in self.weights.items():
             registry.index(name)
+            if not all(isinstance(k, int) for k in w):
+                raise TypeError(f"weights must be int, got {w!r} for {name}")
 
     def multidegree(self, f: Polynomial) -> tuple[int, ...] | None:
         """Common multidegree of f's terms, or None if inhomogeneous.
@@ -160,7 +162,8 @@ class SectionSpace:
     """A finite-dimensional span of homogeneous polynomials.
 
     Basis independence is verified eagerly; basis elements must have
-    rational coefficients on coordinate-variable monomials.
+    rational coefficients on coordinate-variable monomials.  `multidegree`
+    and `grading`, when both given, check homogeneity and are not kept.
     """
 
     def __init__(
@@ -172,7 +175,6 @@ class SectionSpace:
     ):
         self.registry = registry
         self.basis = list(basis)
-        self.multidegree = multidegree
         if grading is not None and multidegree is not None:
             for b in self.basis:
                 if grading.multidegree(b) != tuple(multidegree):
@@ -268,5 +270,4 @@ def restricted_order_subspace(
         rows += [row for e, row in zip(monomials, matrix.rows) if e[local] < order]
 
     kernel = ExactMatrix(reg, rows, space.dim).kernel()
-    return SectionSpace(reg, [combine(reg, vec, space.basis) for vec in kernel],
-                        space.multidegree)
+    return SectionSpace(reg, [combine(reg, vec, space.basis) for vec in kernel])

@@ -19,6 +19,8 @@ class DivisorClass:
     b: int
 
     def __post_init__(self):
+        if not all(isinstance(k, int) for k in (self.e, self.a, self.b)):
+            raise TypeError("divisor class coefficients must be int")
         if self.e < 0:
             raise ValueError("surface index must be non-negative")
 

@@ -87,6 +87,34 @@ def test_lie_derivations(consts):
         lie_derivation(action, "nope")
 
 
+def test_at_identity_sets_every_group_parameter(consts):
+    action = consts.f3_action()
+    reg = consts.reg_f3
+    a, lam, v = reg.var("a"), reg.var("lam"), reg.var("v")
+    assert action.at_identity(a * lam + lam ** 2 * v) == v
+    assert action.at_identity(reg.var("a2")) == reg.var("a2")
+
+
+def test_lie_derivation_is_the_partial_derivative_at_the_identity(consts):
+    reg = consts.reg_f3
+    x0, x1, y0, y1, a, lam = (reg.var(n) for n in ("x0", "x1", "y0", "y1", "a", "lam"))
+    # rational coefficients of first order in a or lam reach the derivative
+    h, q = Fraction(3, 2), Fraction(1, 4)
+    action = ParametricAction(
+        registry=reg,
+        params=("a", "lam"),
+        images={"x0": lam * x0, "x1": x1 + a.scale(h) * x0, "y0": lam ** 3 * y0,
+                "y1": y1 + (a.scale(h) * x1 ** 3 + a.scale(q) * lam * x0 * x1 ** 2
+                            + a ** 2 * x0 ** 3) * y0},
+        factors=(("x0", "x1"), ("y0", "y1")),
+        identity={"a": Fraction(0), "lam": Fraction(1)},
+    )
+    d_a = lie_derivation(action, "a")
+    assert d_a.images == {"x1": x0.scale(h),
+                          "y1": (x1 ** 3).scale(h) * y0 + (x0 * x1 ** 2 * y0).scale(q)}
+    assert lie_derivation(action, "lam").images == {"x0": x0, "y0": 3 * y0}
+
+
 def test_semi_invariant_lines_of_w(consts):
     lines = semi_invariant_lines(consts.w_space(), W_TORUS, SL2_RAISING)
     assert len(lines) == 1

@@ -12,7 +12,7 @@ from fano22.constants import (
     mobius_projective,
 )
 from fano22.parsing import ParseError, parse
-from fano22.poly import Registry
+from fano22.poly import ROLES, Registry
 from fano22.suites import SuiteConfig, run_all
 
 REG = Registry([("v", "family-parameter")])
@@ -51,6 +51,22 @@ def test_undefined_at_a_common_zero():
     # v / v^2 homogenizes to p*q / p^2, which vanishes twice at [0:1]
     with pytest.raises(ValueError, match="map is undefined at the point"):
         _at(V, V ** 2, 0, 1)
+
+
+def test_a_float_point_is_refused():
+    with pytest.raises(TypeError, match="int or Fraction"):
+        mobius_projective(V, V + 4, "v", (0.1, 1))
+    with pytest.raises(TypeError, match="int or Fraction"):
+        mobius_projective(V, V + 4, "v", (1, 0.0))
+
+
+def test_no_registry_has_an_infinitesimal_variable():
+    assert "infinitesimal" not in ROLES
+    for reg in (constants.REG_W, constants.REG_F3, constants.REG_Q):
+        assert "eps" not in reg.names
+        assert "infinitesimal" not in reg.roles
+    with pytest.raises(ValueError, match="unknown variable role 'infinitesimal'"):
+        Registry([("eps", "infinitesimal")])
 
 
 def test_every_key_parses_over_its_family_registry_with_every_mutation_variable():

@@ -100,6 +100,12 @@ def test_overflowing_minor_degree_raises(reg):
         ExactMatrix(reg, [[big, 1], [1, big]]).rank()
 
 
+def test_entries_over_another_registry_rejected(reg):
+    other = Registry([("x", "coordinate"), ("t", "family-parameter")])
+    with pytest.raises(RegistryMismatch, match="matrix entries must share the registry"):
+        ExactMatrix(reg, [[1, other.var("x")]])
+
+
 def test_ragged_rows_rejected(reg):
     with pytest.raises(ValueError):
         ExactMatrix(reg, [[1, 2], [1]])

@@ -11,6 +11,7 @@ from fano22.maps import (
     TangentDirection,
     affine_jet,
     compose,
+    cross_differences,
     equivariance_up_to_scalar,
     image_in_hypersurface,
     is_rational_normal_curve,
@@ -46,6 +47,28 @@ def test_proportional_mod_without_modulus():
     assert ok
     ok, witness = proportional_mod([u, w], [w, u], None)
     assert not ok and witness is not None
+
+
+def test_cross_differences_skip_zeros_and_keep_pair_order():
+    reg = Registry([("u", "coordinate"), ("w", "coordinate")])
+    u, w, zero = reg.var("u"), reg.var("w"), reg.zero
+    # pairs (0,1) (0,2) (0,3) (1,2) (1,3) (2,3); (0,3) vanishes
+    crosses = list(cross_differences([u, w, zero, u], [u, 2 * w, w, u]))
+    assert crosses == [u * w, u * w, w ** 2, -u * w, -u * w]
+    assert list(cross_differences([u, w], [2 * u, 2 * w])) == []
+    with pytest.raises(MapError, match="tuple lengths differ"):
+        list(cross_differences([u, w], [u]))
+
+
+def test_proportional_mod_witness_is_the_first_cross_difference_not_divisible():
+    reg = Registry([("u", "coordinate"), ("w", "coordinate")])
+    u, w, one = reg.var("u"), reg.var("w"), reg.one
+    A, B = [u, w, one], [u, 2 * w, one]
+    # u*w (pair (0,1)) is a multiple of u; -w (pair (1,2)) is not
+    assert list(cross_differences(A, B)) == [u * w, -w]
+    assert proportional_mod(A, B, u) == (False, -w)
+    assert proportional_mod(A, B, None) == (False, u * w)
+    assert proportional_mod(A[:2], B[:2], u) == (True, None)
 
 
 def test_proportional_mod_with_modulus(consts):

@@ -29,6 +29,14 @@ def test_multidegree(consts):
     assert F3_GRADING.multidegree(reg.zero) is None
 
 
+def test_non_integral_weights_are_refused():
+    reg = Registry([("x", "coordinate"), ("y", "coordinate")])
+    with pytest.raises(TypeError, match="weights must be int"):
+        Grading(reg, {"x": (0.5,), "y": (1,)})
+    with pytest.raises(TypeError, match="weights must be int"):
+        Grading(reg, {"x": (1, Fraction(1, 2)), "y": (1, 0)})
+
+
 def test_bidegree_11_basis_has_7_monomials(consts):
     basis = monomial_basis(
         consts.reg_f3, F3_GRADING, (1, 1), ["x0", "x1", "y0", "y1"]

@@ -66,3 +66,9 @@ def test_mismatch_and_validation():
         intersect(D, DivisorClass(2, 1, 0))
     with pytest.raises(ValueError):
         DivisorClass(-1, 0, 0)
+
+
+def test_non_integral_coefficients_are_refused():
+    for args in ((3, 1.5, 4), (3, 1, Fraction(1, 2)), (3.0, 1, 4)):
+        with pytest.raises(TypeError, match="must be int"):
+            DivisorClass(*args)
