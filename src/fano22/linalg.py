@@ -10,19 +10,9 @@ maximal minor, which gives rank, determinant, kernel (Cramer's rule) and
 solutions of linear systems.
 
 Each row is first multiplied by the lcm of its denominators, which
-changes neither rank nor kernel.  A constant entry is then its
-numerator.  A polynomial entry is packed into one `int` by Kronecker
-substitution (`poly._pack_matrix`): each occurring variable x becomes
-2**(W * weight_x), the weights being mixed-radix places, where the radix
-of x is 1 + the sum over rows of the row's largest degree in x and
-W = bit_length(product over rows of max(1, row 1-norm)) + 2.  A minor
-takes one entry from each of some rows, so its degree in x is below the
-radix of x and each of its coefficients is at most that product in
-absolute value: the packing, a ring homomorphism, is injective on
-minors, so the zero tests and the `//` of the integer loop are exact and
-decoding a reduced entry's signed W-bit digits gives back the
-polynomial.  `kernel` and `det` decode only the pivot-row entries and
-the pivot.  No entry is ever evaluated at a point.
+changes neither rank nor kernel, and `poly._pack_matrix` then turns each
+entry into one `int`, injectively on minors, so the zero tests and the
+`//` of the integer loop are exact and no entry is evaluated at a point.
 
 Every subspace is cut out the same way: `coefficient_matrix` turns a span
 of polynomials into the matrix of their coefficients, and its `kernel`,
@@ -258,8 +248,9 @@ def combine(registry: Registry, coeffs: Sequence, polys: Sequence[Polynomial]) -
 
 def _normalize_vector(vec: list[Polynomial]) -> list[Polynomial]:
     """Divide an integral, nonzero vector by its coefficient gcd; first nonzero entry leads +."""
-    content = gcd(*[v for p in vec for v in p._terms.values()])
-    _, lead = next(p for p in vec if p._terms).leading()
+    nonzero = [p for p in vec if not p.is_zero()]
+    content = gcd(*[p.content().numerator for p in nonzero])
+    _, lead = nonzero[0].leading()
     if lead < 0:
         content = -content
     return [p.scale(Fraction(1, content)) for p in vec]

@@ -21,19 +21,12 @@ multiplied out.  `Polynomial.terms` decodes the keys into a fresh
 read-only map from exponent tuples to `Fraction`s on every call.
 
 A product of at least `PACK_PAIRS` term pairs, with both operands longer
-than one term, is a Kronecker substitution in the last variable
-(Kronecker 1882; Fateman 2005): each operand becomes a few big ints, one
-per monomial in the other variables, whose width-bit digits are the
-coefficients of the last variable's powers, and CPython's big-int
-product does the inner loop.  Smaller products, the only kind the
-paper's suites make, keep the dict loop, at the cost of one comparison.
+than one term, is formed by `_mul_packed`, a Kronecker substitution in
+the last variable (Kronecker 1882; Fateman 2005).
 
-Kronecker substitution in every occurring variable at once also serves
-elimination: `_pack_matrix` maps a matrix of integral polynomials to one
-of `int`s, with digits wide enough and radices large enough that every
-minor is read back exactly, so `linalg` reduces polynomial and constant
-matrices in the same integer loop.  Products and eliminations read their
-packed results back through one signed-digit reader, `_signed_digits`.
+`_pack_matrix` packs a matrix of integral polynomials into `int`s by
+Kronecker substitution in every occurring variable, so that `linalg`
+reduces polynomial and constant matrices in one integer loop.
 """
 
 from __future__ import annotations
@@ -70,11 +63,12 @@ class Registry:
 
     The order is fixed for the registry's lifetime and determines the
     graded-lexicographic monomial order used everywhere downstream, and
-    the layout of monomial keys.
+    the layout of monomial keys.  Every variable but the group and family
+    parameters, curve parameters included, is a coordinate.
     """
 
     __slots__ = ("names", "roles", "_index", "_shifts", "_units", "_top",
-                 "_limit", "_guard")
+                 "_limit", "_guard", "_parameters", "_coordinates")
 
     def __init__(self, variables: Iterable[tuple[str, str]]):
         names = []
@@ -99,6 +93,10 @@ class Registry:
         #: smallest key of total degree 2**(FIELD_BITS - 1)
         self._limit = 1 << (self._top + FIELD_BITS - 1)
         self._guard = sum(1 << (s + FIELD_BITS - 1) for s in self._shifts)
+        #: the fields of the parameters (group and family) and of the coordinates
+        self._parameters = sum(_MASK << s for r, s in zip(roles, self._shifts)
+                               if r in ("group-parameter", "family-parameter"))
+        self._coordinates = sum(_MASK << s for s in self._shifts) - self._parameters
 
     def __len__(self) -> int:
         return len(self.names)
@@ -136,10 +134,6 @@ class Registry:
         if key >= self._limit:
             raise OverflowError(f"total degree of {tuple(expo)!r} reaches 2**{FIELD_BITS - 1}")
         return key
-
-    def _fields_of(self, key: int) -> int:
-        """The bits of every variable field in which `key` is nonzero."""
-        return sum(_MASK << s for s in self._shifts if (key >> s) & _MASK)
 
     def _expo(self, key: int) -> tuple[int, ...]:
         """The exponent tuple of a key."""
@@ -319,11 +313,11 @@ class Polynomial:
         """Ring homomorphism replacing variables by polynomials, all at once.
 
         Unassigned variables map to themselves.  All images must share
-        this polynomial's registry.  An image of at most one term (zero,
-        a constant, or a scalar times a monomial) maps each term to one
-        term: its key moves by e * (image key - variable key), its
-        numerator is multiplied by the image numerator to the e, and a
-        zero image drops it.  Only images of two or more terms take part
+        this polynomial's registry.  An image of at most one term (a
+        constant, a scalar times a monomial, or zero as the one term 0)
+        maps each term to one term: its key moves by e * (image key -
+        variable key), and its numerator is multiplied by the image
+        numerator to the e.  Only images of two or more terms take part
         in products: terms are grouped by their exponents in those
         variables, each group's product of image powers is formed once,
         and every member, after the one-term images, is accumulated
@@ -343,7 +337,6 @@ class Polynomial:
         multi = []
         single = []
         multi_mask = 0
-        dead_mask = 0
         den = self._den
         shifts, units = reg._shifts, reg._units
         for name, img in assignment.items():
@@ -356,9 +349,6 @@ class Polynomial:
             if not (seen >> s) & _MASK:
                 continue
             it, d = img._terms, img._den
-            if not it:
-                dead_mask |= _MASK << s
-                continue
             top = 0
             if d != 1:
                 top = max((k >> s) & _MASK for k in t)
@@ -367,9 +357,10 @@ class Polynomial:
                 multi.append((s, units[i], it, d, top))
                 multi_mask |= _MASK << s
             else:
-                ((ik, n),) = it.items()
+                # a zero image is the one term 0: 0**e kills the terms with e > 0
+                ((ik, n),) = it.items() if it else ((0, 0),)
                 single.append((s, ik - units[i], n, d, top))
-        if not (multi or single or dead_mask):
+        if not (multi or single):
             return self
         groups: Mapping[int, Iterable[tuple[int, int]]] = {0: t.items()}
         if multi:
@@ -403,8 +394,6 @@ class Polynomial:
                 product = _mul_terms(reg, product, power)
             items = [(pk, pv * scale) for pk, pv in product.items()]
             for k, c in members:
-                if k & dead_mask:
-                    continue
                 rest = k - mono
                 for s, delta, n, d, top in single:
                     e = (k >> s) & _MASK
@@ -439,8 +428,6 @@ class Polynomial:
         if not gt:
             raise ZeroDivisionError("division by the zero polynomial")
         reg = self.registry
-        if g.is_constant():
-            return self.scale(Fraction(g._den, gt[0]))
         content = gcd(*gt.values())
         glead = max(gt)
         h = gt[glead] // content

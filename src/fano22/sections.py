@@ -2,24 +2,24 @@
 
 A grading assigns each variable an integer weight vector; section spaces
 are explicit spans of homogeneous polynomials with eagerly verified
-linear independence.  All solving is exact, via the one fraction-free
-elimination in `linalg`: a space reduces its coefficient matrix once, and
-computes once which exponent fields are its coordinates and which row
-each basis monomial labels.  A coordinate computation then only groups
-f's integer numerators by basis monomial and runs the kept reduction on
-them, one integer accumulation per coordinate.  Vanishing orders along a
-curve are read off the `coefficient_matrix` of the restricted sections:
-the conditions are its rows of low local exponent, the subspace their
-kernel.
+linear independence.  A basis lives on the registry's coordinate
+variables, all but its group and family parameters, and a section's
+coordinates in it are polynomials in those parameters.  All solving is
+exact, via the one fraction-free elimination in `linalg`: a space
+reduces its coefficient matrix once and keys each basis monomial's row
+by its coordinate fields.  A coordinate computation then groups f's
+integer numerators by those fields and runs the kept reduction on them,
+one integer accumulation per coordinate.  Vanishing orders along a curve
+are read off the `coefficient_matrix` of the restricted sections: the
+conditions are its rows of low local exponent, the subspace their kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from math import lcm
-from operator import mul, or_
+from operator import mul
 from typing import Mapping, Sequence
 
 from .linalg import ExactMatrix, coefficient_matrix, combine
@@ -162,8 +162,9 @@ class SectionSpace:
     """A finite-dimensional span of homogeneous polynomials.
 
     Basis independence is verified eagerly; basis elements must have
-    rational coefficients on coordinate-variable monomials.  `multidegree`
-    and `grading`, when both given, check homogeneity and are not kept.
+    rational coefficients on coordinate-variable monomials (free of group
+    and family parameters), else ValueError.  `multidegree` and
+    `grading`, when both given, check homogeneity and are not kept.
     """
 
     def __init__(
@@ -186,11 +187,11 @@ class SectionSpace:
         monomials, self._matrix = coefficient_matrix(registry, self.basis)
         if len(self._matrix._augmented()[1]) != len(self.basis):
             raise ValueError("basis elements are linearly dependent")
-        # the fields of the coordinates (the variables of the basis), and
-        # (row, key) of each basis monomial by its coordinate fields
         keys = [registry._key(e) for e in monomials]
-        self._mask = registry._fields_of(reduce(or_, keys, 0))
-        self._rows = {k & self._mask: (i, k) for i, k in enumerate(keys)}
+        if any(k & registry._parameters for k in keys):
+            raise ValueError("basis elements must not involve group or family parameters")
+        # (row, key) of each basis monomial by its coordinate fields
+        self._rows = {k & registry._coordinates: (i, k) for i, k in enumerate(keys)}
 
     @property
     def dim(self) -> int:
@@ -209,11 +210,12 @@ class SectionSpace:
 def coords_in_space(f: Polynomial, space: SectionSpace) -> list[Polynomial] | None:
     """Solve f = sum c_i b_i exactly; c_i polynomial in parameter variables.
 
-    None when f lies outside the space.
+    f's terms are grouped by their coordinate variables (all but the group
+    and family parameters); None when f lies outside the space.
     """
     if f.registry is not space.registry:
         raise RegistryMismatch("section and space use different registries")
-    mask, rows = space._mask, space._rows
+    mask, rows = space.registry._coordinates, space._rows
     groups: dict[int, dict[int, int]] = {}
     for k, v in f._terms.items():
         groups.setdefault(k & mask, {})[k] = v

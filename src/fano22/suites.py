@@ -24,6 +24,7 @@ from .actions import (
 )
 from .constants import (
     F3_GRADING,
+    REG_F3,
     SL2_LOWERING,
     SL2_RAISING,
     W_GRADING,
@@ -321,16 +322,12 @@ def _suite_stabilizers(cfg: SuiteConfig, rec: _Recorder):
 # -- S6: the normalization morphism -------------------------------------------
 
 
-def _glued_lines(reg) -> tuple[dict, dict]:
-    """The restrictions to the negative section and to the fixed fiber.
-
-    Both identify their line with a common projective line (coordinates
-    w0, w1).
-    """
-    w0, w1 = reg.var("w0"), reg.var("w1")
-    to_section = {"y0": reg.zero, "y1": reg.one, "x0": w0, "x1": w1}
-    to_fiber = {"x0": reg.zero, "x1": reg.one, "y0": w0, "y1": w1}
-    return to_section, to_fiber
+#: the restrictions to the negative section and to the fixed fiber, which
+#: identify both lines with one projective line (coordinates w0, w1)
+_TO_SECTION = {"y0": REG_F3.zero, "y1": REG_F3.one,
+               "x0": REG_F3.var("w0"), "x1": REG_F3.var("w1")}
+_TO_FIBER = {"x0": REG_F3.zero, "x1": REG_F3.one,
+             "y0": REG_F3.var("w0"), "y1": REG_F3.var("w1")}
 
 
 def _equalizer_kernel(c: PaperConstants) -> SectionSpace:
@@ -341,8 +338,7 @@ def _equalizer_kernel(c: PaperConstants) -> SectionSpace:
     """
     reg = c.reg_f3
     basis = c.o11_space().basis
-    to_section, to_fiber = _glued_lines(reg)
-    diffs = [b.substitute(to_section) - b.substitute(to_fiber) for b in basis]
+    diffs = [b.substitute(_TO_SECTION) - b.substitute(_TO_FIBER) for b in basis]
     kernel = coefficient_matrix(reg, diffs)[1].kernel()
     combos = [combine(reg, vec, basis) for vec in kernel]
     return SectionSpace(reg, combos, (1, 1), F3_GRADING)
@@ -378,8 +374,6 @@ def _suite_normalization(cfg: SuiteConfig, rec: _Recorder):
     def restriction(sub):
         return [comp.substitute(sub) for comp in psi.components]
 
-    to_section, to_fiber = _glued_lines(reg)
-
     def restricted_line(sub):
         comps = restriction(sub)
         if any(not comp.is_zero() for comp in comps[2:]):
@@ -389,11 +383,11 @@ def _suite_normalization(cfg: SuiteConfig, rec: _Recorder):
     rec.run("s6.section-restriction-injective",
             "the morphism embeds the negative section into the plane "
             "{w2=w3=w4=w5=0} with full rank",
-            lambda: restricted_line(to_section))
+            lambda: restricted_line(_TO_SECTION))
     rec.run("s6.fiber-restriction-injective",
             "the morphism embeds the fixed fiber into the plane "
             "{w2=w3=w4=w5=0} with full rank",
-            lambda: restricted_line(to_fiber))
+            lambda: restricted_line(_TO_FIBER))
 
     def base_point_image():
         vals = psi((Fraction(0), Fraction(1), Fraction(0), Fraction(1)))
@@ -545,17 +539,18 @@ def _suite_quadric_involution(cfg: SuiteConfig, rec: _Recorder):
     torus = {n: lam ** i * reg.var(n) for i, n in enumerate(wnames)}
     inverse = {n: lam ** (4 - i) * reg.var(n) for i, n in enumerate(wnames)}
 
-    def generators_vanish():
-        sub = gamma.substitution(wnames)
-        for g in generators:
-            pulled = g.substitute(sub)
+    def vanish_on(curve, polys):
+        """Every poly pulls back to 0 along the curve; else False and the first nonzero pullback."""
+        sub = curve.substitution(wnames)
+        for p in polys:
+            pulled = p.substitute(sub)
             if not pulled.is_zero():
                 return False, pulled
         return True, None
 
     rec.run("s9.generators-vanish-on-quartic",
             "all six quadratic generators vanish on the quartic curve",
-            generators_vanish)
+            lambda: vanish_on(gamma, generators))
     rec.run("s9.image-in-quadric",
             "the involution maps the family quadric into itself",
             lambda: image_in_hypersurface(jq, f_c))
@@ -593,13 +588,9 @@ def _suite_quadric_involution(cfg: SuiteConfig, rec: _Recorder):
 
     alpha = c.alpha_curve()
 
-    def alpha_on_quadric():
-        pulled = f_c.substitute(alpha.substitution(wnames))
-        return pulled.is_zero(), pulled
-
     rec.run("s9.cubic-on-quadric",
             "the cubic curve lies on the family quadric",
-            alpha_on_quadric)
+            lambda: vanish_on(alpha, [f_c]))
 
     def alpha_intertwines():
         iota = compose(rev, jq)

@@ -84,6 +84,13 @@ def test_substitute_is_homomorphism(reg):
     sub = {"x": y + 1, "y": x * y}
     assert (f * g).substitute(sub) == f.substitute(sub) * g.substitute(sub)
     assert (f + g).substitute(sub) == f.substitute(sub) + g.substitute(sub)
+    # a zero image drops exactly the terms its variable occurs in
+    t = reg.var("t")
+    f = x ** 2 * y + 3 * y * t - x.scale(Fraction(1, 2)) + 2
+    assert f.substitute({"x": reg.zero}) == 3 * y * t + 2
+    assert f.substitute({"x": reg.zero, "y": t.scale(Fraction(2, 5)), "t": y + 1}) == \
+        t.scale(Fraction(6, 5)) * (y + 1) + 2
+    assert (x * y).substitute({"x": reg.zero, "y": y + t}) == reg.zero
 
 
 def test_exact_divide(reg):
@@ -93,6 +100,7 @@ def test_exact_divide(reg):
     assert (x ** 2 + y).exact_divide(x + y) is None
     assert (x ** 2 + x).exact_divide(2 * x + 2) == x.scale(Fraction(1, 2))
     assert x.exact_divide(2 * x + 3) is None
+    assert f.exact_divide(reg.const(Fraction(-3, 2))) == f.scale(Fraction(-2, 3))
     with pytest.raises(ZeroDivisionError):
         f.exact_divide(reg.zero)
 

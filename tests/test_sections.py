@@ -152,6 +152,20 @@ def test_coords_with_parameter_coefficients(consts):
     assert any(c == v for c in coords)
 
 
+def test_coordinates_are_the_registry_coordinate_variables(consts):
+    # the coordinate fields come from the registry's roles, not from the
+    # variables the basis happens to use: x1 and w0 are coordinates
+    reg = consts.reg_f3
+    x0, x1, y1, w0, v, a = (reg.var(n) for n in ("x0", "x1", "y1", "w0", "v", "a"))
+    space = SectionSpace(reg, [x0 * y1])
+    assert coords_in_space(x0 * x1 * y1, space) is None
+    assert not space.contains(x0 * y1 * w0)
+    assert coords_in_space(v * x0 * y1, space) == [v]
+    for basis in ([x0 * y1, v * x0 * y1], [a * x0 * y1]):
+        with pytest.raises(ValueError, match="group or family parameters"):
+            SectionSpace(reg, basis)
+
+
 def test_dependent_basis_rejected(consts):
     reg = consts.reg_f3
     with pytest.raises(ValueError):
