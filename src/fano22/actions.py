@@ -154,17 +154,42 @@ def stabilizer_conditions(
     is semi-invariant.  They are normalized by stripping monomial factors
     in the unit parameters (the torus coordinate is invertible on the
     group) and the rational content.
+
+    For a family f(v) and an action free of v, the generators at v = v0
+    are `_conditions` of the raw minors of f(v) (`_minors`) with v0
+    substituted: solving against the constant basis matrix, the action
+    and the minors all commute with v -> v0.  Normalization does not (the
+    torus family's generator a*(v+4) is 6*a at v = 2 and vanishes at
+    v = -4), so it runs after specializing.
+    """
+    return _conditions(_minors(f, action, space), action, unit_params)
+
+
+def _minors(f: Polynomial, action: ParametricAction, space: SectionSpace) -> list[Polynomial]:
+    """The nonzero raw 2x2 minors of (coords of f, coords of act(f)), in (i, j) order.
+
+    Raises `ActionError` when f or act(f) lies outside the space.
     """
     u = coords_in_space(f, space)
     if u is None:
         raise ActionError("section lies outside the given space")
-    g = action.act_on_section(f)
-    w = coords_in_space(g, space)
+    w = coords_in_space(action.act_on_section(f), space)
     if w is None:
         raise ActionError("transformed section lies outside the given space")
-    # the minors, normalized, each kept where it is first seen
+    return list(cross_differences(u, w))
+
+
+def _conditions(
+    minors: Sequence[Polynomial],
+    action: ParametricAction,
+    unit_params: Sequence[str],
+) -> list[Polynomial]:
+    """The nonzero minors normalized, each kept where it is first seen.
+
+    Raises unless every generator vanishes at the identity parameters.
+    """
     generators = list(dict.fromkeys(
-        _normalize(minor, unit_params) for minor in cross_differences(u, w)))
+        _normalize(minor, unit_params) for minor in minors if not minor.is_zero()))
     for gen in generators:
         if not action.at_identity(gen).is_zero():
             raise ActionError(f"generator {gen} does not vanish at the identity")

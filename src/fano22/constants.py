@@ -195,7 +195,8 @@ class PaperConstants:
     constant and is built once per process.  Objects that read no
     constant are module constants shared by every table: the registries
     (also readable as `reg_w`, `reg_f3`, `reg_q`), the gradings, the sl2
-    and torus derivations and the wrong group law.  `raw` may be a
+    and torus derivations, the wrong group law and, in `suites`, the
+    equalizer kernel.  `raw` may be a
     perturbed copy of `DEFAULT_RAW`; derived objects are rebuilt from it
     so a single perturbation propagates everywhere.  A constant whose text
     is the paper's is the polynomial parsed once per process and shared by

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Sequence
 
-from .poly import Polynomial, Registry, RegistryMismatch, _canon, _pack_matrix, poly_sum
+from .poly import Polynomial, Registry, RegistryMismatch, _canon, _make, _pack_matrix, poly_sum
 
 
 class ExactMatrix:
@@ -247,10 +247,16 @@ def combine(registry: Registry, coeffs: Sequence, polys: Sequence[Polynomial]) -
 
 
 def _normalize_vector(vec: list[Polynomial]) -> list[Polynomial]:
-    """Divide an integral, nonzero vector by its coefficient gcd; first nonzero entry leads +."""
+    """Divide an integral, nonzero vector by its coefficient gcd; first nonzero entry leads +.
+
+    The gcd divides every numerator of every entry, and the quotients
+    still share no factor with the entry's denominator, so each nonzero
+    entry is divided exactly and stays canonical; zero entries are kept.
+    """
     nonzero = [p for p in vec if not p.is_zero()]
     content = gcd(*[p.content().numerator for p in nonzero])
     _, lead = nonzero[0].leading()
     if lead < 0:
         content = -content
-    return [p.scale(Fraction(1, content)) for p in vec]
+    return [_make(p.registry, {k: v // content for k, v in p._terms.items()}, p._den)
+            if p._terms else p for p in vec]

@@ -21,8 +21,9 @@ multiplied out.  `Polynomial.terms` decodes the keys into a fresh
 read-only map from exponent tuples to `Fraction`s on every call.
 
 A product of at least `PACK_PAIRS` term pairs, with both operands longer
-than one term, is formed by `_mul_packed`, a Kronecker substitution in
-the last variable (Kronecker 1882; Fateman 2005).
+than one term and dense in the last variable (`_fills_slices`), is formed
+by `_mul_packed`, a Kronecker substitution in the last variable
+(Kronecker 1882; Fateman 2005).
 
 `_pack_matrix` packs a matrix of integral polynomials into `int`s by
 Kronecker substitution in every occurring variable, so that `linalg`
@@ -49,9 +50,12 @@ _MASK = (1 << FIELD_BITS) - 1
 
 #: term pairs (45 x 45) from which a product packs the last variable into
 #: big integers.  Packing wins on dense operands from a few hundred pairs,
-#: and loses 1.2-3x on operands with about one term per slice; every
-#: product the paper's suites make has fewer than 500 pairs.
+#: and loses 1.2-3x on operands with about one term per slice, and far
+#: more on sparse slices (`_fills_slices`); every product the paper's
+#: suites make has fewer than 500 pairs.
 PACK_PAIRS = 2025
+#: a packed operand fills at least 1 / PACK_DENSITY of its slices' digits
+PACK_DENSITY = 4
 
 
 class RegistryMismatch(ValueError):
@@ -557,9 +561,10 @@ def _mul_terms(reg: Registry, a: dict[int, int], b: dict[int, int]) -> dict[int,
     `Polynomial.__mul__` (and so `__pow__`) and `substitute` multiply
     here, each after its own degree check, so no product key reaches the
     total-degree limit.  A single-term operand shifts the other's keys.
-    From `PACK_PAIRS` term pairs on, `_mul_packed` multiplies by
-    Kronecker substitution in the last variable; below, every term pair
-    is accumulated into one dict.
+    From `PACK_PAIRS` term pairs on, when both operands fill their slices
+    (`_fills_slices`), `_mul_packed` multiplies by Kronecker substitution
+    in the last variable; otherwise every term pair is accumulated into
+    one dict.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -567,7 +572,9 @@ def _mul_terms(reg: Registry, a: dict[int, int], b: dict[int, int]) -> dict[int,
         ((ka, ca),) = a.items()
         return {ka + kb: ca * cb for kb, cb in b.items()}
     if len(a) * len(b) >= PACK_PAIRS:
-        return _mul_packed(reg._units[-1], a, b)
+        unit = reg._units[-1]
+        if _fills_slices(unit, a) and _fills_slices(unit, b):
+            return _mul_packed(unit, a, b)
     acc: dict[int, int] = {}
     get = acc.get
     items = list(b.items())
@@ -578,6 +585,32 @@ def _mul_terms(reg: Registry, a: dict[int, int], b: dict[int, int]) -> dict[int,
     if 0 in acc.values():
         return {k: v for k, v in acc.items() if v}
     return acc
+
+
+def _fills_slices(unit: int, terms: dict[int, int]) -> bool:
+    """Whether the terms fill at least 1 / PACK_DENSITY of the digits `_pack` makes.
+
+    `_pack` makes one int per slice, of 1 + e digits, where e is the
+    largest exponent of the last variable (key `unit`), so the terms fill
+    len(terms) of slices * (1 + e) digits.  The big-int products cost
+    with the digits, the dict loop with the terms, so a sparse operand
+    makes packing slower: two 46-term operands in x, y, z, w with
+    w-exponents from {0, 1, 16000} fill under 0.001 and took 0.44 s packed
+    against 0.5 ms in the dict loop, and random 60-term operands with
+    exponents up to 6 fill 0.16 and took 3x the dict loop (2-vCPU VM,
+    Python 3.11).  A polynomial with every monomial of total degree <= d
+    in n variables fills (d + n) / (n * (d + 1)) > 1/n, so dense operands
+    in up to four variables still pack (the benchmark's 210-term operands
+    fill 0.36).
+    """
+    top = 0
+    slices = set()
+    for k in terms:
+        e = k & _MASK
+        if e > top:
+            top = e
+        slices.add(k - e * unit)
+    return PACK_DENSITY * len(terms) >= len(slices) * (1 + top)
 
 
 def _mul_packed(unit: int, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

@@ -1,10 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from fano22 import suites
 from fano22.actions import (
     ActionError,
     ParametricAction,
+    _conditions,
+    _minors,
     action_preserves_space,
     conditions_equal_principal,
     lie_derivation,
@@ -12,7 +16,8 @@ from fano22.actions import (
     stabilizer_conditions,
     verify_group_law,
 )
-from fano22.constants import SL2_RAISING, W_TORUS, WRONG_GROUP_LAW, PaperConstants
+from fano22.constants import DEFAULT_RAW, SL2_RAISING, W_TORUS, WRONG_GROUP_LAW, PaperConstants
+from fano22.suites import SuiteConfig, run_suite
 
 
 @pytest.fixture
@@ -163,6 +168,92 @@ def test_stabilizer_conditions_are_stripped_and_primitive(consts):
     assert generators
     for g in generators:
         assert g.strip_variable_factor("lam").primitive_normal() == g
+
+
+# -- stabilizer ideals specialized from the raw minors of a family ------------
+
+#: the suites' default values of v (among them -4 and 0, where a family is
+#: fully stable) and three more
+SPECIAL_VALUES = SuiteConfig().v_specializations + (Fraction(7, 3), Fraction(1, 2), Fraction(1))
+PAPER = PaperConstants()
+
+
+def _specialized(minors, val):
+    """The conditions at v = val from a family's raw minors over Q[v]."""
+    point = {"v": PAPER.reg_f3.const(val)}
+    return _conditions([m.substitute(point) for m in minors], PAPER.f3_action(), ("lam",))
+
+
+@pytest.mark.parametrize("family", ["upsilon_t", "upsilon_a"])
+def test_specialized_minors_give_the_conditions_at_each_value(family):
+    curve = getattr(PAPER, family)
+    action, space = PAPER.f3_action(), PAPER.o11_space()
+    minors = _minors(curve(), action, space)
+    assert minors and any(m.degree_in("v") for m in minors)
+    for val in SPECIAL_VALUES:
+        assert _specialized(minors, val) == stabilizer_conditions(
+            curve(val), action, space, ("lam",)), val
+
+
+def test_normalization_runs_after_specializing():
+    reg, action, space = PAPER.reg_f3, PAPER.f3_action(), PAPER.o11_space()
+    a, v = reg.var("a"), reg.var("v")
+    minors = _minors(PAPER.upsilon_t(), action, space)
+    generic = _conditions(minors, action, ("lam",))
+    assert len(generic) == 8 and a * (v + 4) in generic
+    # the minor -a*lam*(v+4) is -6*a*lam at v = 2, which normalizes to a,
+    # and every minor vanishes at v = -4, where the family is fully stable
+    assert -a * reg.var("lam") * (v + 4) in minors
+    assert _specialized(minors, Fraction(2)) == [a ** 4, a ** 3, a ** 2, a]
+    assert _specialized(minors, Fraction(-4)) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(min_value=-12, max_value=12, max_denominator=9))
+@example(Fraction(-4))
+@example(Fraction(0))
+def test_specialization_commutes_with_the_stabilizer_ideal(val):
+    action, space = PAPER.f3_action(), PAPER.o11_space()
+    for curve in (PAPER.upsilon_t, PAPER.upsilon_a):
+        assert _specialized(_minors(curve(), action, space), val) == stabilizer_conditions(
+            curve(val), action, space, ("lam",))
+
+
+def _s5_rows_per_value(cfg, monkeypatch) -> list[tuple]:
+    """The s5 rows with every value computed anew, as without generic minors."""
+    def no_generic_minors(*args):
+        raise ActionError("no generic minors")
+
+    with monkeypatch.context() as m:
+        m.setattr(suites, "_minors", no_generic_minors)
+        return _s5_value_rows(cfg)
+
+
+def _s5_value_rows(cfg) -> list[tuple]:
+    return [(c.id, c.status, c.statement, c.witness)
+            for c in run_suite("stabilizers", cfg).checks if not c.id.endswith("generic")]
+
+
+@pytest.mark.parametrize("key, text", [
+    (None, None),
+    # the generic curve lies outside the space, the curve at v = 0 inside
+    ("upsilon_t", "v*x0*y1 + x1^4*y0 + v*x0^2"),
+    # an action involving v: specializing the minors would set v in it too
+    ("f3_action.x1", "x1 + v*a*x0"),
+    ("upsilon_a", "4*x0*y1 - x1^4*y0 + v*x0^4*y0 + v^2*x0*x1^3*y0"),
+])
+def test_specialized_rows_equal_the_per_value_rows(key, text, monkeypatch):
+    raw = dict(DEFAULT_RAW) if key is None else dict(DEFAULT_RAW, **{key: text})
+    cfg = SuiteConfig(constants=PaperConstants(raw=raw),
+                      v_specializations=SPECIAL_VALUES)
+    rows = _s5_value_rows(cfg)
+    assert len(rows) == 2 * len(SPECIAL_VALUES)
+    assert rows == _s5_rows_per_value(cfg, monkeypatch)
+    if key == "upsilon_t":
+        generic = run_suite("stabilizers", cfg).checks[0]
+        assert (generic.status, generic.witness) == (
+            "error", "ActionError: section lies outside the given space")
+        assert ("s5.torus-family-v=0", "pass") in [row[:2] for row in rows]
 
 
 def test_section_outside_space_rejected(consts):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -219,9 +220,10 @@ def test_hash_agrees_with_equality(reg):
 
 # -- the packed product -------------------------------------------------------
 #
-# Products of at least PACK_PAIRS term pairs pack the last variable into big
-# integers.  Each case compares such a product with the sum of the products
-# of one operand by the single terms of the other, which never pack.
+# Products of at least PACK_PAIRS term pairs, of operands that fill their
+# slices, pack the last variable into big integers.  Each case compares such
+# a product with the sum of the products of one operand by the single terms
+# of the other, which never pack.
 
 
 def _by_single_terms(f, g):
@@ -236,7 +238,16 @@ def _dense(reg, degree, coeff):
 
 
 def _packs(f, g):
-    return min(len(f.terms), len(g.terms)) > 1 and len(f.terms) * len(g.terms) >= PACK_PAIRS
+    unit = f.registry._units[-1]
+    return (min(len(f.terms), len(g.terms)) > 1 and len(f.terms) * len(g.terms) >= PACK_PAIRS
+            and poly._fills_slices(unit, f._terms) and poly._fills_slices(unit, g._terms))
+
+
+def _count_packed(monkeypatch) -> list:
+    calls = []
+    real = poly._mul_packed
+    monkeypatch.setattr(poly, "_mul_packed", lambda *args: calls.append(args) or real(*args))
+    return calls
 
 
 def test_packed_digits_below_a_positive_leading_one_carry():
@@ -289,11 +300,54 @@ def test_packed_product_over_one_variable():
 
 
 def test_packed_product_jumps_gaps_in_the_last_variable(reg):
+    # gaps as wide as the slices still counting as filled allow
     x, t = reg.var("x"), reg.var("t")
-    f = poly_sum(reg, [(i + 1) * t ** i for i in range(44)]) + 3 * t ** 9000 + x * t ** 20
-    g = poly_sum(reg, [(i - 50) * t ** i for i in range(44)]) - 5 * t ** 4000 + x
+    f = poly_sum(reg, [(i + 1) * t ** i for i in range(44)]) + 3 * t ** 90 + x * t ** 20
+    g = poly_sum(reg, [(i - 50) * t ** i for i in range(44)]) - 5 * t ** 70 + x
     assert _packs(f, g)
+    product = f * g
+    assert product == _by_single_terms(f, g)
+    assert (0, 0, 133) in product.terms and (0, 0, 160) in product.terms
+    assert not any((0, 0, e) in product.terms for e in range(134, 160))
+
+
+#: x, y, z, w, the variables of the benchmark's large products
+REG_XYZW = Registry([(name, "coordinate") for name in ("x", "y", "z", "w")])
+
+
+def _sparse_in_w(rng, n):
+    """n terms in x, y, z, w: x, y, z to the power 0-3, w to 0, 1 or 16000."""
+    terms = {}
+    while len(terms) < n:
+        expo = tuple(rng.randint(0, 3) for _ in range(3)) + (rng.choice([0, 1, 16000]),)
+        terms[expo] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+    return Polynomial(REG_XYZW, terms)
+
+
+def test_sparse_last_variable_products_take_the_dict_loop(monkeypatch):
+    # packed, the w-slices are ints of 16001 digits holding at most three
+    # terms each; that product took over 0.3 s, the dict loop takes about 1 ms
+    rng = random.Random(46)
+    f, g = _sparse_in_w(rng, 46), _sparse_in_w(rng, 46)
+    assert len(f.terms) * len(g.terms) >= PACK_PAIRS and not _packs(f, g)
+    calls = _count_packed(monkeypatch)
+    start = time.perf_counter()
+    product = f * g
+    elapsed = time.perf_counter() - start
+    assert not calls
+    assert product == _by_single_terms(f, g)
+    assert elapsed < 0.05
+
+
+def test_dense_operands_in_four_variables_pack(monkeypatch):
+    # the benchmark's 210 x 210-term product: every monomial of degree <= 6
+    rng = random.Random(210)
+    f, g = (_dense(REG_XYZW, 6, lambda: Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+            for _ in range(2))
+    assert len(f.terms) == len(g.terms) == 210 and _packs(f, g)
+    calls = _count_packed(monkeypatch)
     assert f * g == _by_single_terms(f, g)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("shape", [(45, 45), (44, 46)])
@@ -305,10 +359,9 @@ def test_packing_starts_at_the_threshold(reg, monkeypatch, shape):
     f, g = (poly_sum(reg, [rng.choice([-1, 1]) * rng.randint(1, 99) * m
                            for m in rng.sample(monomials, n)])
             for n in shape)
-    calls = []
-    real = poly._mul_packed
-    monkeypatch.setattr(poly, "_mul_packed", lambda *args: calls.append(args) or real(*args))
+    calls = _count_packed(monkeypatch)
     assert (len(f.terms), len(g.terms)) == shape
+    assert all(poly._fills_slices(reg._units[-1], p._terms) for p in (f, g))
     assert f * g == _by_single_terms(f, g)
     assert bool(calls) == (shape[0] * shape[1] >= PACK_PAIRS)
 

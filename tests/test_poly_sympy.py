@@ -6,8 +6,9 @@ rational coefficients, go through `*`, `+`, `-`, `substitute`,
 `Derivation`; every result must equal sympy's, term by term.  The
 substitution images are zero, constants, single terms over a denominator
 and sums of 2 to 3 terms, some of them swapping two variables.  Products
-of 60 to 120 terms per operand, and the cube of a 50-term polynomial,
-take the packed product.
+of 60 to 120 terms per operand take the packed product where both fill
+their slices and the dict loop otherwise; products of operands dense in
+w, and the cube of a 50-term polynomial, take the packed product.
 """
 
 import itertools
@@ -18,6 +19,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from fano22 import poly  # noqa: E402
 from fano22.poly import PACK_PAIRS, Derivation, Polynomial, Registry  # noqa: E402
 
 NAMES = ("x", "y", "z", "w")
@@ -141,6 +143,21 @@ def test_packed_products_match_sympy(seed):
     g = _random_exact(rng, rng.randint(60, 120), rng.randint(3, 5))
     assert len(f.terms) * len(g.terms) >= PACK_PAIRS
     assert f * g == _from_sympy(_to_sympy(f) * _to_sympy(g))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_products_dense_in_the_last_variable_pack_and_match_sympy(seed, monkeypatch):
+    rng = random.Random(600 + seed)
+    support = list(itertools.product(range(2), range(2), range(2), range(12)))
+    f, g = (Polynomial(REG, {e: Fraction(rng.randint(1, 10 ** 12) * rng.choice([-1, 1]),
+                                         rng.randint(1, 12))
+                             for e in rng.sample(support, rng.randint(60, 90))})
+            for _ in range(2))
+    calls = []
+    real = poly._mul_packed
+    monkeypatch.setattr(poly, "_mul_packed", lambda *args: calls.append(args) or real(*args))
+    assert f * g == _from_sympy(_to_sympy(f) * _to_sympy(g))
+    assert len(calls) == 1
 
 
 def test_packed_power_matches_sympy():

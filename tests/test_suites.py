@@ -13,7 +13,12 @@ from fano22 import (
     run_all,
     run_suite,
 )
+from fano22 import suites
 from fano22.cli import main
+from fano22.constants import DEFAULT_RAW
+from fano22.sections import SectionSpace
+
+from test_constants import _RecordingRaw
 
 
 def test_suite_order_is_complete():
@@ -99,6 +104,44 @@ def test_default_run_all_shares_one_table(monkeypatch):
     assert signature(default) == signature(run_all(SuiteConfig()))
 
 
+def _kernel_rows(cfg) -> dict[str, str]:
+    report = run_suite("normalization", cfg)
+    return {c.id: c.status for c in report.checks if c.id.startswith("s6.kernel")}
+
+
+def test_equalizer_kernel_is_built_once_per_process(monkeypatch):
+    # it reads no constant: nothing of any table is parsed to build it
+    monkeypatch.setattr(PaperConstants, "poly", lambda self, key: pytest.fail(f"read {key}"))
+    fresh = suites._equalizer_kernel.__wrapped__()
+    monkeypatch.undo()
+    kernel = suites._equalizer_kernel()
+    assert fresh is not kernel and fresh.dim == kernel.dim == 6 and fresh.same_span(kernel)
+    # two fresh tables check against the one kernel, built before them
+    checked = []
+    same_span = SectionSpace.same_span
+    monkeypatch.setattr(SectionSpace, "same_span",
+                        lambda self, other: checked.append(self) or same_span(self, other))
+    monkeypatch.setattr(suites, "_o11_space", lambda: pytest.fail("kernel rebuilt"))
+    for _ in range(2):
+        assert _kernel_rows(SuiteConfig(constants=PaperConstants())) == {
+            "s6.kernel-dimension": "pass", "s6.kernel-identified": "pass"}
+    assert [space is kernel for space in checked] == [True, False, True, False]
+
+
+def test_normalization_reads_no_key_for_the_kernel():
+    raw = _RecordingRaw(DEFAULT_RAW)
+    run_suite("normalization", SuiteConfig(constants=PaperConstants(raw=raw)))
+    assert {key.split(".")[0] for key in raw.read} == {
+        "wprime", "psi", "f3_action", "upsilon_p_param"}
+
+
+def test_a_wprime_mutant_fails_kernel_identified():
+    # x0*y1 restricts to w0 on the section and to 0 on the fiber
+    raw = dict(DEFAULT_RAW, **{"wprime.1": "x0*y1"})
+    assert _kernel_rows(SuiteConfig(constants=PaperConstants(raw=raw))) == {
+        "s6.kernel-dimension": "pass", "s6.kernel-identified": "fail"}
+
+
 def test_failure_carries_witness():
     raw = dict(PaperConstants().raw)
     raw["upsilon_p"] = "4*x0*y1 - x1^4*y0 + x0*y1"
@@ -142,8 +185,10 @@ def test_cli_all_json(capsys):
 
 def test_cli_single_suite_with_param(capsys):
     assert main(["stabilizers", "--param", "v=7/3"]) == 0
-    out = capsys.readouterr().out
-    assert "s5.torus-family-v=7/3" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("stabilizers/s5.torus-family-v=7/3: PASS") for line in lines)
+    assert len(lines) == 15 and lines[-1] == "14 passed, 0 failed"
+    assert all(": PASS " in line for line in lines[:-1])
 
 
 def test_cli_help_scopes_param_to_stabilizers(capsys):
