@@ -31,7 +31,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Sequence
 
-from .poly import Polynomial, Registry, RegistryMismatch, _canon, _make, _pack_matrix, poly_sum
+from .poly import (_MASK, Polynomial, Registry, RegistryMismatch, _canon, _make, _pack_matrix,
+                   poly_sum)
 
 
 class ExactMatrix:
@@ -88,7 +89,8 @@ class ExactMatrix:
         m, unpack = _pack_matrix(self.registry, self.rows, scales, self._seen)
         if augment:
             for i, (row, s) in enumerate(zip(m, scales)):
-                row.extend(s if j == i else 0 for j in range(self.nrows))
+                row += [0] * self.nrows
+                row[self.ncols + i] = s
         pivots: list[int] = []
         prev = 1
         sign = 1
@@ -232,13 +234,36 @@ def coefficient_matrix(
     variable of the registry), so entries are polynomials in the others.
     Returns (the monomials occurring, sorted, which label the rows; the
     matrix), which has len(polys) columns even when every poly is zero.
+    A term k falls in the group k & mask, its fields in `variables`, whose
+    entry is the members less the monomial's key.  Fields lie in registry
+    order, first variable highest, so integer order on the groups is the
+    order of the exponent tuples; each label is decoded once, from its key.
     """
-    names = registry.names if variables is None else variables
-    columns = [p.coefficients_in(names) for p in polys]
-    monomials = sorted({e for column in columns for e in column})
+    keys, matrix = _coefficient_rows(registry, polys, variables)
+    return [registry._expo(k) for k in keys], matrix
+
+
+def _coefficient_rows(registry: Registry, polys: Sequence[Polynomial],
+                      variables: Sequence[str] | None = None) -> tuple[list[int], ExactMatrix]:
+    """`coefficient_matrix` with each row labelled by its monomial's key."""
+    shifts = {registry._shifts[registry.index(n)]
+              for n in (registry.names if variables is None else variables)}
+    mask = sum(_MASK << s for s in shifts)
+    columns = []
+    for p in polys:
+        groups: dict[int, dict[int, int]] = {}
+        for k, v in p._terms.items():
+            groups.setdefault(k & mask, {})[k] = v
+        columns.append(groups)
+    keys = []
+    rows = []
     zero = registry.zero
-    rows = [[column.get(e, zero) for column in columns] for e in monomials]
-    return monomials, ExactMatrix(registry, rows, len(polys))
+    for part in sorted({part for column in columns for part in column}):
+        mono = part + (sum((part >> s) & _MASK for s in shifts) << registry._top)
+        keys.append(mono)
+        rows.append([_canon(registry, {k - mono: v for k, v in column[part].items()}, p._den)
+                     if part in column else zero for column, p in zip(columns, polys)])
+    return keys, ExactMatrix(registry, rows, len(polys))
 
 
 def combine(registry: Registry, coeffs: Sequence, polys: Sequence[Polynomial]) -> Polynomial:

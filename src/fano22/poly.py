@@ -325,8 +325,10 @@ class Polynomial:
         in products: terms are grouped by their exponents in those
         variables, each group's product of image powers is formed once,
         and every member, after the one-term images, is accumulated
-        against it into one dict.  Every image exponent is read from the
-        original key, so the images never see one another.
+        against it into one dict.  When no image has two or more terms,
+        one loop moves each term and accumulates it at once.  Every image
+        exponent is read from the original key, so the images never see
+        one another.
         """
         reg = self.registry
         t = self._terms
@@ -366,16 +368,27 @@ class Polynomial:
                 single.append((s, ik - units[i], n, d, top))
         if not (multi or single):
             return self
-        groups: Mapping[int, Iterable[tuple[int, int]]] = {0: t.items()}
-        if multi:
-            groups = {}
-            for k, c in t.items():
-                groups.setdefault(k & multi_mask, []).append((k, c))
-        # powers[j][e]: numerators of multi-term image j to the power e, over d_j**e
-        powers = [[{0: 1}] for _ in multi]
         limit = reg._limit
         acc: dict[int, int] = {}
         get = acc.get
+        # each term after the one-term images; without multi-term images it is
+        # accumulated at once, else kept in its group for the products below
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for k, c in t.items():
+            rest = k
+            for s, delta, n, d, top in single:
+                e = (k >> s) & _MASK
+                if e:
+                    rest += e * delta
+                    c *= n ** e
+                if d != 1:
+                    c *= d ** (top - e)
+            if multi:
+                groups.setdefault(k & multi_mask, []).append((rest, c))
+            else:
+                acc[rest] = get(rest, 0) + c
+        # powers[j][e]: numerators of multi-term image j to the power e, over d_j**e
+        powers = [[{0: 1}] for _ in multi]
         for part, members in groups.items():
             product = {0: 1}
             scale = 1
@@ -397,15 +410,8 @@ class Polynomial:
                     raise _overflow(reg)
                 product = _mul_terms(reg, product, power)
             items = [(pk, pv * scale) for pk, pv in product.items()]
-            for k, c in members:
-                rest = k - mono
-                for s, delta, n, d, top in single:
-                    e = (k >> s) & _MASK
-                    if e:
-                        rest += e * delta
-                        c *= n ** e
-                    if d != 1:
-                        c *= d ** (top - e)
+            for rest, c in members:
+                rest -= mono
                 for pk, pv in items:
                     key = rest + pk
                     acc[key] = get(key, 0) + c * pv
@@ -476,26 +482,6 @@ class Polynomial:
         s, drop = reg._shifts[i], k * reg._units[i]
         terms = {key - drop: v for key, v in self._terms.items() if (key >> s) & _MASK == k}
         return _canon(reg, terms, self._den)
-
-    def coefficients_in(self, names: Iterable[str]) -> dict[tuple[int, ...], "Polynomial"]:
-        """Coefficients with respect to the variables `names`.
-
-        Maps the exponent tuple of each monomial in `names` that occurs
-        (0 outside `names`) to its coefficient, a polynomial in the other
-        variables.
-        """
-        reg = self.registry
-        shifts = [reg._shifts[reg.index(n)] for n in names]
-        field_mask = sum(_MASK << s for s in shifts)
-        groups: dict[int, dict[int, int]] = {}
-        for k, v in self._terms.items():
-            groups.setdefault(k & field_mask, {})[k] = v
-        out = {}
-        for part, members in groups.items():
-            mono = part + (sum((part >> s) & _MASK for s in shifts) << reg._top)
-            out[reg._expo(mono)] = _canon(reg, {k - mono: v for k, v in members.items()},
-                                          self._den)
-        return out
 
     def content(self) -> Fraction:
         """Positive rational content (gcd of coefficients); 0 for the zero polynomial."""

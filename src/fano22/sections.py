@@ -2,28 +2,32 @@
 
 A grading assigns each variable an integer weight vector; section spaces
 are explicit spans of homogeneous polynomials with eagerly verified
-linear independence.  A basis lives on the registry's coordinate
-variables, all but its group and family parameters, and a section's
-coordinates in it are polynomials in those parameters.  All solving is
-exact, via the one fraction-free elimination in `linalg`: a space
-reduces its coefficient matrix once and keys each basis monomial's row
-by its coordinate fields.  A coordinate computation then groups f's
-integer numerators by those fields and runs the kept reduction on them,
-one integer accumulation per coordinate.  Vanishing orders along a curve
-are read off the `coefficient_matrix` of the restricted sections: the
-conditions are its rows of low local exponent, the subspace their kernel.
+linear independence.  A monomial basis enumerates the exponents of the
+free columns of the weight matrix, within a positive functional's
+budget, and solves those of its independent pivot columns;
+`monomial_basis` says why none is missed.  A basis lives on the
+registry's coordinate variables, all but its group and family
+parameters, and a section's coordinates in it are polynomials in those
+parameters.  All solving is exact, via the one fraction-free elimination
+in `linalg`: a space reduces its coefficient matrix once and keys each
+basis monomial's row by its coordinate fields.  A coordinate computation
+then groups f's integer numerators by those fields and runs the kept
+reduction on them, one integer accumulation per coordinate.  Vanishing
+orders along a curve are read off the `coefficient_matrix` of the
+restricted sections: the conditions are its rows of low local exponent,
+the subspace their kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd
 from operator import mul
 from typing import Mapping, Sequence
 
-from .linalg import ExactMatrix, coefficient_matrix, combine
-from .poly import Polynomial, Registry, RegistryMismatch, _scalar
+from .linalg import ExactMatrix, _coefficient_rows, coefficient_matrix, combine
+from .poly import _MASK, Polynomial, Registry, RegistryMismatch, _make, _overflow, _scalar
 
 
 class UnboundedDegreeCone(ValueError):
@@ -44,26 +48,33 @@ class Grading:
             registry.index(name)
             if not all(isinstance(k, int) for k in w):
                 raise TypeError(f"weights must be int, got {w!r} for {name}")
+        #: (shift, weight) of each graded variable, and the fields of the others
+        self._fields = [(registry._shifts[registry.index(n)], w) for n, w in self.weights.items()]
+        self._outside = sum(_MASK << s for n, s in zip(registry.names, registry._shifts)
+                            if n not in self.weights)
 
     def multidegree(self, f: Polynomial) -> tuple[int, ...] | None:
         """Common multidegree of f's terms, or None if inhomogeneous.
 
-        Variables outside the grading must not occur in f.
+        Variables outside the grading must not occur in f, and f must
+        share the grading's registry (else RegistryMismatch).  Each key's
+        exponents are read off its fields through the (shift, weight)
+        pairs of the graded variables.
         """
+        if f.registry is not self.registry:
+            raise RegistryMismatch("polynomial and grading use different registries")
         if f.is_zero():
             return None
-        reg = f.registry
         degree = None
-        for e in f.exponents():
+        for k in f._terms:
+            if k & self._outside:
+                return None
             d = [0] * self.ncomponents
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                name = reg.names[i]
-                if name not in self.weights:
-                    return None
-                for comp, w in enumerate(self.weights[name]):
-                    d[comp] += k * w
+            for s, w in self._fields:
+                e = (k >> s) & _MASK
+                if e:
+                    for comp, x in enumerate(w):
+                        d[comp] += e * x
             d = tuple(d)
             if degree is None:
                 degree = d
@@ -84,21 +95,40 @@ def _positive_functional(vectors: list[tuple[int, ...]]) -> tuple[int, ...] | No
     rank(W) independent rows S of W are tight, and any solution of
     W_S phi = 1 then gives the same W phi, as the rows S span those of W.
     Sets S of up to as many rows as components are tried, smallest
-    first; the empty set covers a grading without variables.  The
-    rational solution found is multiplied by the lcm of its
-    denominators, which keeps W phi >= 1.
+    first; the empty set covers a grading without variables.  Each
+    rational solution is multiplied by the lcm s of its denominators
+    before the test, which is then in integers: W (s phi) >= s exactly
+    when W phi >= 1.
     """
     ncomp = len(vectors[0]) if vectors else 0
     for size in range(min(len(vectors), ncomp) + 1):
         for rows in combinations(vectors, size):
-            phi = ExactMatrix(_SCALARS, rows).solve([1] * size)
-            if phi is None:
+            system = ExactMatrix(_SCALARS, rows, ncomp)._augmented()
+            solution = _integer_solution(system, [1] * size)
+            if solution is None:
                 continue
-            phi = [p.constant_value() for p in phi]
-            if all(sum(map(mul, phi, vec)) >= 1 for vec in vectors):
-                scale = lcm(*[p.denominator for p in phi])
-                return tuple(int(p * scale) for p in phi)
+            phi = [0] * ncomp
+            for c, n in solution:
+                phi[c] = n
+            # phi / d in lowest terms has the lcm scale of its denominators
+            g = gcd(system[2], *phi)
+            phi, scale = tuple(x // g for x in phi), system[2] // g
+            if all(sum(map(mul, phi, vec)) >= scale for vec in vectors):
+                return phi
     return None
+
+
+def _integer_solution(system, rhs: Sequence[int]) -> list[tuple[int, int]] | None:
+    """(c, d * x_c) per pivot column c of the x with A x = rhs and free unknowns 0.
+
+    `system` is A's `ExactMatrix._augmented()` and rhs holds ints; None
+    when a consistency row does not sum to 0, i.e. no x exists.
+    """
+    parts, pivots, _ = system
+    sums = [sum(s * rhs[j] for j, s in row) for row in parts]
+    if any(sums[len(pivots):]):
+        return None
+    return list(zip(pivots, sums))
 
 
 def monomial_basis(
@@ -109,14 +139,22 @@ def monomial_basis(
 ) -> list[Polynomial]:
     """All monomials in `variables` of exactly the given multidegree.
 
-    Complete by construction: enumeration is bounded by a positive
-    functional on the weight vectors, whose absence raises
-    `UnboundedDegreeCone`.  Returned in descending graded lex order.
+    They are the lattice points u >= 0 of A u = d, the columns of A being
+    the weight vectors (Sturmfels 1996).  Only the variables of A's free
+    columns are enumerated, each exponent under the budget of a positive
+    functional, whose absence raises `UnboundedDegreeCone`; at each leaf
+    A's one reduction (`ExactMatrix._augmented`) solves the pivot
+    exponents, kept when consistent, integral and nonnegative.  Complete:
+    a monomial's free exponents stay within the budget, as its pivot
+    variables spend a nonnegative part of it, and the pivot columns are
+    independent, so the free exponents fix the others.  Returned in
+    descending graded lex order, which is descending key order.
     """
     if variables is None:
         variables = list(grading.weights)
     target = tuple(multidegree)
-    if len(target) != grading.ncomponents:
+    ncomp = grading.ncomponents
+    if len(target) != ncomp:
         raise ValueError("multidegree length does not match the grading")
     vecs = [grading.weights[v] for v in variables]
     phi = _positive_functional(vecs)
@@ -124,38 +162,40 @@ def monomial_basis(
         raise UnboundedDegreeCone(
             "no positive functional on the weight vectors; degree cone unbounded"
         )
-    # exponent k of variable i spends k * steps[i] >= k of the budget phi . target,
+    system = ExactMatrix(_SCALARS, [[w[c] for w in vecs] for c in range(ncomp)],
+                         len(vecs))._augmented()
+    d = system[2]
+    free = [j for j in range(len(vecs)) if j not in system[1]]
+    # exponent k of variable j spends k * steps[j] >= k of the budget phi . target,
     # and what is left always equals phi . (the multidegree still to reach)
     steps = [sum(map(mul, phi, w)) for w in vecs]
-    last = len(vecs) - 1
-    out: list[tuple[int, ...]] = []
+    units = [registry._units[registry.index(v)] for v in variables]
+    expo = [0] * len(vecs)
+    keys: list[int] = []
 
-    def rec(i: int, remaining: tuple[int, ...], budget: int, expo: tuple[int, ...]):
-        w, step = vecs[i], steps[i]
-        if i == last:
-            # remaining = k * w forces budget = phi . remaining = k * step
-            k = budget // step
-            if k >= 0 and all(r == k * x for r, x in zip(remaining, w)):
-                out.append(expo + (k,))
+    def rec(i: int, remaining: tuple[int, ...], budget: int):
+        if i == len(free):
+            solution = _integer_solution(system, remaining)
+            if solution is None:
+                return
+            for c, n in solution:
+                k, rest = divmod(n, d)
+                if rest or k < 0:
+                    return
+                expo[c] = k
+            keys.append(sum(map(mul, expo, units)))
             return
+        j = free[i]
+        w, step = vecs[j], steps[j]
         for k in range(budget // step + 1):
-            rec(i + 1, tuple([r - k * x for r, x in zip(remaining, w)]),
-                budget - k * step, expo + (k,))
+            expo[j] = k
+            rec(i + 1, tuple([r - k * x for r, x in zip(remaining, w)]), budget - k * step)
 
-    if vecs:
-        rec(0, target, sum(map(mul, phi, target)), ())
-    elif not any(target):
-        out.append(())
-    # lift exponents on `variables` to full registry monomials
-    idx = [registry.index(v) for v in variables]
-    monomials = []
-    for expo in out:
-        full = [0] * len(registry.names)
-        for j, k in zip(idx, expo):
-            full[j] = k
-        monomials.append(tuple(full))
-    monomials.sort(key=lambda e: (sum(e), e), reverse=True)
-    return [Polynomial(registry, {m: 1}) for m in monomials]
+    rec(0, target, sum(map(mul, phi, target)))
+    keys.sort(reverse=True)
+    if keys and keys[0] >= registry._limit:
+        raise _overflow(registry)
+    return [_make(registry, {k: 1}, 1) for k in keys]
 
 
 class SectionSpace:
@@ -184,10 +224,9 @@ class SectionSpace:
                     )
         # reduced once here; every `coords_in_space` call only accumulates
         # its right-hand side
-        monomials, self._matrix = coefficient_matrix(registry, self.basis)
+        keys, self._matrix = _coefficient_rows(registry, self.basis)
         if len(self._matrix._augmented()[1]) != len(self.basis):
             raise ValueError("basis elements are linearly dependent")
-        keys = [registry._key(e) for e in monomials]
         if any(k & registry._parameters for k in keys):
             raise ValueError("basis elements must not involve group or family parameters")
         # (row, key) of each basis monomial by its coordinate fields

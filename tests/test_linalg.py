@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from fano22.constants import REG_F3, PaperConstants
+from fano22.constants import REG_F3, REG_Q, PaperConstants
 from fano22.linalg import ExactMatrix, coefficient_matrix
-from fano22.poly import Registry, RegistryMismatch
+from fano22.poly import Polynomial, Registry, RegistryMismatch
 
 
 @pytest.fixture
@@ -139,3 +140,50 @@ def test_solve_with_mixed_scalar_and_polynomial_right_hand_side(reg):
     # the last equation now contradicts the first two
     assert m.solve(rhs[:3] + [x]) is None
     assert m.solve([0, 0, 0, 0]) == [reg.zero] * 3
+
+
+def _reference_coefficient_matrix(registry, polys, variables):
+    """Labels and entries of `coefficient_matrix`, built from `Polynomial.terms`."""
+    inside = [name in variables for name in registry.names]
+    columns = []
+    for p in polys:
+        column = {}
+        for e, c in p.terms.items():
+            label = tuple(k if i else 0 for k, i in zip(e, inside))
+            rest = tuple(0 if i else k for k, i in zip(e, inside))
+            column[label] = column.get(label, registry.zero) + Polynomial(registry, {rest: c})
+        columns.append(column)
+    labels = sorted({label for column in columns for label in column})
+    return labels, [[column.get(label, registry.zero) for column in columns] for label in labels]
+
+
+def _random_polynomial(rng, registry, names):
+    terms = {}
+    for _ in range(rng.randint(0, 8)):
+        e = [0] * len(registry)
+        for name in rng.sample(names, rng.randint(0, 3)):
+            e[registry.index(name)] = rng.randint(1, 3)
+        terms[tuple(e)] = Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.randint(1, 4))
+    return Polynomial(registry, terms)
+
+
+@pytest.mark.parametrize("registry, used, pair", [
+    (REG_F3, ("x0", "x1", "y0", "y1", "w0", "w3", "a", "lam", "v"), ("x0", "x1")),
+    (REG_Q, ("w0", "w1", "w4", "c", "lam", "t0", "t1", "u1"), ("t0", "t1")),
+])
+def test_coefficient_matrix_matches_a_reference_from_terms(registry, used, pair):
+    """Labels, row order and entries on seeded polynomials with parameters,
+    taken on all variables, on the coordinates and on a binary pair."""
+    rng = random.Random(20261019)
+    coordinates = [n for n, r in zip(registry.names, registry.roles)
+                   if r not in ("group-parameter", "family-parameter")]
+    for variables in (registry.names, coordinates, pair):
+        for _ in range(15):
+            polys = [_random_polynomial(rng, registry, list(used))
+                     for _ in range(rng.randint(1, 4))]
+            labels, matrix = coefficient_matrix(registry, polys, variables)
+            expected_labels, expected_rows = _reference_coefficient_matrix(
+                registry, polys, variables)
+            assert labels == expected_labels
+            assert matrix.rows == expected_rows
+            assert (matrix.nrows, matrix.ncols) == (len(labels), len(polys))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fano22.constants import F3_GRADING, PaperConstants
+from fano22.constants import F3_GRADING, W_GRADING, PaperConstants
 from fano22.linalg import combine
 from fano22.poly import Polynomial, Registry, RegistryMismatch
 from fano22.sections import (
@@ -27,6 +27,11 @@ def test_multidegree(consts):
     assert F3_GRADING.multidegree(consts.upsilon_p()) == (1, 1)
     assert F3_GRADING.multidegree(reg.var("x0") + reg.var("y0")) is None
     assert F3_GRADING.multidegree(reg.zero) is None
+    # a coordinate outside the grading, and a family parameter
+    assert F3_GRADING.multidegree(reg.var("x0") * reg.var("w0")) is None
+    assert F3_GRADING.multidegree(reg.var("x0") * reg.var("v")) is None
+    with pytest.raises(RegistryMismatch):
+        W_GRADING.multidegree(reg.var("x0"))
 
 
 def test_non_integral_weights_are_refused():
@@ -50,6 +55,12 @@ def test_unbounded_cone_detected():
     grading = Grading(reg, {"x": (1,), "y": (-1,)})
     with pytest.raises(UnboundedDegreeCone):
         monomial_basis(reg, grading, (0,))
+
+
+def test_monomial_basis_refuses_an_overflowing_degree():
+    reg = Registry([("x", "coordinate")])
+    with pytest.raises(OverflowError):
+        monomial_basis(reg, Grading(reg, {"x": (1,)}), (2 ** 15,))
 
 
 @pytest.mark.parametrize("weights, degree, expected", [
@@ -100,6 +111,8 @@ def test_monomial_basis_matches_brute_force():
     rng = random.Random(20261018)
     # a degree on the ray opposite to the only weight has no monomial
     cases = [({"t0": (1, -1)}, (-2, 2), (1, 0))]
+    # a rank-deficient weight matrix: q's exponent is free, p's is solved
+    cases += [({"p": (1, 1), "q": (2, 2)}, degree, (1, 0)) for degree in ((4, 4), (3, 4))]
     cases += [_random_grading(rng) for _ in range(40)]
     sizes = []
     for weights, degree, psi in cases:
@@ -110,6 +123,22 @@ def test_monomial_basis_matches_brute_force():
         assert all(m.leading()[1] == 1 for m in basis)
         sizes.append(len(basis))
     assert max(sizes) > 1 and 0 in sizes
+    assert sizes[1:3] == [3, 0]
+
+
+@pytest.mark.parametrize("grading, psi, counts", [
+    (F3_GRADING, (1, 4), {(1, 1): 7, (2, 3): 30, (5, 1): 15, (0, 2): 12, (3, 0): 4}),
+    # W's last two weights are equal, so its pivot variables are x1 and x2
+    (W_GRADING, (1, 1), {(5, 1): 12, (2, 2): 9}),
+])
+def test_monomial_basis_of_the_paper_gradings(grading, psi, counts):
+    reg, weights = grading.registry, grading.weights
+    idx = [reg.index(n) for n in weights]
+    for degree, count in counts.items():
+        basis = monomial_basis(reg, grading, degree, list(weights))
+        expected = _brute_force_basis(weights, degree, psi)
+        assert [tuple(m.exponents()[0][i] for i in idx) for m in basis] == expected
+        assert len(basis) == count
 
 
 @pytest.mark.parametrize("weights", [
