@@ -84,12 +84,14 @@ def _run_eval(argv: list[str]) -> int:
         result = parse(args.expression, registry)
         for group in (bindings, substitutions):
             result = result.substitute({n: parse(e, registry) for n, e in group})
+        # a coefficient past the int-to-str digit limit raises ValueError here
+        text = format_poly(result)
     except (ParseError, ValueError, KeyError, OverflowError) as exc:
         # str() of a KeyError is the repr of its message
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
-    print(format_poly(result))
+    print(text)
     return 0
 
 

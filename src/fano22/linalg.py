@@ -18,11 +18,8 @@ Every subspace is cut out the same way: `coefficient_matrix` turns a span
 of polynomials into the matrix of their coefficients, and its `kernel`,
 passed to `combine`, gives the subspace.
 
-`solve` is for matrices of constants only (a polynomial matrix raises
-ValueError).  It reduces [S A | S] once per matrix and keeps the S-part
-of each reduced row as sparse integer pairs, so a later solve is one
-integer accumulation per unknown: the right-hand sides' numerators summed
-into one dict over a common denominator, which the pivot then divides.
+`_solve`, for matrices of constants only, reduces [S A | S] once and then
+answers each right-hand side with one integer accumulation per row.
 """
 
 from __future__ import annotations
@@ -149,46 +146,19 @@ class ExactMatrix:
             basis.append(_normalize_vector(vec))
         return basis
 
-    def solve(self, rhs: Sequence) -> list[Polynomial] | None:
-        """The solution x of A x = rhs whose free unknowns are 0, or None.
+    def _solve(self, nums: Sequence[dict[int, int]]) -> list[tuple[int, dict[int, int]]] | None:
+        """(c, numerators of d * x_c) per pivot column c of an x with A x = b, or None.
 
-        A must be a matrix of constants; None means the system is
-        inconsistent.  Right-hand sides may be scalars or polynomials in
-        any variables of the registry.  [S A | S] is reduced on the first
-        call and kept, and each unknown is then one integer accumulation:
-        the numerators of the right-hand sides, over the lcm of their
-        denominators, summed with the kept row's integer weights, then
-        divided by the pivot.
+        A must be a matrix of constants (else ValueError), and nums[i] is
+        the numerator dict of b[i] (empty for 0) over a denominator common
+        to all rows; x_c is then the returned numerators over d times that
+        denominator, d from `_augmented`.  The free unknowns of x are 0.
+        None means that a consistency row does not sum to 0: no x exists.
         """
-        if len(rhs) != self.nrows:
-            raise ValueError("right-hand side length mismatch")
-        reg = self.registry
-        polys = [p if isinstance(p, Polynomial) else reg.const(p) for p in rhs]
-        if any(p.registry is not reg for p in polys):
-            raise RegistryMismatch("right-hand side uses a different registry")
-        den = lcm(*[p._den for p in polys])
-        return self._solve_numerators(
-            [p._terms if p._den == den else
-             {k: v * (den // p._den) for k, v in p._terms.items()} for p in polys],
-            den)
-
-    def _solve_numerators(self, nums: Sequence[dict[int, int]], den: int
-                          ) -> list[Polynomial] | None:
-        """`solve` for the right-hand side nums[i] / den.
-
-        nums[i] is the numerator dict of row i's right-hand side (empty
-        for 0) over the common positive denominator den.
-        """
-        rows, pivots, d = self._augmented()
+        rows, pivots, _ = self._augmented()
         if any(_accumulate(row, nums) for row in rows[len(pivots):]):
             return None
-        reg = self.registry
-        x = [reg.zero] * self.ncols
-        for row, c in zip(rows, pivots):
-            acc = _accumulate(row, nums)
-            if acc:
-                x[c] = _canon(reg, acc, den * d)
-        return x
+        return [(c, _accumulate(row, nums)) for row, c in zip(rows, pivots)]
 
     def _augmented(self):
         """The reduction of [S A | S], computed once: (S-parts of the rows, pivot columns, d).
@@ -208,6 +178,7 @@ class ExactMatrix:
         return self._solver
 
     def mul_vector(self, vec: Sequence[Polynomial]) -> list[Polynomial]:
+        """A vec, by plain polynomial arithmetic: the tests' oracle for kernels and solutions."""
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         return [combine(self.registry, row, vec) for row in self.rows]
@@ -220,32 +191,26 @@ def _accumulate(row: Sequence[tuple[int, int]], nums: Sequence[dict[int, int]]) 
     for j, s in row:
         for k, v in nums[j].items():
             acc[k] = get(k, 0) + s * v
-    return {k: v for k, v in acc.items() if v}
+    return acc if all(acc.values()) else {k: v for k, v in acc.items() if v}
 
 
 def coefficient_matrix(
     registry: Registry,
     polys: Sequence[Polynomial],
     variables: Sequence[str] | None = None,
-) -> tuple[list[tuple[int, ...]], ExactMatrix]:
+) -> tuple[list[int], ExactMatrix]:
     """The matrix whose column j holds the coefficients of polys[j].
 
     Coefficients are taken on the monomials in `variables` (default: every
     variable of the registry), so entries are polynomials in the others.
-    Returns (the monomials occurring, sorted, which label the rows; the
-    matrix), which has len(polys) columns even when every poly is zero.
-    A term k falls in the group k & mask, its fields in `variables`, whose
-    entry is the members less the monomial's key.  Fields lie in registry
-    order, first variable highest, so integer order on the groups is the
-    order of the exponent tuples; each label is decoded once, from its key.
+    Returns (the keys of the monomials occurring, ascending, which label
+    the rows; the matrix), which has len(polys) columns even when every
+    poly is zero.  A term k falls in the group k & mask, its fields in
+    `variables`, whose entry is the members less the monomial's key.
+    Fields lie in registry order, first variable highest, so integer order
+    on the groups is the order of the exponent tuples; a label's exponent
+    of a variable is its field, (key >> shift) & _MASK.
     """
-    keys, matrix = _coefficient_rows(registry, polys, variables)
-    return [registry._expo(k) for k in keys], matrix
-
-
-def _coefficient_rows(registry: Registry, polys: Sequence[Polynomial],
-                      variables: Sequence[str] | None = None) -> tuple[list[int], ExactMatrix]:
-    """`coefficient_matrix` with each row labelled by its monomial's key."""
     shifts = {registry._shifts[registry.index(n)]
               for n in (registry.names if variables is None else variables)}
     mask = sum(_MASK << s for s in shifts)

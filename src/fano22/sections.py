@@ -26,8 +26,8 @@ from math import gcd
 from operator import mul
 from typing import Mapping, Sequence
 
-from .linalg import ExactMatrix, _coefficient_rows, coefficient_matrix, combine
-from .poly import _MASK, Polynomial, Registry, RegistryMismatch, _make, _overflow, _scalar
+from .linalg import ExactMatrix, coefficient_matrix, combine
+from .poly import _MASK, Polynomial, Registry, RegistryMismatch, _canon, _make, _overflow, _scalar
 
 
 class UnboundedDegreeCone(ValueError):
@@ -103,32 +103,20 @@ def _positive_functional(vectors: list[tuple[int, ...]]) -> tuple[int, ...] | No
     ncomp = len(vectors[0]) if vectors else 0
     for size in range(min(len(vectors), ncomp) + 1):
         for rows in combinations(vectors, size):
-            system = ExactMatrix(_SCALARS, rows, ncomp)._augmented()
-            solution = _integer_solution(system, [1] * size)
+            system = ExactMatrix(_SCALARS, rows, ncomp)
+            solution = system._solve([{0: 1}] * size)
             if solution is None:
                 continue
             phi = [0] * ncomp
             for c, n in solution:
-                phi[c] = n
+                phi[c] = n.get(0, 0)
             # phi / d in lowest terms has the lcm scale of its denominators
-            g = gcd(system[2], *phi)
-            phi, scale = tuple(x // g for x in phi), system[2] // g
+            d = system._augmented()[2]
+            g = gcd(d, *phi)
+            phi, scale = tuple(x // g for x in phi), d // g
             if all(sum(map(mul, phi, vec)) >= scale for vec in vectors):
                 return phi
     return None
-
-
-def _integer_solution(system, rhs: Sequence[int]) -> list[tuple[int, int]] | None:
-    """(c, d * x_c) per pivot column c of the x with A x = rhs and free unknowns 0.
-
-    `system` is A's `ExactMatrix._augmented()` and rhs holds ints; None
-    when a consistency row does not sum to 0, i.e. no x exists.
-    """
-    parts, pivots, _ = system
-    sums = [sum(s * rhs[j] for j, s in row) for row in parts]
-    if any(sums[len(pivots):]):
-        return None
-    return list(zip(pivots, sums))
 
 
 def monomial_basis(
@@ -143,7 +131,7 @@ def monomial_basis(
     the weight vectors (Sturmfels 1996).  Only the variables of A's free
     columns are enumerated, each exponent under the budget of a positive
     functional, whose absence raises `UnboundedDegreeCone`; at each leaf
-    A's one reduction (`ExactMatrix._augmented`) solves the pivot
+    A's one reduction (`ExactMatrix._solve`) solves the pivot
     exponents, kept when consistent, integral and nonnegative.  Complete:
     a monomial's free exponents stay within the budget, as its pivot
     variables spend a nonnegative part of it, and the pivot columns are
@@ -162,10 +150,9 @@ def monomial_basis(
         raise UnboundedDegreeCone(
             "no positive functional on the weight vectors; degree cone unbounded"
         )
-    system = ExactMatrix(_SCALARS, [[w[c] for w in vecs] for c in range(ncomp)],
-                         len(vecs))._augmented()
-    d = system[2]
-    free = [j for j in range(len(vecs)) if j not in system[1]]
+    system = ExactMatrix(_SCALARS, [[w[c] for w in vecs] for c in range(ncomp)], len(vecs))
+    _, pivots, d = system._augmented()
+    free = [j for j in range(len(vecs)) if j not in pivots]
     # exponent k of variable j spends k * steps[j] >= k of the budget phi . target,
     # and what is left always equals phi . (the multidegree still to reach)
     steps = [sum(map(mul, phi, w)) for w in vecs]
@@ -175,11 +162,11 @@ def monomial_basis(
 
     def rec(i: int, remaining: tuple[int, ...], budget: int):
         if i == len(free):
-            solution = _integer_solution(system, remaining)
+            solution = system._solve([{0: r} for r in remaining])
             if solution is None:
                 return
             for c, n in solution:
-                k, rest = divmod(n, d)
+                k, rest = divmod(n.get(0, 0), d)
                 if rest or k < 0:
                     return
                 expo[c] = k
@@ -224,7 +211,7 @@ class SectionSpace:
                     )
         # reduced once here; every `coords_in_space` call only accumulates
         # its right-hand side
-        keys, self._matrix = _coefficient_rows(registry, self.basis)
+        keys, self._matrix = coefficient_matrix(registry, self.basis)
         if len(self._matrix._augmented()[1]) != len(self.basis):
             raise ValueError("basis elements are linearly dependent")
         if any(k & registry._parameters for k in keys):
@@ -250,7 +237,10 @@ def coords_in_space(f: Polynomial, space: SectionSpace) -> list[Polynomial] | No
     """Solve f = sum c_i b_i exactly; c_i polynomial in parameter variables.
 
     f's terms are grouped by their coordinate variables (all but the group
-    and family parameters); None when f lies outside the space.
+    and family parameters), each group is shifted down by its basis
+    monomial's key, and the space's kept reduction (`ExactMatrix._solve`)
+    turns these numerators into those of d * c_i, over f's denominator.
+    None when f lies outside the space.
     """
     if f.registry is not space.registry:
         raise RegistryMismatch("section and space use different registries")
@@ -265,7 +255,15 @@ def coords_in_space(f: Polynomial, space: SectionSpace) -> list[Polynomial] | No
             return None
         i, mono = rows[part]
         nums[i] = {k - mono: v for k, v in members.items()}
-    return space._matrix._solve_numerators(nums, f._den)
+    solution = space._matrix._solve(nums)
+    if solution is None:
+        return None
+    reg, den = space.registry, f._den * space._matrix._augmented()[2]
+    x = [reg.zero] * space.dim
+    for c, acc in solution:
+        if acc:
+            x[c] = _canon(reg, acc, den)
+    return x
 
 
 def restricted_order_subspace(
@@ -302,13 +300,13 @@ def restricted_order_subspace(
         if alpha == 0 and beta == 0:
             raise ValueError("point must be nonzero")
         if alpha == 0:
-            moved, local = restrictions, i0
+            moved, shift = restrictions, reg._shifts[i0]
         else:
             change = {t0: reg.var(t0).scale(alpha),
                       t1: reg.var(t0).scale(beta) + reg.var(t1)}
-            moved, local = [r.substitute(change) for r in restrictions], i1
-        monomials, matrix = coefficient_matrix(reg, moved, binary_vars)
-        rows += [row for e, row in zip(monomials, matrix.rows) if e[local] < order]
+            moved, shift = [r.substitute(change) for r in restrictions], reg._shifts[i1]
+        keys, matrix = coefficient_matrix(reg, moved, binary_vars)
+        rows += [row for k, row in zip(keys, matrix.rows) if (k >> shift) & _MASK < order]
 
     kernel = ExactMatrix(reg, rows, space.dim).kernel()
     return SectionSpace(reg, [combine(reg, vec, space.basis) for vec in kernel])

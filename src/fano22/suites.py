@@ -115,22 +115,23 @@ class _Recorder:
         witness = None
         try:
             result = fn()
-        except Exception as exc:  # error status carries the exception text
-            status = "error"
-            witness = f"{type(exc).__name__}: {exc}"
-        else:
             if isinstance(result, tuple):
                 ok, witness = result
             else:
                 ok = result
+            # a witness too large to print is an error of this check alone
+            if not ok and isinstance(witness, Polynomial):
+                witness = format_poly(witness)
+        except Exception as exc:  # error status carries the exception text
+            status = "error"
+            witness = f"{type(exc).__name__}: {exc}"
+        else:
             if ok:
                 status, witness = "pass", None
             else:
                 status = "fail"
                 if witness is None:
                     witness = "condition evaluated false"
-        if isinstance(witness, Polynomial):
-            witness = format_poly(witness)
         ms = (time.perf_counter() - start) * 1000
         self.checks.append(Check(check_id, status, statement, witness, ms))
 

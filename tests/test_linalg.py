@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from fano22.constants import REG_F3, REG_Q, PaperConstants
 from fano22.linalg import ExactMatrix, coefficient_matrix
-from fano22.poly import Polynomial, Registry, RegistryMismatch
+from fano22.poly import Polynomial, Registry, RegistryMismatch, _canon
 
 
 @pytest.fixture
@@ -112,34 +113,46 @@ def test_ragged_rows_rejected(reg):
         ExactMatrix(reg, [[1, 2], [1]])
 
 
-def test_solve_rejects_a_right_hand_side_over_another_registry(reg):
-    other = Registry([("x", "coordinate"), ("t", "family-parameter")])
-    with pytest.raises(RegistryMismatch):
-        ExactMatrix(reg, [[1, 2], [3, -4]]).solve([other.var("x"), other.one])
-    t = reg.var("t")
-    with pytest.raises(RegistryMismatch):
-        ExactMatrix(reg, [[t, 1], [1, t]]).solve([other.var("x"), other.one])
+def solution(matrix, rhs):
+    """The x with matrix x = rhs and free unknowns 0, through `ExactMatrix._solve`, or None.
+
+    rhs holds scalars or polynomials; their numerators go in over their
+    common denominator, and x_c comes back over it times the pivot d.
+    """
+    reg = matrix.registry
+    polys = [p if isinstance(p, Polynomial) else reg.const(p) for p in rhs]
+    den = lcm(*[p._den for p in polys])
+    pairs = matrix._solve([{k: v * (den // p._den) for k, v in p._terms.items()}
+                           for p in polys])
+    if pairs is None:
+        return None
+    x = [reg.zero] * matrix.ncols
+    for c, numerators in pairs:
+        if numerators:
+            x[c] = _canon(reg, numerators, den * matrix._augmented()[2])
+    return x
 
 
 def test_solve_rejects_a_polynomial_matrix(reg):
     t = reg.var("t")
     with pytest.raises(ValueError, match="constants"):
-        ExactMatrix(reg, [[t, 1], [1, t]]).solve([1, 0])
+        ExactMatrix(reg, [[t, 1], [1, t]])._solve([{0: 1}, {}])
 
 
 def test_solve_with_mixed_scalar_and_polynomial_right_hand_side(reg):
     x = reg.var("x")
     m = ExactMatrix(reg, [[1, 2, 0], [3, -4, 0], [0, 0, 7], [1, 0, 0]])
     rhs = [Fraction(1, 2), x + 1, 3, (x + 2).scale(Fraction(1, 5))]
-    solution = m.solve(rhs)
-    assert solution == [(x + 2).scale(Fraction(1, 5)),
-                        reg.const(Fraction(1, 20)) - x.scale(Fraction(1, 10)),
-                        reg.const(Fraction(3, 7))]
-    assert m.mul_vector(solution) == [reg.const(Fraction(1, 2)), x + 1, reg.const(3),
-                                      (x + 2).scale(Fraction(1, 5))]
+    assert solution(m, rhs) == [(x + 2).scale(Fraction(1, 5)),
+                                reg.const(Fraction(1, 20)) - x.scale(Fraction(1, 10)),
+                                reg.const(Fraction(3, 7))]
+    assert m.mul_vector(solution(m, rhs)) == [reg.const(Fraction(1, 2)), x + 1, reg.const(3),
+                                              (x + 2).scale(Fraction(1, 5))]
     # the last equation now contradicts the first two
-    assert m.solve(rhs[:3] + [x]) is None
-    assert m.solve([0, 0, 0, 0]) == [reg.zero] * 3
+    assert solution(m, rhs[:3] + [x]) is None
+    assert solution(m, [0, 0, 0, 0]) == [reg.zero] * 3
+    # one (pivot column, numerators of d * x_c) per pivot, in row order
+    assert [c for c, _ in m._solve([{}, {}, {}, {}])] == [0, 1, 2]
 
 
 def _reference_coefficient_matrix(registry, polys, variables):
@@ -172,8 +185,9 @@ def _random_polynomial(rng, registry, names):
     (REG_Q, ("w0", "w1", "w4", "c", "lam", "t0", "t1", "u1"), ("t0", "t1")),
 ])
 def test_coefficient_matrix_matches_a_reference_from_terms(registry, used, pair):
-    """Labels, row order and entries on seeded polynomials with parameters,
-    taken on all variables, on the coordinates and on a binary pair."""
+    """Labels (decoded from their keys), row order and entries on seeded
+    polynomials with parameters, taken on all variables, on the coordinates
+    and on a binary pair."""
     rng = random.Random(20261019)
     coordinates = [n for n, r in zip(registry.names, registry.roles)
                    if r not in ("group-parameter", "family-parameter")]
@@ -181,9 +195,9 @@ def test_coefficient_matrix_matches_a_reference_from_terms(registry, used, pair)
         for _ in range(15):
             polys = [_random_polynomial(rng, registry, list(used))
                      for _ in range(rng.randint(1, 4))]
-            labels, matrix = coefficient_matrix(registry, polys, variables)
+            keys, matrix = coefficient_matrix(registry, polys, variables)
             expected_labels, expected_rows = _reference_coefficient_matrix(
                 registry, polys, variables)
-            assert labels == expected_labels
+            assert [registry._expo(k) for k in keys] == expected_labels
             assert matrix.rows == expected_rows
-            assert (matrix.nrows, matrix.ncols) == (len(labels), len(polys))
+            assert (matrix.nrows, matrix.ncols) == (len(keys), len(polys))

@@ -7,8 +7,8 @@ integer rows, and polynomial right-hand sides.  Over Q[v]: up to 4 x 6,
 entries linear in v, some rows repeated as sums of others.  About a third
 of the matrices are square.  rank and det are compared with sympy, and
 kernels are checked by annihilation and size.  On matrices of constants,
-`solve` must give sympy's solution with every free unknown 0, or None
-exactly when sympy finds no solution.
+`_solve` must give sympy's solution with every free unknown 0, or None
+exactly when sympy finds no solution, right-hand sides over Q[v] included.
 
 Polynomial matrices are eliminated as Kronecker-packed integers, so the
 packing's width and radices get their own cases: entries of degree <= 3
@@ -33,6 +33,8 @@ from fano22.constants import REG_F3, PaperConstants  # noqa: E402
 from fano22.linalg import ExactMatrix, coefficient_matrix  # noqa: E402
 from fano22.maps import ParamCurve, is_rational_normal_curve  # noqa: E402
 from fano22.poly import Registry  # noqa: E402
+
+from test_linalg import solution  # noqa: E402
 
 REG = Registry([("v", "family-parameter")])
 V = sympy.Symbol("v")
@@ -97,7 +99,7 @@ def _check_against_sympy(rows, rhs_list, field, registry=REG) -> ExactMatrix:
     for vec in kernel:
         assert all(e.is_zero() for e in matrix.mul_vector(vec))
     for rhs in rhs_list:
-        ours = matrix.solve(rhs)
+        ours = solution(matrix, rhs)
         theirs = _particular_solution(rows, rhs, field)
         if theirs is None:
             assert ours is None
@@ -116,11 +118,11 @@ def test_rational_matrices_match_sympy():
         consistent = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows]
         arbitrary = [_rational(rng) for _ in range(nrows)]
         matrix = _check_against_sympy(rows, [consistent, arbitrary], sympy.QQ)
-        assert matrix.solve(consistent) is not None
+        assert solution(matrix, consistent) is not None
 
 
 def test_polynomial_matrices_match_sympy():
-    # rank, det and kernel only: `solve` is for matrices of constants
+    # rank, det and kernel only: `_solve` is for matrices of constants
     rng = random.Random(1018)
     v = REG.var("v")
     for _ in range(25):
@@ -168,8 +170,8 @@ def test_constant_matrix_with_polynomial_right_hand_sides():
         arbitrary = [v.scale(_rational(rng)) + _rational(rng) for _ in range(nrows)]
         matrix = _check_against_sympy(rows, [consistent, arbitrary], QV)
         for rhs in (consistent, arbitrary):
-            solution = matrix.solve(rhs) or []
-            assert all(type(c) is Fraction for x in solution for c in x.terms.values())
+            x = solution(matrix, rhs) or []
+            assert all(type(c) is Fraction for p in x for c in p.terms.values())
 
 
 def _negative_lead(rng: random.Random, degree: int):

@@ -15,7 +15,7 @@ from fano22 import (
 )
 from fano22 import suites
 from fano22.cli import main
-from fano22.constants import DEFAULT_RAW
+from fano22.constants import DEFAULT_RAW, REG_F3
 from fano22.sections import SectionSpace
 
 from test_constants import _RecordingRaw
@@ -243,6 +243,24 @@ def test_cli_eval_parse_error(capsys):
     # an unknown name is quoted once, as the registry quotes it
     assert main(["eval", "x^2", "--subst", "2=x"]) == 2
     assert capsys.readouterr().err == "error: unknown variable '2'\n"
+
+
+def test_cli_eval_of_an_unprintable_coefficient_is_an_error(capsys):
+    # 2^100000 parses, but has more digits than str(int) prints by default
+    assert main(["eval", "2^100000*x"]) == 2
+    assert capsys.readouterr().err.startswith("error: Exceeds the limit")
+    # as a literal of as many digits is refused by the parser
+    assert main(["eval", "9" * 5000]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_an_unprintable_witness_errs_its_check_alone():
+    x = REG_F3.var("x0")
+    rec = suites._Recorder()
+    rec.run("huge", "a failing check with a huge witness", lambda: (False, x.scale(2 ** 100000)))
+    rec.run("next", "a later check", lambda: True)
+    assert [(c.id, c.status) for c in rec.checks] == [("huge", "error"), ("next", "pass")]
+    assert rec.checks[0].witness.startswith("ValueError: Exceeds the limit")
 
 
 def test_cli_exit_one_on_failure(capsys, monkeypatch):
