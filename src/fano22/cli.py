@@ -2,18 +2,23 @@
 
     fano22 [SUITE ...] [--all] [--list] [--format {text,json}] [--param v=P/Q]
     fano22 eval EXPR [--def NAME=EXPR ...] [--subst VAR=EXPR ...]
+    fano22 mutate N SEED
 
 Exit codes: 0 every executed check passed; 1 at least one check failed
-or errored; 2 usage or parse error.
+or errored, or for `mutate` at least one mutant was missed; 2 usage or
+parse error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
+import time
 from fractions import Fraction
 
+from .constants import PaperConstants, random_mutation
 from .parsing import ParseError, infer_registry, parse
 from .poly import format_poly
 from .suites import (
@@ -69,10 +74,7 @@ def _split_binding(text: str, flag: str) -> tuple[str, str]:
 
 
 def _run_eval(argv: list[str]) -> int:
-    try:
-        args = _eval_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _eval_parser().parse_args(argv)
     try:
         bindings = [_split_binding(d, "--def") for d in args.definitions]
         substitutions = [_split_binding(s, "--subst") for s in args.subst]
@@ -97,10 +99,7 @@ def _run_eval(argv: list[str]) -> int:
 
 def _run_verify(argv: list[str]) -> int:
     parser = _verify_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = parser.parse_args(argv)
     if args.list_suites:
         for name in SUITE_ORDER:
             print(name)
@@ -118,8 +117,9 @@ def _run_verify(argv: list[str]) -> int:
             if name != "v":
                 raise ValueError(f"unknown parameter {name!r}; only v is supported")
             config.v_specializations = config.v_specializations + (Fraction(value),)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") says "Fraction(1, 0)"
+        message = exc if isinstance(exc, ValueError) else f"--param {spec}: the denominator is zero"
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
     names = SUITE_ORDER if (args.all or not args.suites) else tuple(args.suites)
@@ -131,11 +131,65 @@ def _run_verify(argv: list[str]) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+def _mutate_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="fano22 mutate",
+        description="Run every suite on the paper's table and on N seeded mutant tables; "
+        "print how each mutant was caught and the sha256 of all reports.",
+    )
+    p.add_argument("count", type=int, metavar="N", help="number of mutants")
+    p.add_argument("seed", type=int, metavar="SEED", help="seed of the mutant stream")
+    return p
+
+
+def _signature(reports) -> list:
+    return [[r.suite, c.id, c.status, c.statement, c.witness]
+            for r in reports for c in r.checks]
+
+
+def _run_mutate(argv: list[str]) -> int:
+    args = _mutate_parser().parse_args(argv)
+    import hashlib  # here, so that running the suites does not import it
+
+    rng = random.Random(args.seed)
+    tables = [{"key": None, "checks": _signature(run_all())}]
+    outcomes = {"killed_by_fail": 0, "error_only": 0, "missed": 0}
+    start = time.perf_counter()
+    for i in range(args.count):
+        key, raw = random_mutation(rng)
+        checks = _signature(run_all(SuiteConfig(constants=PaperConstants(raw=raw))))
+        tables.append({"key": key, "checks": checks})
+        caught = [(f"{suite}/{id_}[{status}]", status)
+                  for suite, id_, status, _, _ in checks if status != "pass"]
+        fails = [name for name, status in caught if status == "fail"]
+        if fails:
+            outcome = "killed_by_fail"
+            line = f"killed by fail in {len(fails)} of {len(caught)} checks, first: {fails[0]}"
+        elif caught:
+            outcome = "error_only"
+            line = f"killed only by error in {len(caught)} checks, first: {caught[0][0]}"
+        else:
+            outcome, line = "missed", "NOT DETECTED"
+        outcomes[outcome] += 1
+        print(f"#{i:02d} {key}: {line}")
+    elapsed = time.perf_counter() - start
+    print(", ".join(f"{name} {n}" for name, n in outcomes.items())
+          + f" of {args.count} mutations in {elapsed:.1f}s")
+    data = json.dumps({"count": args.count, "seed": args.seed, "tables": tables},
+                      indent=1, sort_keys=True).encode()
+    with open("report_signature.json", "wb") as fh:
+        fh.write(data)
+    print(f"{hashlib.sha256(data).hexdigest()}  report_signature.json")
+    return 0 if outcomes["missed"] == 0 else 1
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "eval":
-        return _run_eval(argv[1:])
-    return _run_verify(argv)
+    command = {"eval": _run_eval, "mutate": _run_mutate}.get(argv[0] if argv else None)
+    try:
+        return command(argv[1:]) if command else _run_verify(argv)
+    except SystemExit as exc:  # argparse exits on --help and on bad arguments
+        return exc.code if isinstance(exc.code, int) else 2
 
 
 if __name__ == "__main__":

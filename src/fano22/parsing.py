@@ -21,6 +21,10 @@ from .poly import Polynomial, Registry
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([+\-*/^()]))")
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
+#: deepest parenthesis nesting parsed; at four stack frames a level, this leaves
+#: headroom under the recursion limit for callers deep in a suite or a test run
+MAX_NESTING = 100
+
 
 class ParseError(ValueError):
     """Syntax or lookup error, carrying the offending position."""
@@ -34,6 +38,7 @@ class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         m = _TOKEN.match(self.text, self.pos)
@@ -115,7 +120,11 @@ def _parse_base(tk: _Tokens, reg: Registry) -> Polynomial:
         except KeyError:
             raise ParseError(f"unknown variable {name!r}", where) from None
     if m.group(3) == "(":
+        if tk.depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", where)
+        tk.depth += 1
         inner = _parse_expr(tk, reg)
+        tk.depth -= 1
         m2, w2 = tk.next()
         if m2 is None or m2.group(3) != ")":
             raise ParseError("expected ')'", w2)

@@ -1,9 +1,9 @@
 """Every function, method and class of the package has a user in the code.
 
-The package, the benchmark and the scripts are parsed with `ast`.  A
-definition is used when its name occurs in some code of theirs: as a
-name, an attribute, an imported name, or a string that is an identifier
-or a dotted path of identifiers (the benchmark looks layers up with
+The package and the benchmark are parsed with `ast`.  A definition is
+used when its name occurs in some code of theirs: as a name, an
+attribute, an imported name, or a string that is an identifier or a
+dotted path of identifiers (the benchmark looks layers up with
 `getattr`).  Docstrings are not code, and neither is the definition's own
 name; tests do not count as users.  Dunder names are called by Python.
 """
@@ -13,7 +13,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fano22"
-USERS = (PACKAGE, ROOT / "bench", ROOT / "scripts")
+USERS = (PACKAGE, ROOT / "bench")
 
 #: names kept without a user in the code, with the reason
 ALLOWED = {

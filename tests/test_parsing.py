@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fano22.parsing import ParseError, parse
+from fano22.parsing import MAX_NESTING, ParseError, parse
 from fano22.poly import Registry, format_poly
 
 
@@ -49,6 +49,14 @@ def test_error_positions():
         parse("x 1")
     with pytest.raises(ParseError):
         parse("1/0")
+
+
+def test_nesting_past_the_limit_is_a_parse_error():
+    reg = Registry([("x", "coordinate")])
+    assert parse("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, reg) == reg.var("x")
+    with pytest.raises(ParseError) as exc:
+        parse("(" * 300 + "x" + ")" * 300)
+    assert exc.value.position == MAX_NESTING
 
 
 def test_round_trip():

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -204,7 +208,25 @@ def test_cli_unknown_suite(capsys):
 
 def test_cli_bad_param(capsys):
     assert main(["stabilizers", "--param", "w=2"]) == 2
+    capsys.readouterr()
     assert main(["stabilizers", "--param", "v=1/0"]) == 2
+    assert capsys.readouterr().err == "error: --param v=1/0: the denominator is zero\n"
+
+
+def test_cli_mutate_takes_exactly_n_and_seed(capsys):
+    for argv in (["mutate"], ["mutate", "3"], ["mutate", "3", "x"], ["mutate", "1", "2", "3"]):
+        assert main(argv) == 2
+    assert "usage: fano22 mutate [-h] N SEED" in capsys.readouterr().err
+
+
+def test_cli_all_does_not_import_hashlib():
+    # only `mutate` hashes; the cold `fano22 --all` run stays as lean as it was
+    code = ("import sys; from fano22.cli import main; main(['--all']); "
+            "print('hashlib' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(suites.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"
 
 
 def test_cli_eval(capsys):
@@ -243,6 +265,17 @@ def test_cli_eval_parse_error(capsys):
     # an unknown name is quoted once, as the registry quotes it
     assert main(["eval", "x^2", "--subst", "2=x"]) == 2
     assert capsys.readouterr().err == "error: unknown variable '2'\n"
+
+
+def test_deep_nesting_is_a_parse_error_not_a_crash(capsys):
+    text = "(" * 300 + "x0" + ")" * 300
+    assert main(["eval", text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parentheses nested deeper than")
+    assert "Traceback" not in err
+    raw = dict(DEFAULT_RAW, **{"w_basis.e0": text})
+    report, = run_all(SuiteConfig(constants=PaperConstants(raw=raw)), ("w-module",))
+    assert [c.witness.split(":")[0] for c in report.checks if c.status != "pass"] == ["ParseError"]
 
 
 def test_cli_eval_of_an_unprintable_coefficient_is_an_error(capsys):
