@@ -148,7 +148,10 @@ def _signature(reports) -> list:
 
 
 def _run_mutate(argv: list[str]) -> int:
-    args = _mutate_parser().parse_args(argv)
+    parser = _mutate_parser()
+    args = parser.parse_args(argv)
+    if args.count < 0:
+        parser.error(f"argument N: must not be negative, got {args.count}")
     import hashlib  # here, so that running the suites does not import it
 
     rng = random.Random(args.seed)

@@ -1,18 +1,28 @@
 """Exact fraction-free linear algebra over polynomial entries.
 
-Everything is read off one fraction-free Gauss–Jordan elimination (Bareiss
-1968; Nakos–Turner–Williams 1997) over `int`s.  A pivot step replaces
-every other row by (pivot * row - head * pivot row) // previous pivot; by
-Sylvester's identity every entry it produces is, up to sign, a minor of
-the matrix, so the division is exact.  At the end every pivot equals the
-determinant of the pivot block and every other entry of a pivot row is a
-maximal minor, which gives rank, determinant, kernel (Cramer's rule) and
-solutions of linear systems.
+Every reader is served by one fraction-free elimination loop over `int`s,
+`ExactMatrix._reduce` (Bareiss 1968; Nakos–Turner–Williams 1997).  A
+pivot step replaces rows by (pivot * row - head * pivot row) // previous
+pivot; by Sylvester's identity every entry it produces is, up to sign, a
+minor of the matrix, so the division is exact.  The readers differ only
+in which rows a pivot step clears:
 
-Each row is first multiplied by the lcm of its denominators, which
-changes neither rank nor kernel, and `poly._pack_matrix` then turns each
-entry into one `int`, injectively on minors, so the zero tests and the
-`//` of the integer loop are exact and no entry is evaluated at a point.
+- `rank` and `det` read the pivot columns and the last pivot, which is
+  the determinant of the pivot block, so for them a step clears only the
+  rows below its pivot (Bareiss's forward elimination);
+- `kernel` and `_solve` read the other entries of the pivot rows, so for
+  them a step clears the rows above as well (Gauss–Jordan).  At the end
+  every pivot equals the last one and every other entry of a pivot row
+  is a maximal minor, which gives the kernel by Cramer's rule and the
+  solutions of linear systems.
+
+A matrix keeps its entries in integral form: each row times its scale,
+the lcm of its denominators, which changes neither rank nor kernel.  An
+entry is then one `int` when every entry is constant, else one numerator
+dict, which `poly._pack_matrix` turns into one `int`, injectively on
+minors, so the zero tests and the `//` of the integer loop are exact and
+no entry is evaluated at a point.  `rows`, the entries as polynomials,
+is built on first use for a matrix that `coefficient_matrix` made.
 
 Every subspace is cut out the same way: `coefficient_matrix` turns a span
 of polynomials into the matrix of their coefficients, and its `kernel`,
@@ -37,11 +47,11 @@ class ExactMatrix:
 
     `ncols`, when given, is the column count, checked against every row;
     so a matrix without rows still has its columns.  Otherwise the first
-    row gives the count.  Scalar entries must be int or Fraction.
+    row gives the count.  Scalar entries must be int or Fraction.  The
+    entries are kept in integral form (`_set`); `rows` reads them back.
     """
 
     def __init__(self, registry: Registry, rows: Sequence[Sequence], ncols: int | None = None):
-        self.registry = registry
         coerced = []
         seen = 0
         for row in rows:
@@ -59,43 +69,84 @@ class ExactMatrix:
             elif len(out) != ncols:
                 raise ValueError("matrix rows must have equal length")
             coerced.append(out)
-        self.rows: list[list[Polynomial]] = coerced
-        self.nrows = len(coerced)
-        self.ncols = 0 if ncols is None else ncols
+        scales = [lcm(*[e._den for e in row]) for row in coerced]
+        if seen:
+            nums = [[e._terms if e._den == s
+                     else {k: v * (s // e._den) for k, v in e._terms.items()} for e in row]
+                    for row, s in zip(coerced, scales)]
+        else:
+            nums = [[e._terms.get(0, 0) * (s // e._den) for e in row]
+                    for row, s in zip(coerced, scales)]
+        self._set(registry, nums, scales, 0 if ncols is None else ncols, seen)
+        self._rows = coerced
+
+    @classmethod
+    def _integral(cls, registry: Registry, nums: list[list], scales: list[int], ncols: int,
+                  seen: int) -> "ExactMatrix":
+        """The matrix with integral rows `nums` over `scales` (see `_set`), taken unchecked."""
+        matrix = object.__new__(cls)
+        matrix._set(registry, nums, scales, ncols, seen)
+        return matrix
+
+    def _set(self, registry: Registry, nums: list[list], scales: list[int], ncols: int,
+             seen: int) -> None:
+        self.registry = registry
+        #: row i times scales[i], the lcm of its denominators: one int per entry
+        #: when `_seen` is 0, else one numerator dict per entry
+        self._nums = nums
+        self._scales = scales
+        self.nrows = len(nums)
+        self.ncols = ncols
         #: bitwise or of every entry's keys: 0 exactly when every entry is constant
         self._seen = seen
+        self._rows: list[list[Polynomial]] | None = None
         self._solver = None
 
-    def _reduce(self, augment: bool = False):
-        """Fraction-free Gauss–Jordan of S A on a copy; of [S A | S] when `augment`.
+    @property
+    def rows(self) -> list[list[Polynomial]]:
+        """The entries as polynomials, built from the integral rows on first use."""
+        if self._rows is None:
+            reg = self.registry
+            if self._seen:
+                self._rows = [[_canon(reg, t, s) for t in row]
+                              for row, s in zip(self._nums, self._scales)]
+            else:
+                self._rows = [[_canon(reg, {0: v}, s) if v else reg.zero for v in row]
+                              for row, s in zip(self._nums, self._scales)]
+        return self._rows
 
-        S is diagonal: row i is multiplied by its scale, the lcm of the
-        denominators of its entries, so that every entry is integral.  Row
-        scaling changes neither the rank, the pivot columns nor the
-        kernel, and S A x = S b has the solutions of A x = b.  Each entry
-        of S A is then packed into one int (`poly._pack_matrix`), and the
-        ints are reduced with `//`, which is exact.  `augment` is for
-        matrices of constants only.  Pivots are taken in the columns of A
-        only.  Returns (reduced rows of ints, pivot columns in row order,
-        last pivot d, sign of the row permutation, det S, unpack); every
-        pivot entry then equals d, the determinant of the pivot block of
-        S A up to that sign, and `unpack` turns any reduced entry into its
-        numerator dict.
+    def _reduce(self, *, back: bool, augment: bool = False):
+        """Fraction-free elimination of S A on a copy; of [S A | S] when `augment`.
+
+        S is diagonal, row i's scale, so S A is the integral form the
+        matrix keeps; S x = S b has the solutions of A x = b.  Each entry
+        of S A is packed into one int (`poly._pack_matrix`), and the ints
+        are reduced with `//`, which is exact.  Pivots are taken in the
+        columns of A only, and each pivot step clears the rows below its
+        pivot; with `back` the rows above too (Gauss–Jordan).  `augment`
+        is for matrices of constants only.
+
+        Returns (reduced rows of ints, pivot columns in row order, last
+        pivot d, sign of the row permutation, unpack).  d is the
+        determinant of the pivot block of S A up to that sign, which is
+        all that `rank` and `det` read.  With `back`, which `kernel` and
+        `_augmented` take, every pivot entry also equals d and every
+        other entry of a pivot row is a maximal minor.  `unpack` turns
+        any reduced entry into its numerator dict.
         """
-        scales = [lcm(*[e._den for e in row]) for row in self.rows]
-        m, unpack = _pack_matrix(self.registry, self.rows, scales, self._seen)
+        m, unpack = _pack_matrix(self.registry, self._nums, self._seen)
+        nrows = self.nrows
         if augment:
-            for i, (row, s) in enumerate(zip(m, scales)):
-                row += [0] * self.nrows
-                row[self.ncols + i] = s
+            m = [row + [0] * i + [s] + [0] * (nrows - 1 - i)
+                 for i, (row, s) in enumerate(zip(m, self._scales))]
         pivots: list[int] = []
         prev = 1
         sign = 1
         for c in range(self.ncols):
             r = len(pivots)
-            if r == self.nrows:
+            if r == nrows:
                 break
-            pivot_row = next((i for i in range(r, self.nrows) if m[i][c]), None)
+            pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
             if pivot_row is None:
                 continue
             if pivot_row != r:
@@ -103,25 +154,26 @@ class ExactMatrix:
                 sign = -sign
             top = m[r]
             p = top[c]
-            for i, row in enumerate(m):
+            for i in range(0 if back else r + 1, nrows):
+                row = m[i]
                 head = row[c]
                 if i == r or (head == 0 and p == prev):
                     continue
                 m[i] = [(p * x - head * y) // prev for x, y in zip(row, top)]
             prev = p
             pivots.append(c)
-        return m, pivots, prev, sign, prod(scales), unpack
+        return m, pivots, prev, sign, unpack
 
     def rank(self) -> int:
-        return len(self._reduce()[1])
+        return len(self._reduce(back=False)[1])
 
     def det(self) -> Polynomial:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        _, pivots, d, sign, det_s, unpack = self._reduce()
+        _, pivots, d, sign, unpack = self._reduce(back=False)
         if len(pivots) < self.nrows:
             return self.registry.zero
-        return _canon(self.registry, unpack(d), 1).scale(Fraction(sign, det_s))
+        return _canon(self.registry, unpack(d), 1).scale(Fraction(sign, prod(self._scales)))
 
     def kernel(self) -> list[list[Polynomial]]:
         """Basis of the right kernel, one vector per free column.
@@ -132,7 +184,7 @@ class ExactMatrix:
         parameters in the matrix.  Every entry is integral, and each
         vector is divided by the gcd of its coefficients.
         """
-        m, pivots, d, _, _, unpack = self._reduce()
+        m, pivots, d, _, unpack = self._reduce(back=True)
         reg = self.registry
         pivot = _canon(reg, unpack(d), 1)
         basis: list[list[Polynomial]] = []
@@ -146,19 +198,26 @@ class ExactMatrix:
             basis.append(_normalize_vector(vec))
         return basis
 
-    def _solve(self, nums: Sequence[dict[int, int]]) -> list[tuple[int, dict[int, int]]] | None:
-        """(c, numerators of d * x_c) per pivot column c of an x with A x = b, or None.
+    def _solve(self, nums: Sequence) -> list[tuple[int, int | dict[int, int]]] | None:
+        """(c, numerator of d * x_c) per pivot column c of an x with A x = b, or None.
 
         A must be a matrix of constants (else ValueError), and nums[i] is
-        the numerator dict of b[i] (empty for 0) over a denominator common
-        to all rows; x_c is then the returned numerators over d times that
-        denominator, d from `_augmented`.  The free unknowns of x are 0.
-        None means that a consistency row does not sum to 0: no x exists.
+        the numerator of b[i] over a denominator common to all rows: an
+        int when every b[i] is a scalar, else a numerator dict (empty for
+        0).  The returned numerators are of the same kind: ints are
+        summed as ints, dicts accumulated (`_accumulate`).  x_c is the
+        returned numerator over d times that denominator, d from
+        `_augmented`.  The free unknowns of x are 0.  None means that a
+        consistency row does not sum to 0: no x exists.
         """
         rows, pivots, _ = self._augmented()
-        if any(_accumulate(row, nums) for row in rows[len(pivots):]):
+        if nums and isinstance(nums[0], dict):
+            sums = [_accumulate(row, nums) for row in rows]
+        else:
+            sums = [sum([s * nums[j] for j, s in row]) for row in rows]
+        if any(sums[len(pivots):]):
             return None
-        return [(c, _accumulate(row, nums)) for row, c in zip(rows, pivots)]
+        return list(zip(pivots, sums))
 
     def _augmented(self):
         """The reduction of [S A | S], computed once: (S-parts of the rows, pivot columns, d).
@@ -171,7 +230,7 @@ class ExactMatrix:
         if self._solver is None:
             if self._seen:
                 raise ValueError("solve needs a matrix of constants")
-            m, pivots, d, _, _, _ = self._reduce(augment=True)
+            m, pivots, d, _, _ = self._reduce(back=True, augment=True)
             sign = 1 if d > 0 else -1
             parts = [[(j, sign * v) for j, v in enumerate(row[self.ncols:]) if v] for row in m]
             self._solver = parts, pivots, abs(d)
@@ -209,26 +268,44 @@ def coefficient_matrix(
     `variables`, whose entry is the members less the monomial's key.
     Fields lie in registry order, first variable highest, so integer order
     on the groups is the order of the exponent tuples; a label's exponent
-    of a variable is its field, (key >> shift) & _MASK.
+    of a variable is its field, (key >> shift) & _MASK.  The numerators go
+    straight into the matrix's integral rows, each over the lcm of the
+    denominators of the polys with a term in the row; they are ints when
+    no term has a variable outside `variables` (always, by default), and
+    no entry becomes a Polynomial before `rows` is read.
     """
     shifts = {registry._shifts[registry.index(n)]
               for n in (registry.names if variables is None else variables)}
     mask = sum(_MASK << s for s in shifts)
-    columns = []
-    for p in polys:
-        groups: dict[int, dict[int, int]] = {}
+    groups: dict[int, list[tuple[int, int, int]]] = {}
+    occurring = 0
+    for j, p in enumerate(polys):
         for k, v in p._terms.items():
-            groups.setdefault(k & mask, {})[k] = v
-        columns.append(groups)
-    keys = []
-    rows = []
-    zero = registry.zero
-    for part in sorted({part for column in columns for part in column}):
+            groups.setdefault(k & mask, []).append((j, k, v))
+            occurring |= k
+    # every entry is constant unless some term has a variable outside `variables`
+    constant = not occurring & (registry._parameters | registry._coordinates) & ~mask
+    dens = [p._den for p in polys]
+    ncols = len(polys)
+    keys, nums, scales = [], [], []
+    seen = 0
+    for part in sorted(groups):
         mono = part + (sum((part >> s) & _MASK for s in shifts) << registry._top)
+        cells = groups[part]
+        scale = lcm(*[dens[j] for j, _, _ in cells])
+        if constant:
+            row = [0] * ncols
+            for j, _, v in cells:
+                row[j] = v * (scale // dens[j])
+        else:
+            row = [{} for _ in range(ncols)]
+            for j, k, v in cells:
+                row[j][k - mono] = v * (scale // dens[j])
+                seen |= k - mono
         keys.append(mono)
-        rows.append([_canon(registry, {k - mono: v for k, v in column[part].items()}, p._den)
-                     if part in column else zero for column, p in zip(columns, polys)])
-    return keys, ExactMatrix(registry, rows, len(polys))
+        nums.append(row)
+        scales.append(scale)
+    return keys, ExactMatrix._integral(registry, nums, scales, ncols, seen)
 
 
 def combine(registry: Registry, coeffs: Sequence, polys: Sequence[Polynomial]) -> Polynomial:

@@ -27,7 +27,8 @@ by `_mul_packed`, a Kronecker substitution in the last variable
 
 `_pack_matrix` packs a matrix of integral polynomials into `int`s by
 Kronecker substitution in every occurring variable, so that `linalg`
-reduces polynomial and constant matrices in one integer loop.
+reduces polynomial and constant matrices in one integer loop; each
+distinct monomial's shift is computed once per matrix.
 """
 
 from __future__ import annotations
@@ -665,38 +666,40 @@ def _pack(unit: int, width: int, terms: dict[int, int]) -> dict[int, int]:
     return slices
 
 
-def _pack_matrix(reg: Registry, rows: Sequence[Sequence[Polynomial]], scales: Sequence[int],
-                 seen: int) -> tuple[list[list[int]], Callable[[int], dict[int, int]]]:
-    """Each rows[i][j] * scales[i], an integral polynomial, as one int, and the way back.
+def _pack_matrix(reg: Registry, nums: Sequence[list], seen: int
+                 ) -> tuple[list[list[int]], Callable[[int], dict[int, int]]]:
+    """Each entry of an integral matrix as one int, and the way back.
 
-    `seen` is the bitwise or of every entry's keys.  When it is 0 the
-    entries are constants and an entry's int is its numerator.  Otherwise
-    every occurring variable x maps to 2**(width * weight_x), a ring
-    homomorphism from the integral polynomials to the integers (Kronecker
-    substitution).  The weights are mixed-radix places: the radix of x is
-    1 + the sum over rows of the row's largest degree in x, and
-    width = bit_length(B) + 2, B the product over rows of max(1, row
-    1-norm).  Every minor of the scaled matrix has degree in x below its
-    radix (it takes one entry per row) and coefficients at most B in
-    absolute value (its 1-norm is at most the product of the row
-    1-norms), so the map is injective on minors and `unpack`, which
-    reads the signed width-bit digits of a minor's image, returns the
-    minor's numerator dict.  Raises OverflowError when a minor's total
-    degree could reach 2**(FIELD_BITS - 1).
+    `nums` holds the rows and `seen` is the bitwise or of every entry's
+    keys.  When it is 0 the entries are ints already, the numerators of
+    constants, and only the list of rows is copied.  Otherwise each
+    entry is an integral numerator dict, and every occurring variable x
+    maps to 2**(width * weight_x), a ring homomorphism from the integral
+    polynomials to the integers (Kronecker substitution).  The weights
+    are mixed-radix places: the radix of x is 1 + the sum over rows of
+    the row's largest degree in x, and width = bit_length(B) + 2, B the
+    product over rows of max(1, row 1-norm).  Every minor of the matrix
+    has degree in x below its radix (it takes one entry per row) and
+    coefficients at most B in absolute value (its 1-norm is at most the
+    product of the row 1-norms), so the map is injective on minors and
+    `unpack`, which reads the signed width-bit digits of a minor's image,
+    returns the minor's numerator dict.  Each distinct monomial's image
+    exponent, its shift, is computed once per call.  Raises
+    OverflowError when a minor's total degree could reach
+    2**(FIELD_BITS - 1).
     """
     if not seen:
-        return ([[e._terms.get(0, 0) * (s // e._den) for e in row]
-                 for row, s in zip(rows, scales)], _unpack_constant)
+        return list(nums), _unpack_constant
     fields = [(s, u) for s, u in zip(reg._shifts, reg._units) if (seen >> s) & _MASK]
-    nums = [[e._terms if e._den == s else {k: v * (s // e._den) for k, v in e._terms.items()}
-             for e in row] for row, s in zip(rows, scales)]
     bound = 1
     radices = [1] * len(fields)
     total = 0
+    monomials: set[int] = set()
     for row in nums:
         bound *= max(1, sum(sum(map(abs, t.values())) for t in row))
         keys = [k for t in row for k in t]
         if keys:
+            monomials.update(keys)
             total += max(keys) >> reg._top
             for i, (s, _) in enumerate(fields):
                 radices[i] += max((k >> s) & _MASK for k in keys)
@@ -708,8 +711,8 @@ def _pack_matrix(reg: Registry, rows: Sequence[Sequence[Polynomial]], scales: Se
     for (s, _), radix in zip(fields, radices):
         places.append((s, width * weight))
         weight *= radix
-    packed = [[sum(v << sum(((k >> s) & _MASK) * w for s, w in places) for k, v in t.items())
-               for t in row] for row in nums]
+    shift = {k: sum(((k >> s) & _MASK) * w for s, w in places) for k in monomials}
+    packed = [[sum([v << shift[k] for k, v in t.items()]) for t in row] for row in nums]
     steps = [(u, radix) for (_, u), radix in zip(fields, radices)]
 
     def unpack(v: int) -> dict[int, int]:

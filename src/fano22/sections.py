@@ -9,10 +9,16 @@ budget, and solves those of its independent pivot columns;
 registry's coordinate variables, all but its group and family
 parameters, and a section's coordinates in it are polynomials in those
 parameters.  All solving is exact, via the one fraction-free elimination
-in `linalg`: a space reduces its coefficient matrix once and keys each
-basis monomial's row by its coordinate fields.  A coordinate computation
-then groups f's integer numerators by those fields and runs the kept
-reduction on them, one integer accumulation per coordinate.  Vanishing
+in `linalg`, in its Gauss–Jordan reading (`ExactMatrix._augmented`), the
+one that keeps the back-eliminated rows `_solve` reads.  A space's
+coefficient matrix is constant, as its rows are whole monomials, so
+`coefficient_matrix` hands it over as one int list per row, without a
+Polynomial per entry.  The space reduces it once, which also certifies
+independence, and keys each basis monomial's row by its coordinate
+fields.  A coordinate computation then groups f's integer numerators by
+those fields and runs the kept reduction on them, one integer
+accumulation per coordinate.  `monomial_basis` solves its weight system
+the same way, with int right-hand sides summed as ints.  Vanishing
 orders along a curve are read off the `coefficient_matrix` of the
 restricted sections: the conditions are its rows of low local exponent,
 the subspace their kernel.
@@ -101,15 +107,16 @@ def _positive_functional(vectors: list[tuple[int, ...]]) -> tuple[int, ...] | No
     when W phi >= 1.
     """
     ncomp = len(vectors[0]) if vectors else 0
+    # weights are ints (checked by Grading): rows of scale 1 in integral form
     for size in range(min(len(vectors), ncomp) + 1):
         for rows in combinations(vectors, size):
-            system = ExactMatrix(_SCALARS, rows, ncomp)
-            solution = system._solve([{0: 1}] * size)
+            system = ExactMatrix._integral(_SCALARS, [list(r) for r in rows], [1] * size, ncomp, 0)
+            solution = system._solve([1] * size)
             if solution is None:
                 continue
             phi = [0] * ncomp
             for c, n in solution:
-                phi[c] = n.get(0, 0)
+                phi[c] = n
             # phi / d in lowest terms has the lcm scale of its denominators
             d = system._augmented()[2]
             g = gcd(d, *phi)
@@ -150,7 +157,8 @@ def monomial_basis(
         raise UnboundedDegreeCone(
             "no positive functional on the weight vectors; degree cone unbounded"
         )
-    system = ExactMatrix(_SCALARS, [[w[c] for w in vecs] for c in range(ncomp)], len(vecs))
+    system = ExactMatrix._integral(_SCALARS, [[w[c] for w in vecs] for c in range(ncomp)],
+                                   [1] * ncomp, len(vecs), 0)
     _, pivots, d = system._augmented()
     free = [j for j in range(len(vecs)) if j not in pivots]
     # exponent k of variable j spends k * steps[j] >= k of the budget phi . target,
@@ -162,11 +170,11 @@ def monomial_basis(
 
     def rec(i: int, remaining: tuple[int, ...], budget: int):
         if i == len(free):
-            solution = system._solve([{0: r} for r in remaining])
+            solution = system._solve(remaining)
             if solution is None:
                 return
             for c, n in solution:
-                k, rest = divmod(n.get(0, 0), d)
+                k, rest = divmod(n, d)
                 if rest or k < 0:
                     return
                 expo[c] = k

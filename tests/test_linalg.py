@@ -4,9 +4,10 @@ from math import lcm
 
 import pytest
 
-from fano22.constants import REG_F3, REG_Q, PaperConstants
-from fano22.linalg import ExactMatrix, coefficient_matrix
+from fano22.constants import F3_GRADING, REG_F3, REG_Q, PaperConstants
+from fano22.linalg import ExactMatrix, coefficient_matrix, combine
 from fano22.poly import Polynomial, Registry, RegistryMismatch, _canon
+from fano22.sections import SectionSpace, coords_in_space, monomial_basis
 
 
 @pytest.fixture
@@ -201,3 +202,78 @@ def test_coefficient_matrix_matches_a_reference_from_terms(registry, used, pair)
             assert [registry._expo(k) for k in keys] == expected_labels
             assert matrix.rows == expected_rows
             assert (matrix.nrows, matrix.ncols) == (len(keys), len(polys))
+
+
+def _fraction_det(rows) -> Fraction:
+    """Determinant of a square matrix of Fractions by plain Gauss elimination."""
+    rows = [list(r) for r in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        p = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return det
+
+
+def test_the_layer_shapes_of_the_core_benchmark():
+    """12 x 15 over Q and 6 x 8 over Q[v], entries linear in v, drawn the way
+    the core-scale benchmark draws its matrices: the rank, the det of the
+    leading square block against Gauss elimination over Q (at points of v
+    for Q[v]), and kernels that the matrix sends to zero."""
+    rng = random.Random(22)
+    reg = Registry([("v", "family-parameter")])
+    v = reg.var("v")
+
+    def coeff():
+        return Fraction(rng.choice([n for n in range(-9, 10) if n]), rng.randint(1, 4))
+
+    q_rows = [[Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(15)]
+              for _ in range(12)]
+    qv_rows = [[v.scale(coeff()) + coeff() for _ in range(8)] for _ in range(6)]
+    for rows, rank in ((q_rows, 12), (qv_rows, 6)):
+        m = ExactMatrix(reg, rows)
+        assert m.rank() == rank
+        kern = m.kernel()
+        assert len(kern) == m.ncols - rank
+        for vec in kern:
+            assert all(e.is_zero() for e in m.mul_vector(vec))
+    assert ExactMatrix(reg, [row[:12] for row in q_rows]).det() == _fraction_det(
+        [row[:12] for row in q_rows])
+    det = ExactMatrix(reg, [row[:6] for row in qv_rows]).det()
+    assert 0 < det.degree_in("v") <= 6
+    for t in range(-3, 5):
+        at = {"v": reg.const(t)}
+        values = [[e.substitute(at).constant_value() for e in row[:6]] for row in qv_rows]
+        assert det.substitute(at).constant_value() == _fraction_det(values)
+
+
+def test_a_section_space_of_rational_combinations_in_shuffled_order():
+    """The (2, 3) sections on F3 on a basis of rational combinations of the 30
+    monomials, in shuffled order: coordinates with coefficients in the family
+    parameter v round-trip through `combine`, and the coefficient matrix the
+    space reduces holds ints, not polynomials."""
+    rng = random.Random(2203)
+    monomials = monomial_basis(REG_F3, F3_GRADING, (2, 3), ["x0", "x1", "y0", "y1"])
+    assert len(monomials) == 30
+
+    def rational():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+
+    # unitriangular on the monomials, so independent
+    basis = [m + combine(REG_F3, [rational(), rational()], monomials[i + 1:i + 3])
+             for i, m in enumerate(monomials)]
+    rng.shuffle(basis)
+    space = SectionSpace(REG_F3, basis, (2, 3), F3_GRADING)
+    assert space._matrix._seen == 0 and space._matrix._rows is None
+    v = REG_F3.var("v")
+    coeffs = [v.scale(rational()) + rational() for _ in basis]
+    f = combine(REG_F3, coeffs, basis)
+    assert coords_in_space(f, space) == coeffs
+    assert coords_in_space(f + REG_F3.var("x0"), space) is None

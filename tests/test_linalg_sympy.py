@@ -5,7 +5,11 @@ factors, plus the shapes the integer elimination of constant matrices is
 sensitive to: 12 x 15, rows with different denominators, zero rows,
 integer rows, and polynomial right-hand sides.  Over Q[v]: up to 4 x 6,
 entries linear in v, some rows repeated as sums of others.  About a third
-of the matrices are square.  rank and det are compared with sympy, and
+of the matrices are square.  Rank-deficient shapes (a zero column before
+the first pivot, a free column between pivots, duplicate and zero rows),
+tall and wide matrices and sparse squares, over Q and Q[v], exercise the
+forward elimination that `rank` and `det` run.  rank and det are compared with
+sympy, and
 kernels are checked by annihilation and size.  On matrices of constants,
 `_solve` must give sympy's solution with every free unknown 0, or None
 exactly when sympy finds no solution, right-hand sides over Q[v] included.
@@ -172,6 +176,54 @@ def test_constant_matrix_with_polynomial_right_hand_sides():
         for rhs in (consistent, arbitrary):
             x = solution(matrix, rhs) or []
             assert all(type(c) is Fraction for p in x for c in p.terms.values())
+
+
+def _deficient_shapes(rng: random.Random, entry) -> list[list[list]]:
+    """Rank-deficient, tall, wide and sparse matrices of `entry()`s, the shapes
+    where the forward elimination of `rank` and `det` skips columns or rows."""
+    def block(nrows, ncols):
+        return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+    zero = entry() * 0
+    square = block(4, 4)
+    cases = [
+        # a zero column before the first pivot
+        [[zero] + row[1:] for row in square],
+        # a free column between pivots: column 2 = column 0 + column 1
+        [row[:2] + [row[0] + row[1]] + row[3:] for row in square],
+        # duplicate rows
+        [square[0], square[1], square[0], square[2]],
+        # all-zero rows, first and in the middle
+        [[zero] * 4, square[1], [zero] * 4, square[3]],
+        # tall, full column rank, and tall with a repeated column
+        block(7, 3),
+        [row + [row[1]] for row in block(6, 3)],
+        # wide, full row rank, and wide with a zero row
+        block(3, 7),
+        block(2, 6) + [[zero] * 6],
+        # a free column before a pivot that needs a row swap
+        [[zero, zero, entry()], [zero, zero, entry()], [entry(), entry(), entry()]],
+    ]
+    # sparse squares: zero heads under pivots that differ from the previous pivot
+    for n in (4, 5, 5, 6):
+        cases.append([[entry() if rng.random() < 0.5 else zero for _ in range(n)]
+                      for _ in range(n)])
+    # the first four once more with the last row the difference of two others
+    for rows in cases[:4]:
+        cases.append(rows[:3] + [[a - b for a, b in zip(rows[1], rows[2])]])
+    return cases
+
+
+def test_forward_elimination_shapes_match_sympy():
+    """rank and det (and kernel) on rank-deficient, tall and wide matrices, over Q and Q[v]."""
+    rng = random.Random(2210)
+    v = REG.var("v")
+    for entry, field in ((lambda: _rational(rng), sympy.QQ),
+                         (lambda: v.scale(_rational(rng)) + _rational(rng), QV)):
+        for rows in _deficient_shapes(rng, entry):
+            matrix = _check_against_sympy(rows, [], field)
+            if matrix.nrows == matrix.ncols:
+                assert matrix.det().is_zero() == (matrix.rank() < matrix.nrows)
 
 
 def _negative_lead(rng: random.Random, degree: int):

@@ -85,6 +85,52 @@ def test_rank_nullity(m):
         assert all(e.is_zero() for e in m.mul_vector(vec))
 
 
+@st.composite
+def deficient_matrices(draw):
+    """Square or not, over Q or with polynomial entries, often rank-deficient:
+    zero entries and columns, repeated rows and rows that are sums of two others."""
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), draw(st.sampled_from([_fractions, polys(max_terms=2)])))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for j in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[j] = 0
+    for _ in range(draw(st.integers(0, 2))):
+        i, a, b = (draw(st.integers(0, nrows - 1)) for _ in range(3))
+        rows[i] = [x + y for x, y in zip(rows[a], rows[b])] if a != b else list(rows[a])
+    return ExactMatrix(REG, rows)
+
+
+def _leibniz_det(rows) -> Polynomial:
+    """sum over permutations s of sign(s) * prod rows[i][s(i)], by plain arithmetic."""
+    total = REG.zero
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = REG.one if inversions % 2 == 0 else -REG.one
+        for row, j in zip(rows, perm):
+            term = term * row[j]
+        total = total + term
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(deficient_matrices())
+# a zero head under a first pivot 2: the row is still scaled by 2 / 1
+@example(ExactMatrix(REG, [[2, 1, 0], [0, 1, 1], [1, 0, 1]]))
+def test_rank_kernel_and_det_agree(m):
+    """The forward elimination (rank, det) agrees with the Gauss–Jordan one
+    (kernel), and det with the Leibniz formula."""
+    rank, kern = m.rank(), m.kernel()
+    assert rank + len(kern) == m.ncols
+    for vec in kern:
+        assert all(e.is_zero() for e in m.mul_vector(vec))
+    if m.nrows == m.ncols:
+        det = m.det()
+        assert det.is_zero() == (rank < m.nrows)
+        assert det == _leibniz_det(m.rows)
+
+
 def _evaluate(f: Polynomial, point) -> Fraction:
     powers = [[p ** e for e in range(f.degree_in(n) + 1)] for p, n in zip(point, REG.names)]
     total = Fraction(0)

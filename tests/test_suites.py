@@ -219,6 +219,15 @@ def test_cli_mutate_takes_exactly_n_and_seed(capsys):
     assert "usage: fano22 mutate [-h] N SEED" in capsys.readouterr().err
 
 
+def test_cli_mutate_refuses_a_negative_count(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["mutate", "-1", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument N: must not be negative, got -1" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_all_does_not_import_hashlib():
     # only `mutate` hashes; the cold `fano22 --all` run stays as lean as it was
     code = ("import sys; from fano22.cli import main; main(['--all']); "
