@@ -7,7 +7,6 @@ derivations, semi-invariants, stabilizer ideals) is symbolic and exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -22,24 +21,25 @@ class ActionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class ParametricAction:
     """A group acting on coordinates through polynomial substitution rules.
 
     `images[x]` is the coordinate of the moved point, polynomial in the
     coordinates and the group parameters.  `identity` gives the parameter
     values of the neutral element; substituting them must recover each
-    coordinate on the nose.
+    coordinate on the nose.  Immutable by convention; the instance dict
+    holds the cached identity point.
     """
 
-    registry: Registry
-    params: tuple[str, ...]
-    images: Mapping[str, Polynomial]
-    factors: tuple[tuple[str, ...], ...]
-    identity: Mapping[str, Fraction]
-
-    def __post_init__(self):
-        for name, img in self.images.items():
+    def __init__(self, registry: Registry, params: tuple[str, ...],
+                 images: Mapping[str, Polynomial], factors: tuple[tuple[str, ...], ...],
+                 identity: Mapping[str, Fraction]):
+        self.registry = registry
+        self.params = params
+        self.images = images
+        self.factors = factors
+        self.identity = identity
+        for name, img in images.items():
             fixed = self.at_identity(img)
             if fixed != self.registry.var(name):
                 raise ActionError(f"identity parameters do not fix coordinate {name}: {fixed}")
@@ -57,12 +57,14 @@ class ParametricAction:
         return f.substitute(dict(self.images))
 
 
-@dataclass(frozen=True)
 class GroupLaw:
     """Composition rule: parameter -> polynomial in (params, primed params)."""
 
-    rule: Mapping[str, Polynomial]
-    primed: Mapping[str, str]  # param name -> primed-copy variable name
+    __slots__ = ("rule", "primed")
+
+    def __init__(self, rule: Mapping[str, Polynomial], primed: Mapping[str, str]):
+        self.rule = rule
+        self.primed = primed  # param name -> primed-copy variable name
 
 
 def verify_group_law(action: ParametricAction, law: GroupLaw) -> tuple[bool, Polynomial | None]:

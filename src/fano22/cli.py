@@ -12,7 +12,6 @@ parse error.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 import time
@@ -125,6 +124,7 @@ def _run_verify(argv: list[str]) -> int:
     names = SUITE_ORDER if (args.all or not args.suites) else tuple(args.suites)
     reports = run_all(config, names)
     if args.format == "json":
+        import json  # here, as in `_run_mutate`, so that `--all` does not import it
         print(json.dumps(reports_to_json(reports), indent=2))
     else:
         print(render_text(reports))
@@ -152,7 +152,8 @@ def _run_mutate(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.count < 0:
         parser.error(f"argument N: must not be negative, got {args.count}")
-    import hashlib  # here, so that running the suites does not import it
+    import hashlib  # here, as json is, so that running the suites imports neither
+    import json
 
     rng = random.Random(args.seed)
     tables = [{"key": None, "checks": _signature(run_all())}]

@@ -11,7 +11,6 @@ the parsed polynomial; a changed text is parsed once per table.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .actions import GroupLaw, ParametricAction
@@ -187,7 +186,6 @@ def _at_v(p: Polynomial, value: Fraction | None) -> Polynomial:
     return p if value is None else p.substitute({"v": REG_F3.const(value)})
 
 
-@dataclass
 class PaperConstants:
     """All constants of one table, each parsed over its key family's registry.
 
@@ -196,19 +194,24 @@ class PaperConstants:
     constant are module constants shared by every table: the registries
     (also readable as `reg_w`, `reg_f3`, `reg_q`), the gradings, the sl2
     and torus derivations, the wrong group law and, in `suites`, the
-    equalizer kernel.  `raw` may be a
-    perturbed copy of `DEFAULT_RAW`; derived objects are rebuilt from it
-    so a single perturbation propagates everywhere.  A constant whose text
-    is the paper's is the polynomial parsed once per process and shared by
-    every table; a changed text is parsed once per table.  `f3_action`,
-    `w_space` and `psi` are built once per table.
+    equalizer kernel.  `raw` is a copy of `DEFAULT_RAW` by default; a given
+    `raw`, such as a perturbed copy, is kept itself, and derived objects are
+    rebuilt from it so a single perturbation propagates everywhere.  A
+    constant whose text is the paper's is the polynomial parsed once per
+    process and shared by every table; a changed text is parsed once per
+    table.  `f3_action`, `w_space` and `psi` are built once per table, in
+    the caches that `__post_init__` sets up.
     """
 
-    raw: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_RAW))
+    __slots__ = ("raw", "_parsed", "_memo")
 
     reg_w = REG_W
     reg_f3 = REG_F3
     reg_q = REG_Q
+
+    def __init__(self, raw: dict[str, str] | None = None):
+        self.raw = dict(DEFAULT_RAW) if raw is None else raw
+        self.__post_init__()
 
     def __post_init__(self):
         self._parsed: dict[str, Polynomial] = {}

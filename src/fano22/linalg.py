@@ -22,7 +22,7 @@ entry is then one `int` when every entry is constant, else one numerator
 dict, which `poly._pack_matrix` turns into one `int`, injectively on
 minors, so the zero tests and the `//` of the integer loop are exact and
 no entry is evaluated at a point.  `rows`, the entries as polynomials,
-is built on first use for a matrix that `coefficient_matrix` made.
+is built from that form on first use.
 
 Every subspace is cut out the same way: `coefficient_matrix` turns a span
 of polynomials into the matrix of their coefficients, and its `kernel`,
@@ -39,7 +39,7 @@ from math import gcd, lcm, prod
 from typing import Sequence
 
 from .poly import (_MASK, Polynomial, Registry, RegistryMismatch, _canon, _make, _pack_matrix,
-                   poly_sum)
+                   _scalar, poly_sum)
 
 
 class ExactMatrix:
@@ -47,38 +47,41 @@ class ExactMatrix:
 
     `ncols`, when given, is the column count, checked against every row;
     so a matrix without rows still has its columns.  Otherwise the first
-    row gives the count.  Scalar entries must be int or Fraction.  The
-    entries are kept in integral form (`_set`); `rows` reads them back.
+    row gives the count.  Scalar entries must be int or Fraction; they go
+    straight into the integral form (`_set`), which `rows` reads back.
     """
 
     def __init__(self, registry: Registry, rows: Sequence[Sequence], ncols: int | None = None):
-        coerced = []
+        # (numerator, denominator) of each entry: an int for a scalar, a dict for a polynomial
+        pairs = []
         seen = 0
         for row in rows:
             out = []
             for entry in row:
-                if not isinstance(entry, Polynomial):
-                    entry = registry.const(entry)
-                elif entry.registry is not registry:
-                    raise RegistryMismatch("matrix entries must share the registry")
-                for k in entry._terms:
-                    seen |= k
-                out.append(entry)
+                if isinstance(entry, Polynomial):
+                    if entry.registry is not registry:
+                        raise RegistryMismatch("matrix entries must share the registry")
+                    for k in entry._terms:
+                        seen |= k
+                    out.append((entry._terms, entry._den))
+                else:
+                    c = entry if type(entry) in (int, Fraction) else _scalar(entry)
+                    out.append((c.numerator, c.denominator))
             if ncols is None:
                 ncols = len(out)
             elif len(out) != ncols:
                 raise ValueError("matrix rows must have equal length")
-            coerced.append(out)
-        scales = [lcm(*[e._den for e in row]) for row in coerced]
+            pairs.append(out)
+        scales = [lcm(*[d for _, d in row]) for row in pairs]
         if seen:
-            nums = [[e._terms if e._den == s
-                     else {k: v * (s // e._den) for k, v in e._terms.items()} for e in row]
-                    for row, s in zip(coerced, scales)]
+            pairs = [[(t if type(t) is dict else {0: t} if t else {}, d) for t, d in row]
+                     for row in pairs]
+            nums = [[t if d == s else {k: v * (s // d) for k, v in t.items()} for t, d in row]
+                    for row, s in zip(pairs, scales)]
         else:
-            nums = [[e._terms.get(0, 0) * (s // e._den) for e in row]
-                    for row, s in zip(coerced, scales)]
+            nums = [[(t if type(t) is int else t.get(0, 0)) * (s // d) for t, d in row]
+                    for row, s in zip(pairs, scales)]
         self._set(registry, nums, scales, 0 if ncols is None else ncols, seen)
-        self._rows = coerced
 
     @classmethod
     def _integral(cls, registry: Registry, nums: list[list], scales: list[int], ncols: int,

@@ -7,7 +7,6 @@ by the principal modulus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -19,7 +18,6 @@ class MapError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class RationalMap:
     """A tuple of polynomials between (multi)projective spaces.
 
@@ -27,17 +25,20 @@ class RationalMap:
     comparisons involving the map are taken modulo it.
     """
 
-    registry: Registry
-    source_vars: tuple[str, ...]
-    target_vars: tuple[str, ...]
-    components: tuple[Polynomial, ...]
-    modulus: Polynomial | None = None
+    __slots__ = ("registry", "source_vars", "target_vars", "components", "modulus")
 
-    def __post_init__(self):
-        if len(self.components) != len(self.target_vars):
+    def __init__(self, registry: Registry, source_vars: tuple[str, ...],
+                 target_vars: tuple[str, ...], components: tuple[Polynomial, ...],
+                 modulus: Polynomial | None = None):
+        if len(components) != len(target_vars):
             raise MapError("one component per target coordinate required")
-        if all(c.is_zero() for c in self.components):
+        if all(c.is_zero() for c in components):
             raise MapError("components must not all vanish")
+        self.registry = registry
+        self.source_vars = source_vars
+        self.target_vars = target_vars
+        self.components = components
+        self.modulus = modulus
 
     def __call__(self, point: Sequence[Fraction]) -> list[Fraction]:
         """Evaluate at a rational point of the source."""
@@ -106,16 +107,17 @@ def image_in_hypersurface(mp: RationalMap, F: Polynomial) -> bool:
 # -- parametrized curves --------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ParamCurve:
     """A tuple of binary forms of common degree in two curve parameters."""
 
-    registry: Registry
-    param_vars: tuple[str, str]
-    components: tuple[Polynomial, ...]
+    __slots__ = ("registry", "param_vars", "components")
 
-    def __post_init__(self):
-        if all(c.is_zero() for c in self.components):
+    def __init__(self, registry: Registry, param_vars: tuple[str, str],
+                 components: tuple[Polynomial, ...]):
+        self.registry = registry
+        self.param_vars = param_vars
+        self.components = components
+        if all(c.is_zero() for c in components):
             raise MapError("curve components must not all vanish")
         if self.degree() is None:
             raise MapError("components must be binary forms of a common degree")
@@ -189,15 +191,17 @@ def equivariance_up_to_scalar(
 # -- tangent directions at the fixed point --------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class TangentDirection:
     """A point of P^1 given as [alpha : beta] with polynomial entries.
 
     Equality is projective, so directions are not hashable.
     """
 
-    alpha: Polynomial
-    beta: Polynomial
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha: Polynomial, beta: Polynomial):
+        self.alpha = alpha
+        self.beta = beta
 
     def __eq__(self, other) -> bool:
         if other is INFINITY:

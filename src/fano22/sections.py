@@ -287,9 +287,9 @@ def restricted_order_subspace(
     beta*t0 - alpha*t1.  At [0:1] that is the order in t0.  Any other
     point goes to t1 = 0 under the linear coordinate change
     t0 -> alpha*t0, t1 -> beta*t0 + t1, where it is the order in t1.  A
-    condition keeps the rows of the restrictions' `coefficient_matrix`
-    whose monomial has local exponent < k, and the subspace is the kernel
-    of every kept row.
+    condition keeps the integral rows of the restrictions'
+    `coefficient_matrix` whose monomial has local exponent < k, and the
+    subspace is the kernel of every kept row, stacked into one matrix.
     """
     reg = space.registry
     t0, t1 = binary_vars
@@ -298,11 +298,12 @@ def restricted_order_subspace(
     degrees = {r.total_degree() for r in restrictions if not r.is_zero()}
     if len(degrees) > 1:
         raise ValueError(f"inconsistent restricted degrees {sorted(degrees)}")
-    # checked once: the coordinate changes below keep binary forms of the degree
+    # checked once: the coordinate changes below keep binary forms of the degree,
+    # so every coefficient matrix holds int rows
     if any(e[i0] + e[i1] not in degrees for r in restrictions for e in r.exponents()):
         raise ValueError("restriction is not a binary form of the common degree")
 
-    rows = []
+    nums, scales = [], []
     for (alpha, beta), order in conditions:
         alpha, beta = _scalar(alpha), _scalar(beta)
         if alpha == 0 and beta == 0:
@@ -314,7 +315,9 @@ def restricted_order_subspace(
                       t1: reg.var(t0).scale(beta) + reg.var(t1)}
             moved, shift = [r.substitute(change) for r in restrictions], reg._shifts[i1]
         keys, matrix = coefficient_matrix(reg, moved, binary_vars)
-        rows += [row for k, row in zip(keys, matrix.rows) if (k >> shift) & _MASK < order]
+        kept = [i for i, k in enumerate(keys) if (k >> shift) & _MASK < order]
+        nums += [matrix._nums[i] for i in kept]
+        scales += [matrix._scales[i] for i in kept]
 
-    kernel = ExactMatrix(reg, rows, space.dim).kernel()
+    kernel = ExactMatrix._integral(reg, nums, scales, space.dim, 0).kernel()
     return SectionSpace(reg, [combine(reg, vec, space.basis) for vec in kernel])

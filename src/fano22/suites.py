@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -85,10 +85,12 @@ class Check:
         return out
 
 
-@dataclass
 class CheckReport:
-    suite: str
-    checks: list[Check]
+    __slots__ = ("suite", "checks")
+
+    def __init__(self, suite: str, checks: list[Check]):
+        self.suite = suite
+        self.checks = checks
 
     @property
     def ok(self) -> bool:
@@ -98,12 +100,16 @@ class CheckReport:
         return {"suite": self.suite, "checks": [c.to_dict() for c in self.checks]}
 
 
-@dataclass
 class SuiteConfig:
-    constants: PaperConstants = field(default_factory=PaperConstants)
-    v_specializations: tuple[Fraction, ...] = (
-        Fraction(2), Fraction(3), Fraction(-1), Fraction(-4), Fraction(0)
-    )
+    """The table the suites read (a fresh paper table by default) and the values of v."""
+
+    __slots__ = ("constants", "v_specializations")
+
+    def __init__(self, constants: PaperConstants | None = None,
+                 v_specializations: tuple[Fraction, ...] = (
+                     Fraction(2), Fraction(3), Fraction(-1), Fraction(-4), Fraction(0))):
+        self.constants = PaperConstants() if constants is None else constants
+        self.v_specializations = v_specializations
 
 
 class _Recorder:

@@ -6,23 +6,20 @@ Classes are written a*s_e + b*f with s_e the negative section
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
 class DivisorClass:
     """a*s_e + b*f on the Hirzebruch surface F_e."""
 
-    e: int
-    a: int
-    b: int
+    __slots__ = ("e", "a", "b")
 
-    def __post_init__(self):
-        if not all(isinstance(k, int) for k in (self.e, self.a, self.b)):
+    def __init__(self, e: int, a: int, b: int):
+        if not all(isinstance(k, int) for k in (e, a, b)):
             raise TypeError("divisor class coefficients must be int")
-        if self.e < 0:
+        if e < 0:
             raise ValueError("surface index must be non-negative")
+        self.e, self.a, self.b = e, a, b
 
     def _check(self, other: "DivisorClass") -> None:
         if self.e != other.e:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from fano22 import suites
 from fano22.actions import (
     ActionError,
+    GroupLaw,
     ParametricAction,
     _conditions,
     _minors,
@@ -35,6 +36,28 @@ def test_identity_validation(consts):
             factors=(("x0",),),
             identity={"a": Fraction(1)},  # wrong: a=1 does not fix x0
         )
+
+
+def test_parametric_action_construction_and_messages(consts):
+    reg = consts.reg_f3
+    fields = {"registry": reg, "params": ("lam",),
+              "images": {"x0": reg.var("lam") * reg.var("x0")},
+              "factors": (("x0",),), "identity": {"lam": Fraction(1)}}
+    for action in (ParametricAction(**fields), ParametricAction(*fields.values())):
+        assert all(getattr(action, name) is value for name, value in fields.items())
+        # the identity point is computed once per action
+        assert action._identity_point is action._identity_point
+        assert action.at_identity(reg.var("lam")) == reg.one
+    with pytest.raises(ActionError, match="identity parameters do not fix coordinate x0"):
+        ParametricAction(**dict(fields, identity={"lam": Fraction(2)}))
+
+
+def test_group_law_construction(consts):
+    reg = consts.reg_f3
+    rule = {"lam": reg.var("lam") * reg.var("lam2")}
+    primed = {"lam": "lam2"}
+    for law in (GroupLaw(rule, primed), GroupLaw(rule=rule, primed=primed)):
+        assert law.rule is rule and law.primed is primed
 
 
 def test_f3_action_built_once_per_table_unless_it_fails(consts):

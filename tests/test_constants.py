@@ -115,6 +115,28 @@ def test_every_table_method_reads_the_table():
     assert unread == []
 
 
+def test_a_table_copies_the_paper_table_or_keeps_the_given_one():
+    first, second = PaperConstants(), PaperConstants()
+    assert first.raw == DEFAULT_RAW
+    assert first.raw is not DEFAULT_RAW and first.raw is not second.raw
+    table = dict(DEFAULT_RAW)
+    assert PaperConstants(table).raw is table and PaperConstants(raw=table).raw is table
+    # a recording table given as `raw` sees every read
+    recording = _RecordingRaw(DEFAULT_RAW)
+    PaperConstants(raw=recording).mobius()
+    assert recording.read == {"mobius.num", "mobius.den"}
+
+
+def test_post_init_sets_up_every_table(monkeypatch):
+    built = []
+    post_init = PaperConstants.__post_init__
+    monkeypatch.setattr(PaperConstants, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    tables = [PaperConstants(), PaperConstants(raw=dict(DEFAULT_RAW))]
+    assert len(built) == 2 and all(b is t for b, t in zip(built, tables))
+    assert tables[1].upsilon_p() is _paper_poly("upsilon_p")
+
+
 def _mutant(key: str) -> dict[str, str]:
     """The paper's table with `key` perturbed in the first variable of its pool."""
     name = _family(key)[1][0]

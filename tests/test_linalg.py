@@ -84,6 +84,29 @@ def test_scalar_entries_must_be_int_or_fraction(reg):
             ExactMatrix(reg, [[1, bad]])
 
 
+def test_scalar_entries_read_like_their_constant_polynomials(reg):
+    # int, Fraction and mixed rows, alone and next to entries in t, against
+    # the same matrix with every entry a Polynomial
+    rng = random.Random(23)
+    t = reg.var("t")
+    for case in range(60):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        ints = [[rng.choice([0, rng.randint(-9, 9)]) for _ in range(ncols)] for _ in range(nrows)]
+        fractions = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in row] for row in ints]
+        for scalars in (ints, fractions, [[rng.choice(pair) for pair in zip(a, b)]
+                                          for a, b in zip(ints, fractions)]):
+            rows = [list(row) for row in scalars]
+            if case % 2:
+                rows[0][0] = t.scale(rows[0][0]) + 1
+            polys = [[e if isinstance(e, Polynomial) else reg.const(e) for e in row]
+                     for row in rows]
+            got, want = ExactMatrix(reg, rows), ExactMatrix(reg, polys)
+            assert got.rows == want.rows == polys
+            assert got.rank() == want.rank() and got.kernel() == want.kernel()
+            if nrows == ncols:
+                assert got.det() == want.det()
+
+
 def test_det_over_q_v_of_the_torus_family_image():
     # the coefficients of psi's components on the torus family: the image
     # is a rational normal quintic exactly where -(4/5)*v^4*(v - 1) != 0

@@ -112,6 +112,40 @@ def test_param_curve_validation(consts):
         ParamCurve(reg, ("t0", "t1"), (reg.zero, reg.zero))
 
 
+def test_param_curve_construction_and_messages(consts):
+    reg = consts.reg_q
+    t0, t1 = reg.var("t0"), reg.var("t1")
+    comps = (t0 ** 2, t0 * t1, t1 ** 2)
+    for curve in (ParamCurve(reg, ("t0", "t1"), comps),
+                  ParamCurve(registry=reg, param_vars=("t0", "t1"), components=comps)):
+        assert curve.registry is reg and curve.param_vars == ("t0", "t1")
+        assert curve.components is comps and curve.degree() == 2
+    with pytest.raises(MapError, match="common degree"):
+        ParamCurve(reg, ("t0", "t1"), (t0 ** 2, t1))
+    with pytest.raises(MapError, match="must not all vanish"):
+        ParamCurve(registry=reg, param_vars=("t0", "t1"), components=(reg.zero,))
+
+
+def test_rational_map_construction_and_messages(consts):
+    reg = consts.reg_q
+    w0, w1 = reg.var("w0"), reg.var("w1")
+    names, comps = ("w0", "w1"), (w1, w0)
+    plain = RationalMap(reg, names, names, comps)
+    assert plain.modulus is None
+    keyword = RationalMap(registry=reg, source_vars=names, target_vars=names,
+                          components=comps, modulus=w0 * w1)
+    positional = RationalMap(reg, names, names, comps, w0 * w1)
+    for mp in (plain, keyword, positional):
+        assert mp.registry is reg and mp.source_vars is names and mp.target_vars is names
+        assert mp.components is comps
+    assert keyword.modulus == positional.modulus == w0 * w1
+    assert RationalMap(reg, names, names, comps, modulus=None).modulus is None
+    with pytest.raises(MapError, match="one component per target coordinate"):
+        RationalMap(reg, names, names, (w1,))
+    with pytest.raises(MapError, match="components must not all vanish"):
+        RationalMap(reg, names, names, (reg.zero, reg.zero))
+
+
 def test_rational_normal_curve_positive(consts):
     reg = consts.reg_q
     t0, t1 = reg.var("t0"), reg.var("t1")
@@ -189,6 +223,16 @@ def test_tangent_direction_is_projective_and_unhashable(consts):
     assert d != INFINITY
     assert TangentDirection(three, zero) == INFINITY
     assert TangentDirection(three, zero) == TangentDirection(two, zero)
+
+
+def test_tangent_direction_construction_and_repr(consts):
+    reg = consts.reg_f3
+    alpha, beta = reg.const(-8), reg.const(2)
+    d = TangentDirection(alpha=alpha, beta=beta)
+    assert d.alpha is alpha and d.beta is beta and d == TangentDirection(alpha, beta)
+    assert repr(d) == "TangentDirection([-8 : 2])"
+    assert repr(TangentDirection(beta, reg.zero)) == "TangentDirection(inf)"
+    assert d.__eq__("not a direction") is NotImplemented
 
 
 def test_tangent_parameter(consts):

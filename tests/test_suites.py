@@ -108,6 +108,31 @@ def test_default_run_all_shares_one_table(monkeypatch):
     assert signature(default) == signature(run_all(SuiteConfig()))
 
 
+def test_suite_config_builds_a_fresh_table_and_takes_new_specializations():
+    first, second = SuiteConfig(), SuiteConfig()
+    assert isinstance(first.constants, PaperConstants)
+    assert first.constants is not second.constants
+    assert first.v_specializations == (2, 3, -1, -4, 0)
+    table, values = PaperConstants(), (Fraction(1, 2),)
+    for cfg in (SuiteConfig(table, values),
+                SuiteConfig(constants=table, v_specializations=values)):
+        assert cfg.constants is table and cfg.v_specializations is values
+    assert SuiteConfig(v_specializations=values).constants is not table
+    first.v_specializations = first.v_specializations + (Fraction(7, 3),)
+    assert first.v_specializations[-1] == Fraction(7, 3)
+    assert second.v_specializations == (2, 3, -1, -4, 0)
+
+
+def test_check_report_construction():
+    check = suites.Check("c", "pass", "s", None, 1.0)
+    for report in (suites.CheckReport("w-module", [check]),
+                   suites.CheckReport(suite="w-module", checks=[check])):
+        assert report.suite == "w-module" and report.checks == [check] and report.ok
+        assert report.to_dict() == {"suite": "w-module", "checks": [
+            {"id": "c", "status": "pass", "statement": "s", "ms": 1.0}]}
+    assert not suites.CheckReport("w-module", [suites.Check("c", "fail", "s", "w", 0.0)]).ok
+
+
 def _kernel_rows(cfg) -> dict[str, str]:
     report = run_suite("normalization", cfg)
     return {c.id: c.status for c in report.checks if c.id.startswith("s6.kernel")}
@@ -228,14 +253,33 @@ def test_cli_mutate_refuses_a_negative_count(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def _fresh_cli(*argv: str) -> str:
+    """stdout of `fano22 ARGV` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(suites.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "fano22.cli", *argv], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_cli_all_does_not_import_hashlib():
-    # only `mutate` hashes; the cold `fano22 --all` run stays as lean as it was
+    # only `mutate` hashes, and only `mutate` and `--format json` write JSON;
+    # the cold `fano22 --all` run stays as lean as it was
     code = ("import sys; from fano22.cli import main; main(['--all']); "
-            "print('hashlib' in sys.modules)")
+            "print('hashlib' in sys.modules, 'json' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(suites.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.splitlines()[-1] == "False"
+    assert out.splitlines()[-1] == "False False"
+
+
+def test_cli_json_in_a_fresh_interpreter_matches_the_text_run():
+    text = _fresh_cli("--all").splitlines()
+    data = json.loads(_fresh_cli("--all", "--format", "json"))
+    # a text line is "suite/id: STATUS statement ..."
+    heads = [line.split(": ", 1) for line in text[:-1]]
+    assert [(f"{r['suite']}/{c['id']}", c["status"].upper())
+            for r in data for c in r["checks"]] == [
+        (name, rest.split()[0]) for name, rest in heads]
+    assert text[-1] == f"{len(text) - 1} passed, 0 failed"
 
 
 def test_cli_eval(capsys):

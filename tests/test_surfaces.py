@@ -72,3 +72,12 @@ def test_non_integral_coefficients_are_refused():
     for args in ((3, 1.5, 4), (3, 1, Fraction(1, 2)), (3.0, 1, 4)):
         with pytest.raises(TypeError, match="must be int"):
             DivisorClass(*args)
+
+
+def test_divisor_class_construction_by_keyword():
+    for D in (DivisorClass(3, 1, 4), DivisorClass(e=3, a=1, b=4)):
+        assert (D.e, D.a, D.b) == (3, 1, 4)
+    with pytest.raises(ValueError, match="surface index must be non-negative"):
+        DivisorClass(e=-1, a=0, b=0)
+    with pytest.raises(TypeError, match="divisor class coefficients must be int"):
+        DivisorClass(e=3, a=1, b=None)
