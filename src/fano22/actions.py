@@ -28,7 +28,7 @@ class ParametricAction:
     coordinates and the group parameters.  `identity` gives the parameter
     values of the neutral element; substituting them must recover each
     coordinate on the nose.  Immutable by convention; the instance dict
-    holds the cached identity point.
+    holds the cached identity point and the self-compositions.
     """
 
     def __init__(self, registry: Registry, params: tuple[str, ...],
@@ -39,6 +39,7 @@ class ParametricAction:
         self.images = images
         self.factors = factors
         self.identity = identity
+        self._self_compositions: dict[tuple[str, ...], dict[str, Polynomial]] = {}
         for name, img in images.items():
             fixed = self.at_identity(img)
             if fixed != self.registry.var(name):
@@ -56,6 +57,19 @@ class ParametricAction:
         """Pullback: compose f with the point-action substitution."""
         return f.substitute(dict(self.images))
 
+    def self_composition(self, primed: tuple[str, ...]) -> dict[str, Polynomial]:
+        """sigma after sigma': the images with `params` renamed to `primed`, then acted on.
+
+        Kept per tuple of primed names, so every group law with the same
+        primed copies substitutes it once; a raise is not kept.
+        """
+        if primed not in self._self_compositions:
+            renaming = {p: self.registry.var(q) for p, q in zip(self.params, primed)}
+            sigma = dict(self.images)
+            self._self_compositions[primed] = {
+                n: img.substitute(renaming).substitute(sigma) for n, img in self.images.items()}
+        return self._self_compositions[primed]
+
 
 class GroupLaw:
     """Composition rule: parameter -> polynomial in (params, primed params)."""
@@ -71,16 +85,13 @@ def verify_group_law(action: ParametricAction, law: GroupLaw) -> tuple[bool, Pol
     """Check that acting twice matches acting by the law-composed element.
 
     Both group elements stay fully formal.  Per projective factor the
-    composed substitution must be proportional to the substitution at the
-    composed parameters (`proportional_mod`); otherwise the first failing
-    cross-difference is returned as witness.
+    composed substitution (`ParametricAction.self_composition`) must be
+    proportional to the substitution at the composed parameters
+    (`proportional_mod`); otherwise the first failing cross-difference is
+    returned as witness.
     """
-    reg = action.registry
-    prime_assignment = {p: reg.var(law.primed[p]) for p in action.params}
-    sigma = dict(action.images)
-    sigma_prime = {n: img.substitute(prime_assignment) for n, img in sigma.items()}
-    composed = {n: img.substitute(sigma) for n, img in sigma_prime.items()}
-    target = {n: img.substitute(dict(law.rule)) for n, img in sigma.items()}
+    composed = action.self_composition(tuple(law.primed[p] for p in action.params))
+    target = {n: img.substitute(dict(law.rule)) for n, img in action.images.items()}
     for factor in action.factors:
         ok, witness = proportional_mod([composed[n] for n in factor],
                                        [target[n] for n in factor], None)
@@ -124,12 +135,14 @@ def semi_invariant_lines(
     torus_derivation: Derivation,
     nilpotent_derivation: Derivation,
 ) -> list[Polynomial]:
-    """All Borel-semi-invariant lines of the space, up to scalar.
+    """All Borel-semi-invariant lines of the space, up to scalar, by ascending weight.
 
     A semi-invariant line is spanned by a torus-weight vector killed by
     the nilpotent direction (the nilpotent derivation strictly shifts
     weight, so this is exhaustive).  Basis elements must be torus
-    eigenvectors.
+    eigenvectors.  A weight space of one vector b needs no matrix: its
+    line is semi-invariant exactly when the derivation kills b.  A larger
+    one contributes the kernel of its images' coefficient matrix.
     """
     reg = space.registry
     buckets: dict[Fraction, list[Polynomial]] = {}
@@ -138,6 +151,10 @@ def semi_invariant_lines(
     lines: list[Polynomial] = []
     for _, elems in sorted(buckets.items()):
         images = [nilpotent_derivation(b) for b in elems]
+        if len(elems) == 1:
+            if images[0].is_zero():
+                lines.append(elems[0].primitive_normal())
+            continue
         for vec in coefficient_matrix(reg, images)[1].kernel():
             lines.append(combine(reg, vec, elems).primitive_normal())
     return lines

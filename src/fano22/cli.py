@@ -96,6 +96,18 @@ def _run_eval(argv: list[str]) -> int:
     return 0
 
 
+def _rational(spec: str, text: str) -> Fraction:
+    """The value of `--param spec`, or a ValueError that names the flag."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:  # Fraction("1/0") says "Fraction(1, 0)"
+        reason = "the denominator is zero"
+    except ValueError as exc:
+        # a numeral past the int-to-str digit limit is rational, but too long to read
+        reason = "not a rational number" if str(exc).startswith("Invalid literal") else exc
+    raise ValueError(f"--param {spec}: {reason}")
+
+
 def _run_verify(argv: list[str]) -> int:
     parser = _verify_parser()
     args = parser.parse_args(argv)
@@ -115,10 +127,9 @@ def _run_verify(argv: list[str]) -> int:
             name, value = _split_binding(spec, "--param")
             if name != "v":
                 raise ValueError(f"unknown parameter {name!r}; only v is supported")
-            config.v_specializations = config.v_specializations + (Fraction(value),)
-    except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") says "Fraction(1, 0)"
-        message = exc if isinstance(exc, ValueError) else f"--param {spec}: the denominator is zero"
-        print(f"error: {message}", file=sys.stderr)
+            config.v_specializations = config.v_specializations + (_rational(spec, value),)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     names = SUITE_ORDER if (args.all or not args.suites) else tuple(args.suites)

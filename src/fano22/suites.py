@@ -6,8 +6,11 @@ optional polynomial witness and per-check timing.  Inputs that read no
 constant are built once per process: the O(1,1) space on F3
 (`constants.o11_space`) and the equalizer kernel of the normalization
 suite.  The stabilizer suite computes each family's raw minors once over
-Q[v] and specializes them at every v.  Reports serialize to JSON as
-{suite, checks: [{id, status, statement, witness?, ms}]}.
+Q[v] and specializes them at every v.  A value that several checks of one
+suite share is a `functools.cache`d local, built by the first check that
+asks; a raise is not kept, so it errs every check that uses the value,
+with the same witness, and never the suite's setup.  Reports serialize
+to JSON as {suite, checks: [{id, status, statement, witness?, ms}]}.
 """
 
 from __future__ import annotations
@@ -184,10 +187,15 @@ def _suite_w_module(cfg: SuiteConfig, rec: _Recorder):
         "torus weights are 7 consecutive integers, strictly monotone in the index",
         weights_consecutive,
     )
+
+    def killed(op, b):
+        image = op(b)
+        return image.is_zero(), image
+
     rec.run("s1.highest-killed", "the raising operator kills the first basis vector",
-            lambda: (SL2_RAISING(basis[0]).is_zero(), SL2_RAISING(basis[0])))
+            lambda: killed(SL2_RAISING, basis[0]))
     rec.run("s1.lowest-killed", "the lowering operator kills the last basis vector",
-            lambda: (SL2_LOWERING(basis[6]).is_zero(), SL2_LOWERING(basis[6])))
+            lambda: killed(SL2_LOWERING, basis[6]))
 
     def chain(op, pairs):
         for i, j in pairs:
@@ -444,9 +452,14 @@ def _suite_tangent_directions(cfg: SuiteConfig, rec: _Recorder):
     reg = c.reg_f3
     v = reg.var("v")
 
+    @functools.cache
+    def distinguished_tangent():
+        """The tangent parameter of the distinguished curve."""
+        return tangent_parameter(c.upsilon_p())
+
     rec.run("s7.distinguished-curve",
             "the distinguished curve has tangent parameter -4",
-            lambda: tangent_parameter(c.upsilon_p()) == -4)
+            lambda: distinguished_tangent() == -4)
     rec.run("s7.torus-family",
             "the torus family has tangent parameter v",
             lambda: tangent_parameter(c.upsilon_t()) == v)
@@ -477,7 +490,7 @@ def _suite_tangent_directions(cfg: SuiteConfig, rec: _Recorder):
         q_section = tangent_parameter(reg.var("y0"))
         q_fiber = tangent_parameter(reg.var("x0"))
         delta = blow_down_kernel()
-        gamma = tangent_parameter(c.upsilon_p())
+        gamma = distinguished_tangent()
         ok = (q_section == 0 and q_fiber == INFINITY
               and delta is not None and delta == 1 and gamma == -4)
         return ok, None if ok else f"({q_section}, {q_fiber}, {delta}, {gamma})"
@@ -588,6 +601,11 @@ def _suite_quadric_involution(cfg: SuiteConfig, rec: _Recorder):
             "the involution maps the family quadric into itself",
             lambda: image_in_hypersurface(jq, f_c))
 
+    @functools.cache
+    def iota():
+        """The composed involution, reversal after j_Q."""
+        return compose(rev, jq)
+
     identity_tuple = [reg.var(n) for n in wnames]
     rec.run("s9.involution",
             "the map squares to the identity modulo the family quadric",
@@ -596,7 +614,7 @@ def _suite_quadric_involution(cfg: SuiteConfig, rec: _Recorder):
     rec.run("s9.commutes-with-reversal",
             "the map commutes with coordinate reversal modulo the family quadric",
             lambda: proportional_mod(
-                compose(rev, jq).components, compose(jq, rev).components, f_c))
+                iota().components, compose(jq, rev).components, f_c))
 
     def torus_scalar():
         ok, scalar = equivariance_up_to_scalar(jq, torus, torus)
@@ -609,8 +627,7 @@ def _suite_quadric_involution(cfg: SuiteConfig, rec: _Recorder):
             torus_scalar)
 
     def semi_commutation():
-        iota = compose(rev, jq)
-        ok, scalar = equivariance_up_to_scalar(iota, torus, inverse)
+        ok, scalar = equivariance_up_to_scalar(iota(), torus, inverse)
         if not ok:
             return False, scalar
         return scalar is not None and not scalar.is_zero(), scalar
@@ -626,9 +643,8 @@ def _suite_quadric_involution(cfg: SuiteConfig, rec: _Recorder):
             lambda: vanish_on(alpha, [f_c]))
 
     def alpha_intertwines():
-        iota = compose(rev, jq)
         through_quadric = [comp.substitute(alpha.substitution(wnames))
-                           for comp in iota.components]
+                           for comp in iota().components]
         iota_c = c.iota_c()
         through_line = [comp.substitute(
             dict(zip(("u0", "u1"), iota_c.components)))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from fano22 import suites
 from fano22.actions import (
     ActionError,
+    _eigenweight,
     GroupLaw,
     ParametricAction,
     _conditions,
@@ -17,7 +19,18 @@ from fano22.actions import (
     stabilizer_conditions,
     verify_group_law,
 )
-from fano22.constants import DEFAULT_RAW, SL2_RAISING, W_TORUS, WRONG_GROUP_LAW, PaperConstants
+from fano22.constants import (
+    DEFAULT_RAW,
+    REG_W,
+    SL2_RAISING,
+    W_GRADING,
+    W_TORUS,
+    WRONG_GROUP_LAW,
+    PaperConstants,
+)
+from fano22.linalg import coefficient_matrix, combine
+from fano22.poly import Derivation
+from fano22.sections import SectionSpace
 from fano22.suites import SuiteConfig, run_suite
 
 
@@ -147,6 +160,85 @@ def test_semi_invariant_lines_of_w(consts):
     lines = semi_invariant_lines(consts.w_space(), W_TORUS, SL2_RAISING)
     assert len(lines) == 1
     assert lines[0].primitive_normal() == consts.w_basis()[0].primitive_normal()
+
+
+def _reference_lines(space, torus_derivation, nilpotent_derivation):
+    """Every weight space, one vector or more, through its coefficient matrix's kernel."""
+    reg = space.registry
+    buckets = {}
+    for b in space.basis:
+        buckets.setdefault(_eigenweight(torus_derivation, b), []).append(b)
+    lines = []
+    for _, elems in sorted(buckets.items()):
+        images = [nilpotent_derivation(b) for b in elems]
+        for vec in coefficient_matrix(reg, images)[1].kernel():
+            lines.append(combine(reg, vec, elems).primitive_normal())
+    return lines
+
+
+def test_semi_invariant_lines_of_the_paper_spaces_match_the_matrix_reference(consts):
+    action = consts.f3_action()
+    cases = [(consts.w_space(), W_TORUS, SL2_RAISING),
+             (consts.o11_space(), lie_derivation(action, "lam"), lie_derivation(action, "a"))]
+    for space, torus, nilpotent in cases:
+        assert semi_invariant_lines(space, torus, nilpotent) == _reference_lines(
+            space, torus, nilpotent)
+
+
+def _mixed_weight_basis(rng):
+    """A seeded basis of torus eigenvectors in bidegree (5,1) on P^1 x P^1.
+
+    The monomials x1^i*y1^(5-i)*x2 and x1^(w)*y1^(5-w)*y2 share the weight
+    w = i + 1; each drawn weight keeps one of them, scaled, or two
+    independent combinations of both.
+    """
+    x1, y1, x2, y2 = (REG_W.var(n) for n in ("x1", "y1", "x2", "y2"))
+    basis = []
+    for w in rng.sample(range(7), rng.randint(2, 7)):
+        pair = [x1 ** (w - 1) * y1 ** (6 - w) * x2 if w >= 1 else None,
+                x1 ** w * y1 ** (5 - w) * y2 if w <= 5 else None]
+        pair = [m for m in pair if m is not None]
+        scale = [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)) for _ in range(4)]
+        if len(pair) == 2 and rng.random() < 0.5:
+            # an invertible 2x2 mix of the two monomials
+            a, b, c, d = scale
+            if a * d == b * c:
+                d += 1
+            basis += [pair[0].scale(a) + pair[1].scale(b), pair[0].scale(c) + pair[1].scale(d)]
+        else:
+            basis.append(rng.choice(pair).scale(scale[0]))
+    return basis
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_semi_invariant_lines_of_seeded_bases_match_the_matrix_reference(seed):
+    rng = random.Random(seed)
+    x1, x2 = REG_W.var("x1"), REG_W.var("x2")
+    # x2*d/dy2 kills every x2-monomial and no y2-monomial; x1*d/dy1 kills what has no y1
+    nilpotents = [SL2_RAISING, Derivation(REG_W, {"y2": x2}), Derivation(REG_W, {"y1": x1})]
+    space = SectionSpace(REG_W, _mixed_weight_basis(rng), (5, 1), W_GRADING)
+    for nilpotent in nilpotents:
+        lines = semi_invariant_lines(space, W_TORUS, nilpotent)
+        assert lines == _reference_lines(space, W_TORUS, nilpotent)
+        assert all(nilpotent(line).is_zero() for line in lines)
+
+
+def test_seeded_bases_mix_killed_and_unkilled_single_vectors_with_larger_weight_spaces():
+    singles_killed = singles_unkilled = larger = 0
+    killer = Derivation(REG_W, {"y2": REG_W.var("x2")})
+    for seed in range(12):
+        basis = _mixed_weight_basis(random.Random(seed))
+        sizes = {}
+        for b in basis:
+            sizes.setdefault(_eigenweight(W_TORUS, b), []).append(b)
+        for elems in sizes.values():
+            if len(elems) > 1:
+                larger += 1
+            elif killer(elems[0]).is_zero():
+                singles_killed += 1
+            else:
+                singles_unkilled += 1
+    assert singles_killed and singles_unkilled and larger
 
 
 def test_stabilizer_conditions_semi_invariant_section(consts):

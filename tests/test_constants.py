@@ -1,4 +1,5 @@
 import inspect
+import random
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,81 @@ def test_a_float_point_is_refused():
         mobius_projective(V, V + 4, "v", (0.1, 1))
     with pytest.raises(TypeError, match="int or Fraction"):
         mobius_projective(V, V + 4, "v", (1, 0.0))
+
+
+def _substituted_mobius(num, den, var, point):
+    """The evaluation by substitution and `constant_value`, kept as the reference."""
+    p, q = Fraction(point[0]), Fraction(point[1])
+    if p == 0 and q == 0:
+        raise ValueError("not a projective point")
+    if q != 0:
+        x = {var: num.registry.const(p / q)}
+        a, b = num.substitute(x), den.substitute(x)
+    else:
+        d = max(num.degree_in(var), den.degree_in(var))
+        a, b = num.coefficient_of(var, d), den.coefficient_of(var, d)
+    a, b = a.constant_value(), b.constant_value()
+    if a == 0 and b == 0:
+        raise ValueError("map is undefined at the point")
+    if b != 0:
+        return (a / b, Fraction(1))
+    return (Fraction(1), Fraction(0))
+
+
+def _outcome(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+MIXED = Registry([("x0", "coordinate"), ("v", "family-parameter")])
+
+
+def _random_rational(rng, digits):
+    return Fraction(rng.randint(-10 ** digits, 10 ** digits), rng.randint(1, 10 ** rng.randint(0, 3)))
+
+
+def _random_in_v(rng, reg):
+    v = reg.var("v")
+    return sum((v ** k).scale(_random_rational(rng, 3)) for k in range(rng.randint(0, 3))
+               if rng.random() < 0.8) or reg.const(rng.randint(-2, 2))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_mobius_projective_matches_the_substitution_reference(seed):
+    rng = random.Random(seed)
+    num, den = _random_in_v(rng, REG), _random_in_v(rng, REG)
+    points = [(0, 1), (1, 0), (-1, 1), (0, 5), (-7, 0)]
+    points += [(_random_rational(rng, 40), _random_rational(rng, rng.choice([1, 40])))
+               for _ in range(8)]
+    points += [(_random_rational(rng, 2), 0) for _ in range(2)]
+    for point in points:
+        assert _outcome(mobius_projective, num, den, "v", point) == _outcome(
+            _substituted_mobius, num, den, "v", point)
+    # the paper's map at negative points and 40-digit numerators
+    num, den = REG.var("v"), REG.var("v") + 4
+    for _ in range(5):
+        point = (-abs(_random_rational(rng, 40)), Fraction(1, rng.randint(1, 9)))
+        assert mobius_projective(num, den, "v", point) == _substituted_mobius(
+            num, den, "v", point)
+
+
+def test_mobius_projective_with_another_variable_raises_like_the_reference():
+    x0, v = MIXED.var("x0"), MIXED.var("v")
+    one, infinity = (Fraction(3, 7), Fraction(1)), (Fraction(2), Fraction(0))
+    cases = [
+        (v + x0, v + 4, one),                # x0 survives at a finite point
+        (v + 1, v * x0 + 4, one),            # in the denominator
+        (v ** 2 * x0 + v, v ** 2 + 1, infinity),  # in the leading coefficient
+        (v + x0, v + 4, infinity),           # below the leading degree: gone at infinity
+        (x0 * v - x0 * v ** 2, v + 4, (Fraction(5), Fraction(5))),  # cancels at v = 1
+    ]
+    for num, den, point in cases:
+        expected = _outcome(_substituted_mobius, num, den, "v", point)
+        assert _outcome(mobius_projective, num, den, "v", point) == expected
+    with pytest.raises(ValueError, match="^polynomial is not constant$"):
+        mobius_projective(v + x0, v + 4, "v", one)
 
 
 def test_no_registry_has_an_infinitesimal_variable():

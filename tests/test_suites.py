@@ -236,6 +236,11 @@ def test_cli_bad_param(capsys):
     capsys.readouterr()
     assert main(["stabilizers", "--param", "v=1/0"]) == 2
     assert capsys.readouterr().err == "error: --param v=1/0: the denominator is zero\n"
+    for spec in ("v=abc", "v=", "v=1/x", "v=nan"):
+        assert main(["stabilizers", "--param", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --param {spec}: not a rational number\n"
 
 
 def test_cli_mutate_takes_exactly_n_and_seed(capsys):
