@@ -1,4 +1,4 @@
-"""Operation budgets of the suites: shared values are built once, and only by the checks that use them.
+"""Operation budgets of the suites: a value that checks share is built once.
 
 Spies count the calls one suite run makes.  A value that several checks
 share is built by the first check that asks; a failure to build it errs
@@ -11,7 +11,7 @@ from fano22.poly import Polynomial
 from fano22.suites import SuiteConfig, run_suite
 
 #: the three checks of the quadric-involution suite that use iota = compose(rev, jq)
-REVERSED_JQ_CHECKS = ("s9.commutes-with-reversal", "s9.semi-commutation", "s9.cubic-intertwines")
+IOTA_CHECKS = ("s9.commutes-with-reversal", "s9.semi-commutation", "s9.cubic-intertwines")
 
 
 def _counting(monkeypatch, owner, name, calls):
@@ -38,8 +38,7 @@ def test_g_action_builds_the_self_composition_once(monkeypatch):
     substitute = Polynomial.substitute
 
     def spy(self, assignment):
-        if set(assignment) == {"a", "lam"} and [str(p) for p in assignment.values()] == [
-                "a2", "lam2"]:
+        if {n: str(p) for n, p in assignment.items()} == {"a": "a2", "lam": "lam2"}:
             renamings.append(self)
         return substitute(self, assignment)
 
@@ -74,7 +73,7 @@ def test_a_failed_shared_composition_errs_each_check_that_uses_it(monkeypatch):
     report = run_suite("quadric-involution", SuiteConfig(constants=table))
     rows = {c.id: (c.status, c.witness) for c in report.checks}
     assert "quadric-involution.setup" not in rows
-    for check_id in REVERSED_JQ_CHECKS:
+    for check_id in IOTA_CHECKS:
         assert rows.pop(check_id) == ("error", "RuntimeError: composition refused")
     # the raise is not kept: each check asked again
     assert len(attempts) == 3
