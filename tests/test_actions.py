@@ -7,10 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 from fano22 import suites
 from fano22.actions import (
     ActionError,
-    _eigenweight,
     GroupLaw,
     ParametricAction,
     _conditions,
+    _eigenweight,
     _minors,
     action_preserves_space,
     conditions_equal_principal,
@@ -188,7 +188,7 @@ def test_semi_invariant_lines_of_the_paper_spaces_match_the_matrix_reference(con
 def _mixed_weight_basis(rng):
     """A seeded basis of torus eigenvectors in bidegree (5,1) on P^1 x P^1.
 
-    The monomials x1^i*y1^(5-i)*x2 and x1^(w)*y1^(5-w)*y2 share the weight
+    The monomials x1^i*y1^(5-i)*x2 and x1^w*y1^(5-w)*y2 share the weight
     w = i + 1; each drawn weight keeps one of them, scaled, or two
     independent combinations of both.
     """

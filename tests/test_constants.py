@@ -91,7 +91,9 @@ MIXED = Registry([("x0", "coordinate"), ("v", "family-parameter")])
 
 
 def _random_rational(rng, digits):
-    return Fraction(rng.randint(-10 ** digits, 10 ** digits), rng.randint(1, 10 ** rng.randint(0, 3)))
+    """A numerator of up to `digits` digits over a denominator of up to 3."""
+    return Fraction(rng.randint(-10 ** digits, 10 ** digits),
+                    rng.randint(1, 10 ** rng.randint(0, 3)))
 
 
 def _random_in_v(rng, reg):
