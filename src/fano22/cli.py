@@ -103,8 +103,10 @@ def _rational(spec: str, text: str) -> Fraction:
     except ZeroDivisionError:  # Fraction("1/0") says "Fraction(1, 0)"
         reason = "the denominator is zero"
     except ValueError as exc:
-        # a numeral past the int-to-str digit limit is rational, but too long to read
-        reason = "not a rational number" if str(exc).startswith("Invalid literal") else exc
+        reason = "not a rational number"
+        if not str(exc).startswith("Invalid literal"):  # past the int-from-str digit limit
+            spec = spec.partition("=")[0]  # name the limit, not the digits
+            reason = f"numeral longer than {sys.get_int_max_str_digits()} digits"
     raise ValueError(f"--param {spec}: {reason}")
 
 

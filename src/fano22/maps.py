@@ -3,6 +3,10 @@
 Composition never cancels common divisors; every equality downstream is
 "proportional modulo the hypersurface", which only needs exact division
 by the principal modulus.
+
+Each 2x2 minor c_ij = A_i B_j - A_j B_i is one `poly.cross`.  Pivot lemma:
+B_k c_ij = B_j c_ik - B_i c_jk, so in the UFD Q[vars] a modulus f coprime to
+B_k that divides every c_ik divides every c_ij (without one, f = 0, B_k != 0).
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .linalg import coefficient_matrix
-from .poly import Polynomial, Registry
+from .poly import _MASK, FIELD_BITS, Polynomial, Registry, cross
 
 
 class MapError(ValueError):
@@ -74,9 +78,9 @@ def cross_differences(A: Sequence[Polynomial], B: Sequence[Polynomial]) -> Itera
         raise MapError("tuple lengths differ")
     for i in range(len(A)):
         for j in range(i + 1, len(A)):
-            cross = A[i] * B[j] - A[j] * B[i]
-            if not cross.is_zero():
-                yield cross
+            minor = cross(A[i], B[j], A[j], B[i])
+            if not minor.is_zero():
+                yield minor
 
 
 def proportional_mod(
@@ -89,11 +93,45 @@ def proportional_mod(
     True iff every cross-difference A_i B_j - A_j B_i is divisible by the
     modulus (identically zero when the modulus is absent); otherwise the
     first offending one of `cross_differences` is returned as witness.
+
+    With a pivot k (`_pivot`), the n - 1 minors c_ik decide a pass, as
+    B_k c_ij = B_j c_ik - B_i c_jk with B_k coprime to the modulus.  That
+    pass only answers True; a minor it cannot divide, or any raise, leaves
+    the outcome to the full scan.
     """
-    for cross in cross_differences(A, B):
-        if modulus is None or cross.exact_divide(modulus) is None:
-            return False, cross
+    k = _pivot(A, B, modulus)
+    if k is not None:
+        minors = (cross(A[i], B[k], A[k], B[i]) for i in range(len(B)) if i != k)
+        try:
+            if all(c.is_zero() or modulus is not None and c.exact_divide(modulus) is not None
+                   for c in minors):
+                return True, None
+        except Exception:  # the full scan below raises what it meets first
+            pass
+    for minor in cross_differences(A, B):
+        if modulus is None or minor.exact_divide(modulus) is None:
+            return False, minor
     return True, None
+
+
+def _pivot(A: Sequence[Polynomial], B: Sequence[Polynomial],
+           modulus: Polynomial | None) -> int | None:
+    """The first k with B_k coprime to the modulus (B_k != 0 without one), or None.
+
+    With a modulus, B_k is a nonzero constant or a term none of whose variables
+    (each prime) divides it.  None also where a product of the full scan could
+    reach the degree limit, as only that scan raises there.
+    """
+    if len(A) != len(B) or not A or max(map(Polynomial.total_degree, A)) + max(
+            map(Polynomial.total_degree, B)) >= 1 << (FIELD_BITS - 1):
+        return None
+    for k, b in enumerate(B):
+        t = b._terms
+        if t and (modulus is None or len(t) == 1 and not any(
+                (key >> s) & _MASK and all((m >> s) & _MASK for m in modulus._terms)
+                for key in t for s in b.registry._shifts)):
+            return k
+    return None
 
 
 def image_in_hypersurface(mp: RationalMap, F: Polynomial) -> bool:
@@ -211,7 +249,7 @@ class TangentDirection:
         if isinstance(other, Polynomial):
             return (self.alpha - self.beta * other).is_zero()
         if isinstance(other, TangentDirection):
-            return (self.alpha * other.beta - self.beta * other.alpha).is_zero()
+            return cross(self.alpha, other.beta, self.beta, other.alpha).is_zero()
         return NotImplemented
 
     def __repr__(self):

@@ -13,6 +13,7 @@ Whitespace-insensitive.  `parse(format(f)) == f` for normalized f.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable
 
@@ -56,6 +57,14 @@ class _Tokens:
         return m, where
 
 
+def _integer(m: re.Match, where: int) -> int:
+    try:
+        return int(m.group(1))
+    except ValueError:  # only the int-from-str digit limit refuses a string of digits
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"integer literal longer than {limit} digits", where) from None
+
+
 def _parse_expr(tk: _Tokens, reg: Registry) -> Polynomial:
     m, _ = tk.peek()
     negate = False
@@ -92,7 +101,7 @@ def _parse_factor(tk: _Tokens, reg: Registry) -> Polynomial:
         m, where = tk.next()
         if m is None or m.group(1) is None:
             raise ParseError("expected a non-negative integer exponent", where)
-        return base ** int(m.group(1))
+        return base ** _integer(m, where)
     return base
 
 
@@ -101,14 +110,14 @@ def _parse_base(tk: _Tokens, reg: Registry) -> Polynomial:
     if m is None:
         raise ParseError("unexpected end of expression", where)
     if m.group(1) is not None:
-        value = Fraction(int(m.group(1)))
+        value = Fraction(_integer(m, where))
         m2, _ = tk.peek()
         if m2 is not None and m2.group(3) == "/":
             tk.next()
             m3, w3 = tk.next()
             if m3 is None or m3.group(1) is None:
                 raise ParseError("expected an integer denominator", w3)
-            den = int(m3.group(1))
+            den = _integer(m3, w3)
             if den == 0:
                 raise ParseError("zero denominator", w3)
             value /= den

@@ -13,12 +13,12 @@ product, power, substitution or derivation that reaches it raises
 A polynomial stores a dict key -> nonzero integer numerator and one
 positive denominator with gcd(denominator, numerators) = 1.  That form
 is canonical, so equal polynomials have equal dicts.  Sums, products,
-substitutions and derivations accumulate into one dict; exact division
-is heap-ordered long division over the integers (Johnson 1974;
-Monagan–Pearce 2007).  A substitution image of at most one term moves
-keys and scales numerators; only images of two or more terms are
-multiplied out.  `Polynomial.terms` decodes the keys into a fresh
-read-only map from exponent tuples to `Fraction`s on every call.
+p*q - r*s (`cross`), substitutions and derivations accumulate into one
+dict; exact division is heap-ordered long division over the integers
+(Johnson 1974; Monagan–Pearce 2007).  A zero substitution image drops
+terms, a one-term image moves keys and scales numerators; only images of
+two or more terms are multiplied out.  `Polynomial.terms` decodes the
+keys into a fresh read-only map to `Fraction`s on every call.
 
 A product of at least `PACK_PAIRS` term pairs, with both operands longer
 than one term and dense in the last variable (`_fills_slices`), is formed
@@ -318,18 +318,22 @@ class Polynomial:
         """Ring homomorphism replacing variables by polynomials, all at once.
 
         Unassigned variables map to themselves.  All images must share
-        this polynomial's registry.  An image of at most one term (a
-        constant, a scalar times a monomial, or zero as the one term 0)
-        maps each term to one term: its key moves by e * (image key -
-        variable key), and its numerator is multiplied by the image
-        numerator to the e.  Only images of two or more terms take part
-        in products: terms are grouped by their exponents in those
-        variables, each group's product of image powers is formed once,
-        and every member, after the one-term images, is accumulated
-        against it into one dict.  When no image has two or more terms,
-        one loop moves each term and accumulates it at once.  Every image
-        exponent is read from the original key, so the images never see
-        one another.
+        this polynomial's registry.  A zero image drops the terms that
+        involve its variable.  An image of one term (a constant or a
+        scalar times a monomial) maps each term to one term: its key
+        moves by e * (image key - variable key), and its numerator is
+        multiplied by the image numerator to the e, unless that is 1.
+        Only images of two or more terms take part in products: terms are
+        grouped by their exponents in those variables, each group's
+        product of image powers is formed once, and every member, after
+        the one-term images, is accumulated against it into one dict.
+        When no image has two or more terms, one loop moves each term and
+        accumulates it at once.  Every image exponent is read from the
+        original key, so the images never see one another.
+
+        The output's total degree is at most deg(self) * max(1, largest image
+        degree); only when that bound reaches 2**(FIELD_BITS - 1) are products
+        and output checked against the limit, so a true output below it never raises.
         """
         reg = self.registry
         t = self._terms
@@ -338,14 +342,14 @@ class Polynomial:
             seen |= k
         # per occurring variable with an image of two or more terms:
         # (shift, key of the variable, image numerators, image denominator, top);
-        # with one term: (shift, image key - variable key, numerator, denominator, top).
-        # top, the highest exponent, is needed (and computed) only when the
-        # denominator is not 1.
-        multi = []
-        single = []
-        multi_mask = 0
+        # with one term: (shift, image key - variable key, numerator, denominator, top);
+        # with none, its field in `kill`.  top, the highest exponent, is needed
+        # (and computed) only when the denominator is not 1.
+        multi, single = [], []
+        kill = multi_mask = 0
+        degree = 1  # max(1, the largest image degree)
         den = self._den
-        shifts, units = reg._shifts, reg._units
+        shifts, units, top_bit = reg._shifts, reg._units, reg._top
         for name, img in assignment.items():
             if not isinstance(img, Polynomial):
                 img = reg.const(img)
@@ -356,71 +360,86 @@ class Polynomial:
             if not (seen >> s) & _MASK:
                 continue
             it, d = img._terms, img._den
+            if not it:
+                kill |= _MASK << s
+                continue
             top = 0
             if d != 1:
                 top = max((k >> s) & _MASK for k in t)
                 den *= d ** top
             if len(it) > 1:
+                ik = max(it)
                 multi.append((s, units[i], it, d, top))
                 multi_mask |= _MASK << s
             else:
-                # a zero image is the one term 0: 0**e kills the terms with e > 0
-                ((ik, n),) = it.items() if it else ((0, 0),)
+                ((ik, n),) = it.items()
                 single.append((s, ik - units[i], n, d, top))
-        if not (multi or single):
+            degree = max(degree, ik >> top_bit)
+        if not (multi or single or kill):
             return self
         limit = reg._limit
+        checked = degree > 1 and (max(t) >> top_bit) * degree >= 1 << (FIELD_BITS - 1)
         acc: dict[int, int] = {}
         get = acc.get
         # each term after the one-term images; without multi-term images it is
         # accumulated at once, else kept in its group for the products below
         groups: dict[int, list[tuple[int, int]]] = {}
         for k, c in t.items():
+            if k & kill:
+                continue
             rest = k
             for s, delta, n, d, top in single:
                 e = (k >> s) & _MASK
                 if e:
                     rest += e * delta
-                    c *= n ** e
+                    if n != 1:
+                        c *= n ** e
                 if d != 1:
                     c *= d ** (top - e)
             if multi:
                 groups.setdefault(k & multi_mask, []).append((rest, c))
             else:
                 acc[rest] = get(rest, 0) + c
-        # powers[j][e]: numerators of multi-term image j to the power e, over d_j**e
-        powers = [[{0: 1}] for _ in multi]
-        for part, members in groups.items():
-            product = {0: 1}
-            scale = 1
-            mono = 0
-            for (s, unit, it, d, top), cache in zip(multi, powers):
-                e = (part >> s) & _MASK
-                if d != 1:
-                    scale *= d ** (top - e)
-                if not e:
-                    continue
-                mono += e * unit
-                while len(cache) <= e:
-                    prev = cache[-1]
-                    if max(prev) + max(it) >= limit:
+        if multi:
+            # powers[j][e]: numerators of multi-term image j to the power e, over d_j**e
+            powers = [[{0: 1}, it] for _, _, it, _, _ in multi]
+            for part, members in groups.items():
+                product = None
+                scale = 1
+                mono = 0
+                for (s, unit, it, d, top), cache in zip(multi, powers):
+                    e = (part >> s) & _MASK
+                    if d != 1:
+                        scale *= d ** (top - e)
+                    if not e:
+                        continue
+                    mono += e * unit
+                    while len(cache) <= e:
+                        prev = cache[-1]
+                        if checked and max(prev) + max(it) >= limit:
+                            raise _overflow(reg)
+                        cache.append(_mul_terms(reg, prev, it))
+                    power = cache[e]
+                    if product is None:
+                        product = power
+                        continue
+                    if checked and max(product) + max(power) >= limit:
                         raise _overflow(reg)
-                    cache.append(_mul_terms(reg, prev, it))
-                power = cache[e]
-                if max(product) + max(power) >= limit:
-                    raise _overflow(reg)
-                product = _mul_terms(reg, product, power)
-            items = [(pk, pv * scale) for pk, pv in product.items()]
-            for rest, c in members:
-                rest -= mono
-                for pk, pv in items:
-                    key = rest + pk
-                    acc[key] = get(key, 0) + c * pv
+                    product = _mul_terms(reg, product, power)
+                items = ([(0, scale)] if product is None
+                         else [(pk, pv * scale) for pk, pv in product.items()])
+                for rest, c in members:
+                    rest -= mono
+                    for pk, pv in items:
+                        key = rest + pk
+                        acc[key] = get(key, 0) + c * pv
         # a key of total degree 2**(FIELD_BITS - 1) or more is at least the
         # limit whatever its fields carried, so one look at the largest suffices
-        if acc and max(acc) >= limit:
+        if checked and acc and max(acc) >= limit:
             raise _overflow(reg)
-        return _canon(reg, {k: v for k, v in acc.items() if v}, den)
+        if 0 in acc.values():
+            acc = {k: v for k, v in acc.items() if v}
+        return _canon(reg, acc, den)
 
     def exact_divide(self, g: "Polynomial") -> "Polynomial | None":
         """Quotient q with self = q*g, or None when g does not divide exactly.
@@ -545,9 +564,9 @@ def _canon(reg: Registry, terms: dict[int, int], den: int) -> Polynomial:
 def _mul_terms(reg: Registry, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """Product of two nonzero numerator dicts over `reg`.
 
-    `Polynomial.__mul__` (and so `__pow__`) and `substitute` multiply
-    here, each after its own degree check, so no product key reaches the
-    total-degree limit.  A single-term operand shifts the other's keys.
+    `Polynomial.__mul__` (and so `__pow__`), `substitute` and `cross`
+    multiply here, each after its degree check or bound, so no product key
+    reaches the limit.  A single-term operand shifts the other's keys.
     From `PACK_PAIRS` term pairs on, when both operands fill their slices
     (`_fills_slices`), `_mul_packed` multiplies by Kronecker substitution
     in the last variable; otherwise every term pair is accumulated into
@@ -749,6 +768,38 @@ def _add(f: Polynomial, g: Polynomial, sign: int) -> Polynomial:
         else:
             del acc[k]
     return _canon(f.registry, acc, den)
+
+
+def cross(p: Polynomial, q: Polynomial, r: Polynomial, s: Polynomial) -> Polynomial:
+    """p*q - r*s, both products accumulated into one dict over the lcm of their denominators.
+
+    Raises `RegistryMismatch` and `OverflowError` exactly when p*q - r*s would.  A
+    product of at least `PACK_PAIRS` term pairs is formed by `_mul_terms`, which may pack it.
+    """
+    for f, g in ((p, q), (r, s)):
+        f._check(g)
+        if f._terms and g._terms and max(f._terms) + max(g._terms) >= f.registry._limit:
+            raise _overflow(f.registry)
+    p._check(r)
+    dpq, drs = p._den * q._den, r._den * s._den
+    den = dpq if dpq == drs else lcm(dpq, drs)
+    acc: dict[int, int] = {}
+    get = acc.get
+    for a, b, m in ((p._terms, q._terms, den // dpq), (r._terms, s._terms, -(den // drs))):
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            continue
+        if len(a) * len(b) >= PACK_PAIRS:
+            a, b = {0: 1}, _mul_terms(p.registry, a, b)
+        items = [(kb, cb * m) for kb, cb in b.items()] if m != 1 else list(b.items())
+        for ka, ca in a.items():
+            for kb, cb in items:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+    if 0 in acc.values():
+        acc = {k: v for k, v in acc.items() if v}
+    return _canon(p.registry, acc, den)
 
 
 def poly_sum(registry: Registry, polys: Iterable[Polynomial | Scalar]) -> Polynomial:

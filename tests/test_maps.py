@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,95 @@ def test_proportional_mod_with_modulus(consts):
     # without the modulus the identity genuinely fails
     ok2, witness = proportional_mod(jj.components, ident, None)
     assert not ok2 and witness is not None
+
+
+# -- proportionality against one pivot ------------------------------------------
+#
+# `proportional_mod` decides a pass from the minors against one pivot; the
+# reference scans every minor in (i, j) order, as it did before the pivot.
+
+
+def _full_scan(A, B, modulus):
+    """(ok, first minor the modulus does not divide) over every minor in (i, j) order."""
+    for i in range(len(A)):
+        for j in range(i + 1, len(A)):
+            minor = A[i] * B[j] - A[j] * B[i]
+            if not minor.is_zero() and (modulus is None or minor.exact_divide(modulus) is None):
+                return False, minor
+    return True, None
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+REG_UWC = Registry([("u", "coordinate"), ("w", "coordinate"), ("c", "family-parameter")])
+
+
+def _entry(rng):
+    """Zero, a constant, a monomial, or two to three terms over REG_UWC."""
+    reg = REG_UWC
+    kind = rng.choice(("zero", "constant", "monomial", "terms", "terms"))
+    if kind == "zero":
+        return reg.zero
+    if kind == "constant":
+        return reg.const(Fraction(rng.randint(1, 9), rng.randint(1, 3)))
+    if kind == "monomial":
+        return rng.randint(1, 5) * reg.var(rng.choice(reg.names)) ** rng.randint(1, 2)
+    return sum((rng.randint(-5, 5) * reg.var(rng.choice(reg.names)) ** rng.randint(0, 2)
+                for _ in range(rng.randint(2, 3))), reg.zero)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_proportional_mod_matches_the_full_scan_on_seeded_tuples(seed):
+    rng = random.Random(seed)
+    u, w, c = (REG_UWC.var(n) for n in REG_UWC.names)
+    # u divides the first modulus, no variable divides the second
+    modulus = rng.choice([None, None, u * (w + c), w ** 2 + c * u ** 2,
+                          REG_UWC.const(Fraction(3, 2))])
+    B = [_entry(rng) for _ in range(rng.randint(2, 5))]
+    lam = rng.choice([REG_UWC.one, c + 1, 2 * w])
+    A = [lam * b + (modulus or 0) * _entry(rng) for b in B]
+    if seed % 2:
+        i = rng.randrange(len(A))
+        A[i] = A[i] + _entry(rng)
+    assert proportional_mod(A, B, modulus) == _full_scan(A, B, modulus)
+
+
+def test_proportional_mod_pivot_cases_match_the_full_scan():
+    u, w, c = (REG_UWC.var(n) for n in REG_UWC.names)
+    zero, one = REG_UWC.zero, REG_UWC.one
+    cases = [
+        # B_0 = 0: a pivot there would see only zero minors; (1, 2) fails
+        ([zero, one, 2 * one], [zero, one, one], None),
+        ([zero, one, 2 * one], [zero, one, one], u),
+        # B_0 = u divides the modulus, so it is no pivot: its minors u and 2u
+        # are multiples, but (1, 2) is -1
+        ([zero, one, 2 * one], [u, one, one], u),
+        ([zero, one, 2 * one], [u, one, one], u * (w + c)),
+        ([zero, w, 2 * w], [u ** 2, w, w], u * (w + c)),
+        # B_0 = w is coprime to u * (w + c) and passes
+        ([w + u * (w + c), c + u, u + u * w * (w + c)], [w, c + u, u], u * (w + c)),
+        # a constant modulus divides every minor
+        ([u, w, c], [w, c, u], REG_UWC.const(Fraction(3, 2))),
+        # no entry is a possible pivot: the full scan decides, and passes
+        ([u * w, u], [u, u + w], u),
+        # a zero modulus: a pass where every minor vanishes, a raise otherwise
+        ([u, 2 * u], [w, 2 * w], zero),
+        ([u, w], [w, u], zero),
+        # a pivot pass that fails leaves the first failing minor to the full scan
+        ([u, w + c * u, u], [u, w, w], w ** 2 + c * u ** 2),
+        # the pivot minors vanish, but the full scan's product u^17000 * u^17000
+        # reaches the degree limit and raises
+        ([one, u ** 17000, u ** 17000], [one, u ** 17000, u ** 17000], None),
+    ]
+    for A, B, modulus in cases:
+        assert _outcome(proportional_mod, A, B, modulus) == _outcome(_full_scan, A, B, modulus)
+    assert [_outcome(proportional_mod, A, B, m)[0] for A, B, m in cases] == \
+        [False] * 5 + [True] * 4 + [ZeroDivisionError, False, OverflowError]
 
 
 def test_image_in_hypersurface(consts):

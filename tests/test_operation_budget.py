@@ -7,8 +7,9 @@ each of those checks, with the same witness, and no suite setup.
 
 from fano22 import actions, suites
 from fano22.constants import SL2_RAISING, W_TORUS, PaperConstants
+from fano22.maps import compose, cross_differences
 from fano22.poly import Polynomial
-from fano22.suites import SuiteConfig, run_suite
+from fano22.suites import SuiteConfig, run_all, run_suite
 
 #: the three checks of the quadric-involution suite that use iota = compose(rev, jq)
 IOTA_CHECKS = ("s9.commutes-with-reversal", "s9.semi-commutation", "s9.cubic-intertwines")
@@ -78,3 +79,45 @@ def test_a_failed_shared_composition_errs_each_check_that_uses_it(monkeypatch):
     # the raise is not kept: each check asked again
     assert len(attempts) == 3
     assert len(rows) == 7 and all(status == "pass" for status, _ in rows.values())
+
+
+def test_the_involution_divides_by_the_quadric_only_against_one_pivot(monkeypatch):
+    # s9.involution: w0 is coprime to f_c, so the 4 minors against it decide
+    # the pass; one of them vanishes identically, so 3 of them are divided
+    # (all 9 nonzero minors of 10 before)
+    divisions, per_call = [], []
+    _counting(monkeypatch, Polynomial, "exact_divide", divisions)
+    proportional_mod = suites.proportional_mod
+
+    def spy(A, B, modulus):
+        before = len(divisions)
+        result = proportional_mod(A, B, modulus)
+        per_call.append(len(divisions) - before)
+        return result
+
+    monkeypatch.setattr(suites, "proportional_mod", spy)
+    report = run_suite("quadric-involution")
+    assert report.ok
+    # s9.involution, s9.commutes-with-reversal, s9.cubic-intertwines
+    assert per_call == [3, 0, 0]
+
+
+def test_cross_differences_build_no_products_and_no_differences(monkeypatch):
+    table = PaperConstants()
+    jq = table.quadric_involution()
+    A = compose(jq, jq).components
+    B = [table.reg_q.var(n) for n in ("w0", "w1", "w2", "w3", "w4")]
+    expected = [A[i] * B[j] - A[j] * B[i] for i in range(5) for j in range(i + 1, 5)]
+    calls = []
+    _counting(monkeypatch, Polynomial, "__mul__", calls)
+    _counting(monkeypatch, Polynomial, "__sub__", calls)
+    assert list(cross_differences(A, B)) == [c for c in expected if not c.is_zero()]
+    assert calls == []
+
+
+def test_run_all_divides_at_most_72_times(monkeypatch):
+    run_all()  # anything built once per process is built
+    calls = []
+    _counting(monkeypatch, Polynomial, "exact_divide", calls)
+    assert all(report.ok for report in run_all())
+    assert len(calls) <= 72

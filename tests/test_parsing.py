@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -63,3 +64,24 @@ def test_round_trip():
     reg = Registry([("x", "coordinate"), ("y", "coordinate")])
     f = parse("x^3 - (7/5)*x*y + 2", reg)
     assert parse(format_poly(f), reg) == f
+
+
+@pytest.fixture
+def digit_limit():
+    """A lower int-from-str digit limit for the test's duration."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    yield 1000
+    sys.set_int_max_str_digits(old)
+
+
+def test_an_integer_literal_past_the_digit_limit_is_a_parse_error(digit_limit):
+    reg = Registry([("x", "coordinate")])
+    assert parse("7" * digit_limit + "*x", reg) == reg.var("x") * int("7" * digit_limit)
+    digits = "7" * (digit_limit + 1)
+    for text, position in ((digits + "*x", 0), ("x + 3/" + digits, 6), ("x^" + digits, 2)):
+        with pytest.raises(ParseError) as exc:
+            parse(text, reg)
+        assert exc.value.position == position
+        assert str(exc.value) == \
+            f"integer literal longer than {digit_limit} digits (at position {position})"

@@ -13,6 +13,7 @@ from fano22.poly import (
     Polynomial,
     Registry,
     RegistryMismatch,
+    cross,
     format_poly,
     poly_sum,
 )
@@ -374,3 +375,93 @@ def test_packed_product_reaching_field_width_raises(reg):
     with pytest.raises(OverflowError):
         f * g
     assert (f - y ** (LIMIT - 5)) * g == _by_single_terms(f - y ** (LIMIT - 5), g)
+
+
+# -- cross-differences ----------------------------------------------------------
+#
+# `cross(p, q, r, s)` accumulates p*q - r*s into one dict; the reference is
+# the two products and their difference.
+
+
+def _seeded(rng, reg, n_terms, den):
+    """Up to n_terms terms of degree <= 3 in each variable, over denominators up to den."""
+    return Polynomial(reg, {tuple(rng.randint(0, 3) for _ in reg.names):
+                            Fraction(rng.randint(-99, 99), rng.randint(1, den))
+                            for _ in range(n_terms)})
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_cross_matches_two_products_and_their_difference(reg, seed):
+    rng = random.Random(seed)
+    p, q, r, s = (_seeded(rng, reg, rng.randint(0, 9), rng.choice([1, 1, 12])) for _ in range(4))
+    assert cross(p, q, r, s) == p * q - r * s
+    # products that cancel leave the canonical zero, whatever their denominators
+    assert cross(p, q, q, p) == reg.zero
+    c = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+    assert cross(p.scale(c), q, p, q.scale(c)) == reg.zero
+
+
+def test_cross_of_zero_operands_and_unequal_denominators(reg):
+    x, y, t, zero = reg.var("x"), reg.var("y"), reg.var("t"), reg.zero
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = [
+        (zero, x, y, t), (x, zero, y, t), (x, y, zero, t), (x, y, t, zero),
+        (zero, zero, zero, zero),
+        # product denominators 2 and 3
+        (x.scale(half), y + 1, t.scale(third), x - y),
+        # denominators 2 and 4 whose products cancel in full
+        ((x + y).scale(half), x - y, (x * x - y * y).scale(Fraction(1, 4)), reg.const(2)),
+        # the difference has a smaller denominator than either product
+        (x.scale(half), reg.const(third), (x - 6 * y).scale(Fraction(1, 6)), reg.one),
+    ]
+    for p, q, r, s in cases:
+        assert cross(p, q, r, s) == p * q - r * s
+    assert cross(*cases[6]) == zero
+    assert cross(*cases[7]) == y
+
+
+def _raised(fn):
+    try:
+        fn()
+    except (RegistryMismatch, OverflowError) as exc:
+        return type(exc)
+    return None
+
+
+def test_cross_raises_exactly_where_the_products_or_their_difference_raise(reg):
+    other = Registry([("x", "coordinate"), ("y", "coordinate"), ("t", "family-parameter")])
+    x, y, ox = reg.var("x"), reg.var("y"), other.var("x")
+    top = y ** (LIMIT - 1)
+    cases = [
+        (ox, x, x, y),                   # p*q across registries
+        (x, y, ox, y),                   # r*s across registries
+        (ox, ox, x, y),                  # each product fine, their difference across registries
+        (top, x, x, y),                  # p*q reaches the limit
+        (x, y, y, top),                  # r*s reaches the limit
+        (top, x, ox, y),                 # p*q overflows before r*s mismatches
+        (ox, x, top, y),                 # p*q mismatches before r*s overflows
+        (top, reg.zero, reg.zero, top),  # a zero factor never overflows
+        (top, reg.one, top, reg.one),    # products at the limit less one
+    ]
+    outcomes = []
+    for p, q, r, s in cases:
+        expected = _raised(lambda: p * q - r * s)
+        assert _raised(lambda: cross(p, q, r, s)) is expected
+        outcomes.append(expected)
+    assert outcomes == [RegistryMismatch] * 3 + [OverflowError] * 3 + [RegistryMismatch] + [None] * 2
+
+
+def test_cross_keeps_the_packed_product(reg, monkeypatch):
+    rng = random.Random(2025)
+    x, y, t = reg.var("x"), reg.var("y"), reg.var("t")
+    monomials = [x ** i * y ** j * t ** k for i in range(4) for j in range(4) for k in range(4)]
+    f, g = (poly_sum(reg, [Fraction(rng.choice([-1, 1]) * rng.randint(1, 99), 2) * m
+                           for m in rng.sample(monomials, 45)])
+            for _ in range(2))
+    assert _packs(f, g)
+    r, s = x.scale(Fraction(1, 3)), y + t
+    expected = f * g - r * s
+    calls = _count_packed(monkeypatch)
+    assert cross(f, g, r, s) == expected
+    assert cross(r, s, f, g) == -expected
+    assert len(calls) == 2

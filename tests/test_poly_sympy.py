@@ -5,7 +5,9 @@ rational coefficients, go through `*`, `+`, `-`, `substitute`,
 `exact_divide` (on exact multiples and on non-multiples) and
 `Derivation`; every result must equal sympy's, term by term.  The
 substitution images are zero, constants, single terms over a denominator
-and sums of 2 to 3 terms, some of them swapping two variables.  Products
+and sums of 2 to 3 terms, some of them swapping two variables; a second
+draw adds one, variables and monomials of coefficient 1, and a case past
+`substitute`'s degree bound whose output stays below the limit.  Products
 of 60 to 120 terms per operand take the packed product where both fill
 their slices and the dict loop otherwise; products of operands dense in
 w, and the cube of a 50-term polynomial, take the packed product.
@@ -93,8 +95,14 @@ def test_substitute_matches_sympy(seed):
         a, b = names[:2]
         images[a] = REG.var(b).scale(Fraction(1, rng.randint(1, 5)))
         images[b] = REG.var(a)
-    # sympy's sum over the terms of c * prod(image ** e), a variable without
-    # an image standing for itself
+    result = f.substitute(images)
+    assert result == _sympy_substitute(f, images)
+    assert all(type(v) is int for v in result._terms.values()) and type(result._den) is int
+
+
+def _sympy_substitute(f: Polynomial, images: dict) -> Polynomial:
+    """sympy's sum over the terms of c * prod(image ** e), a variable without
+    an image standing for itself; f has degree at most 4 in each variable."""
     targets = [_to_sympy(images[n]) if n in images else sympy.Poly(g, *GENS, domain=QQ)
                for n, g in zip(NAMES, GENS)]
     powers = [[t ** k for k in range(5)] for t in targets]
@@ -104,9 +112,50 @@ def test_substitute_matches_sympy(seed):
         for pw, k in zip(powers, expo):
             term *= pw[k]
         expected += term
-    result = f.substitute(images)
-    assert result == _from_sympy(expected)
-    assert all(type(v) is int for v in result._terms.values()) and type(result._den) is int
+    return _from_sympy(expected)
+
+
+def _mixed_image(rng: random.Random) -> Polynomial:
+    """Zero, one, a variable, a monomial of coefficient 1, or a `_random_image`."""
+    kind = rng.choice(("zero", "one", "variable", "monomial", "random", "random"))
+    if kind == "zero":
+        return REG.zero
+    if kind == "one":
+        return REG.one
+    if kind == "variable":
+        return REG.var(rng.choice(NAMES))
+    if kind == "monomial":
+        return Polynomial(REG, {tuple(rng.randint(0, 2) for _ in NAMES): 1})
+    return _random_image(rng)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_substitute_with_zero_unit_and_mixed_images_matches_sympy(seed):
+    rng = random.Random(700 + seed)
+    f = _random_poly(rng, 60, 4)
+    images = {n: _mixed_image(rng) for n in rng.sample(NAMES, rng.randint(1, 4))}
+    assert f.substitute(images) == _sympy_substitute(f, images)
+
+
+def test_substitute_past_the_degree_bound_raises_only_on_a_true_overflow():
+    # deg(f) * (largest image degree) reaches 2**15 while the output stays below
+    x, y, z, w = (REG.var(n) for n in NAMES)
+    limit = 2 ** (poly.FIELD_BITS - 1)
+    f = x ** 20000 + 3 * y ** 2 * z - w
+    cases = [
+        ({"y": z ** 2 * w}, x ** 20000 + 3 * z ** 5 * w ** 2 - w),
+        ({"y": (z + w) ** 2}, x ** 20000 + 3 * (z + w) ** 4 * z - w),
+        ({"y": z ** 2 + 1, "w": REG.zero}, x ** 20000 + 3 * (z ** 2 + 1) ** 2 * z),
+        ({"x": REG.one, "y": (z + w) ** 2}, 1 + 3 * (z + w) ** 4 * z - w),
+    ]
+    for images, expected in cases:
+        assert 20000 * max(p.total_degree() for p in images.values()) >= limit
+        assert f.substitute(images) == expected
+    # the same bound with an output that does reach the limit
+    with pytest.raises(OverflowError):
+        f.substitute({"x": z * w})
+    with pytest.raises(OverflowError):
+        f.substitute({"x": z * w, "y": z + w})
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -241,6 +241,14 @@ def test_cli_bad_param(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --param {spec}: not a rational number\n"
+    # a numeral past the int-from-str digit limit names the limit, not its digits
+    limit = sys.get_int_max_str_digits()
+    digits = "1" * (limit + 1)
+    for spec in (f"v={digits}", f"v=1/{digits}", f"v=0.{digits}"):
+        assert main(["stabilizers", "--param", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --param v: numeral longer than {limit} digits\n"
 
 
 def test_cli_mutate_takes_exactly_n_and_seed(capsys):
@@ -340,9 +348,14 @@ def test_cli_eval_of_an_unprintable_coefficient_is_an_error(capsys):
     # 2^100000 parses, but has more digits than str(int) prints by default
     assert main(["eval", "2^100000*x"]) == 2
     assert capsys.readouterr().err.startswith("error: Exceeds the limit")
-    # as a literal of as many digits is refused by the parser
+    # as a literal of as many digits is refused by the parser, which names the limit
     assert main(["eval", "9" * 5000]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == \
+        f"error: integer literal longer than {limit} digits (at position 0)\n"
+    assert main(["eval", "x + 9/" + "9" * 5000]) == 2
+    assert capsys.readouterr().err == \
+        f"error: integer literal longer than {limit} digits (at position 6)\n"
 
 
 def test_an_unprintable_witness_errs_its_check_alone():
