@@ -8,7 +8,6 @@ derivations, semi-invariants, stabilizer ideals) is symbolic and exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from .linalg import coefficient_matrix, combine
@@ -27,9 +26,12 @@ class ParametricAction:
     `images[x]` is the coordinate of the moved point, polynomial in the
     coordinates and the group parameters.  `identity` gives the parameter
     values of the neutral element; substituting them must recover each
-    coordinate on the nose.  Immutable by convention; the instance dict
-    holds the cached identity point and the self-compositions.
+    coordinate on the nose.  Immutable by convention; besides its
+    arguments it keeps the identity point and the self-compositions.
     """
+
+    __slots__ = ("registry", "params", "images", "factors", "identity", "_identity_point",
+                 "_self_compositions")
 
     def __init__(self, registry: Registry, params: tuple[str, ...],
                  images: Mapping[str, Polynomial], factors: tuple[tuple[str, ...], ...],
@@ -40,14 +42,11 @@ class ParametricAction:
         self.factors = factors
         self.identity = identity
         self._self_compositions: dict[tuple[str, ...], dict[str, Polynomial]] = {}
+        self._identity_point = {p: registry.const(v) for p, v in identity.items()}
         for name, img in images.items():
             fixed = self.at_identity(img)
             if fixed != self.registry.var(name):
                 raise ActionError(f"identity parameters do not fix coordinate {name}: {fixed}")
-
-    @cached_property
-    def _identity_point(self) -> dict[str, Polynomial]:
-        return {p: self.registry.const(v) for p, v in self.identity.items()}
 
     def at_identity(self, f: Polynomial) -> Polynomial:
         """f with every group parameter set to its value at the identity."""

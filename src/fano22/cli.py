@@ -5,13 +5,15 @@
     fano22 mutate N SEED
 
 Exit codes: 0 every executed check passed; 1 at least one check failed
-or errored, or for `mutate` at least one mutant was missed; 2 usage or
-parse error.
+or errored, or for `mutate` at least one mutant was missed, or the reader
+of standard output closed it early (nothing is printed on stderr then);
+2 usage or parse error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -98,15 +100,19 @@ def _run_eval(argv: list[str]) -> int:
 
 def _rational(spec: str, text: str) -> Fraction:
     """The value of `--param spec`, or a ValueError that names the flag."""
+    kind = "numeral"
     try:
-        return Fraction(text)
+        value = Fraction(text)
+        kind = "value"  # the stabilizers suite prints v: refuse what str() cannot print (1e5000)
+        str(value)
+        return value
     except ZeroDivisionError:  # Fraction("1/0") says "Fraction(1, 0)"
         reason = "the denominator is zero"
     except ValueError as exc:
         reason = "not a rational number"
-        if not str(exc).startswith("Invalid literal"):  # past the int-from-str digit limit
+        if not str(exc).startswith("Invalid literal"):  # past the int/str digit limit
             spec = spec.partition("=")[0]  # name the limit, not the digits
-            reason = f"numeral longer than {sys.get_int_max_str_digits()} digits"
+            reason = f"{kind} longer than {sys.get_int_max_str_digits()} digits"
     raise ValueError(f"--param {spec}: {reason}")
 
 
@@ -204,9 +210,15 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     command = {"eval": _run_eval, "mutate": _run_mutate}.get(argv[0] if argv else None)
     try:
-        return command(argv[1:]) if command else _run_verify(argv)
+        code = command(argv[1:]) if command else _run_verify(argv)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at interpreter exit
+        return code
     except SystemExit as exc:  # argparse exits on --help and on bad arguments
         return exc.code if isinstance(exc.code, int) else 2
+    except BrokenPipeError:
+        # the reader closed stdout: the interpreter's final flush goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -38,8 +38,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Sequence
 
-from .poly import (_MASK, Polynomial, Registry, RegistryMismatch, _canon, _make, _pack_matrix,
-                   _scalar, poly_sum)
+from .poly import (_MASK, Polynomial, Registry, RegistryMismatch, _canon, _make, _nonzero,
+                   _pack_matrix, _scalar, poly_sum)
 
 
 class ExactMatrix:
@@ -253,7 +253,7 @@ def _accumulate(row: Sequence[tuple[int, int]], nums: Sequence[dict[int, int]]) 
     for j, s in row:
         for k, v in nums[j].items():
             acc[k] = get(k, 0) + s * v
-    return acc if all(acc.values()) else {k: v for k, v in acc.items() if v}
+    return _nonzero(acc)
 
 
 def coefficient_matrix(

@@ -14,11 +14,12 @@ A polynomial stores a dict key -> nonzero integer numerator and one
 positive denominator with gcd(denominator, numerators) = 1.  That form
 is canonical, so equal polynomials have equal dicts.  Sums, products,
 p*q - r*s (`cross`), substitutions and derivations accumulate into one
-dict; exact division is heap-ordered long division over the integers
-(Johnson 1974; Monagan–Pearce 2007).  A zero substitution image drops
-terms, a one-term image moves keys and scales numerators; only images of
-two or more terms are multiplied out.  `Polynomial.terms` decodes the
-keys into a fresh read-only map to `Fraction`s on every call.
+dict, every term-pair product through `_addmul`; exact division is
+heap-ordered long division over the integers (Johnson 1974; Monagan–Pearce
+2007).  A zero substitution image drops terms, a one-term image moves keys
+and scales numerators; only images of two or more terms are multiplied
+out.  `Polynomial.terms` decodes the keys into a fresh read-only map to
+`Fraction`s on every call.
 
 A product of at least `PACK_PAIRS` term pairs, with both operands longer
 than one term and dense in the last variable (`_fills_slices`), is formed
@@ -325,8 +326,8 @@ class Polynomial:
         multiplied by the image numerator to the e, unless that is 1.
         Only images of two or more terms take part in products: terms are
         grouped by their exponents in those variables, each group's
-        product of image powers is formed once, and every member, after
-        the one-term images, is accumulated against it into one dict.
+        product of image powers is formed once, and `_addmul` accumulates
+        its members, after the one-term images, against it into one dict.
         When no image has two or more terms, one loop moves each term and
         accumulates it at once.  Every image exponent is read from the
         original key, so the images never see one another.
@@ -426,20 +427,14 @@ class Polynomial:
                     if checked and max(product) + max(power) >= limit:
                         raise _overflow(reg)
                     product = _mul_terms(reg, product, power)
-                items = ([(0, scale)] if product is None
-                         else [(pk, pv * scale) for pk, pv in product.items()])
-                for rest, c in members:
-                    rest -= mono
-                    for pk, pv in items:
-                        key = rest + pk
-                        acc[key] = get(key, 0) + c * pv
+                # the members' keys still hold the group monomial, the product's lose it
+                _addmul(acc, members, [(0, scale)] if product is None
+                        else [(pk - mono, pv * scale) for pk, pv in product.items()])
         # a key of total degree 2**(FIELD_BITS - 1) or more is at least the
         # limit whatever its fields carried, so one look at the largest suffices
         if checked and acc and max(acc) >= limit:
             raise _overflow(reg)
-        if 0 in acc.values():
-            acc = {k: v for k, v in acc.items() if v}
-        return _canon(reg, acc, den)
+        return _canon(reg, _nonzero(acc), den)
 
     def exact_divide(self, g: "Polynomial") -> "Polynomial | None":
         """Quotient q with self = q*g, or None when g does not divide exactly.
@@ -569,8 +564,8 @@ def _mul_terms(reg: Registry, a: dict[int, int], b: dict[int, int]) -> dict[int,
     reaches the limit.  A single-term operand shifts the other's keys.
     From `PACK_PAIRS` term pairs on, when both operands fill their slices
     (`_fills_slices`), `_mul_packed` multiplies by Kronecker substitution
-    in the last variable; otherwise every term pair is accumulated into
-    one dict.
+    in the last variable; otherwise `_addmul` accumulates every term pair
+    into one dict.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -581,16 +576,27 @@ def _mul_terms(reg: Registry, a: dict[int, int], b: dict[int, int]) -> dict[int,
         unit = reg._units[-1]
         if _fills_slices(unit, a) and _fills_slices(unit, b):
             return _mul_packed(unit, a, b)
-    acc: dict[int, int] = {}
+    return _nonzero(_addmul({}, a.items(), list(b.items())))
+
+
+def _addmul(acc: dict[int, int], a: Iterable[tuple[int, int]],
+            b: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Add into acc the product of every (key, numerator) pair of a with every pair of b.
+
+    Keys add and numerators multiply, in one pass (Monagan–Pearce 2007); b must
+    be re-iterable.  Returns acc, with cancelled numerators left as 0 (`_nonzero`).
+    """
     get = acc.get
-    items = list(b.items())
-    for ka, ca in a.items():
-        for kb, cb in items:
+    for ka, ca in a:
+        for kb, cb in b:
             k = ka + kb
             acc[k] = get(k, 0) + ca * cb
-    if 0 in acc.values():
-        return {k: v for k, v in acc.items() if v}
     return acc
+
+
+def _nonzero(acc: dict[int, int]) -> dict[int, int]:
+    """acc without its zero numerators, copied only when one occurs."""
+    return {k: v for k, v in acc.items() if v} if 0 in acc.values() else acc
 
 
 def _fills_slices(unit: int, terms: dict[int, int]) -> bool:
@@ -634,13 +640,7 @@ def _mul_packed(unit: int, a: dict[int, int], b: dict[int, int]) -> dict[int, in
     """
     bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
     width = bound.bit_length() + 2
-    pa, pb = _pack(unit, width, a), list(_pack(unit, width, b).items())
-    acc: dict[int, int] = {}
-    get = acc.get
-    for ka, va in pa.items():
-        for kb, vb in pb:
-            k = ka + kb
-            acc[k] = get(k, 0) + va * vb
+    acc = _addmul({}, _pack(unit, width, a).items(), list(_pack(unit, width, b).items()))
     out: dict[int, int] = {}
     for key, v in acc.items():
         for e, d in _signed_digits(v, width):
@@ -771,7 +771,7 @@ def _add(f: Polynomial, g: Polynomial, sign: int) -> Polynomial:
 
 
 def cross(p: Polynomial, q: Polynomial, r: Polynomial, s: Polynomial) -> Polynomial:
-    """p*q - r*s, both products accumulated into one dict over the lcm of their denominators.
+    """p*q - r*s, both products accumulated by `_addmul` into one dict over a common denominator.
 
     Raises `RegistryMismatch` and `OverflowError` exactly when p*q - r*s would.  A
     product of at least `PACK_PAIRS` term pairs is formed by `_mul_terms`, which may pack it.
@@ -784,7 +784,6 @@ def cross(p: Polynomial, q: Polynomial, r: Polynomial, s: Polynomial) -> Polynom
     dpq, drs = p._den * q._den, r._den * s._den
     den = dpq if dpq == drs else lcm(dpq, drs)
     acc: dict[int, int] = {}
-    get = acc.get
     for a, b, m in ((p._terms, q._terms, den // dpq), (r._terms, s._terms, -(den // drs))):
         if len(a) > len(b):
             a, b = b, a
@@ -792,14 +791,9 @@ def cross(p: Polynomial, q: Polynomial, r: Polynomial, s: Polynomial) -> Polynom
             continue
         if len(a) * len(b) >= PACK_PAIRS:
             a, b = {0: 1}, _mul_terms(p.registry, a, b)
-        items = [(kb, cb * m) for kb, cb in b.items()] if m != 1 else list(b.items())
-        for ka, ca in a.items():
-            for kb, cb in items:
-                k = ka + kb
-                acc[k] = get(k, 0) + ca * cb
-    if 0 in acc.values():
-        acc = {k: v for k, v in acc.items() if v}
-    return _canon(p.registry, acc, den)
+        _addmul(acc, a.items(),
+                [(kb, cb * m) for kb, cb in b.items()] if m != 1 else list(b.items()))
+    return _canon(p.registry, _nonzero(acc), den)
 
 
 def poly_sum(registry: Registry, polys: Iterable[Polynomial | Scalar]) -> Polynomial:
@@ -815,7 +809,7 @@ def poly_sum(registry: Registry, polys: Iterable[Polynomial | Scalar]) -> Polyno
         m = den // p._den
         for k, v in p._terms.items():
             acc[k] = get(k, 0) + v * m
-    return _canon(registry, {k: v for k, v in acc.items() if v}, den)
+    return _canon(registry, _nonzero(acc), den)
 
 
 class Derivation:
@@ -836,7 +830,7 @@ class Derivation:
         self.images = dict(images)
 
     def __call__(self, f: Polynomial) -> Polynomial:
-        """sum over variables x of D(x) * df/dx, accumulated into one dict."""
+        """sum over variables x of D(x) * df/dx: one `_addmul` per x into one dict."""
         if f.registry is not self.registry:
             raise RegistryMismatch("derivation applied across registries")
         reg = self.registry
@@ -846,7 +840,6 @@ class Derivation:
             return reg.zero
         den = lcm(*[img._den for _, img in active])
         acc: dict[int, int] = {}
-        get = acc.get
         for name, img in active:
             i = reg.index(name)
             s, unit = reg._shifts[i], reg._units[i]
@@ -854,15 +847,9 @@ class Derivation:
             if max(t) + max(img._terms) - (1 << reg._top) >= reg._limit:
                 raise _overflow(reg)
             m = den // img._den
-            items = [(k, v * m) for k, v in img._terms.items()]
-            for key, c in t.items():
-                e = (key >> s) & _MASK
-                if e:
-                    base, ce = key - unit, c * e
-                    for k, v in items:
-                        k += base
-                        acc[k] = get(k, 0) + ce * v
-        return _canon(reg, {k: v for k, v in acc.items() if v}, f._den * den)
+            partial = [(key - unit, c * e) for key, c in t.items() if (e := (key >> s) & _MASK)]
+            _addmul(acc, partial, [(k, v * m) for k, v in img._terms.items()])
+        return _canon(reg, _nonzero(acc), f._den * den)
 
 
 # -- text form -----------------------------------------------------------

@@ -6,6 +6,11 @@ attribute, an imported name, or a string that is an identifier or a
 dotted path of identifiers (the benchmark looks layers up with
 `getattr`).  Docstrings are not code, and neither is the definition's own
 name; tests do not count as users.  Dunder names are called by Python.
+
+Every module of the package also uses each name it imports, so that
+deleted code leaves no import behind.  `__init__.py` re-exports its
+imports, and `from __future__` imports act on the compiler; both are
+exempt.
 """
 
 import ast
@@ -73,3 +78,21 @@ def test_every_definition_has_a_user():
     assert sorted(defined - used - set(ALLOWED)) == []
     # an allowed name that is gone is dropped from the list
     assert set(ALLOWED) <= defined
+
+
+def _unused_imports(tree: ast.AST) -> list[str]:
+    """The names a module imports, anywhere in it, and never reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_every_import_is_used():
+    unused = {path.name: _unused_imports(_parse(path)) for path in PACKAGE.rglob("*.py")
+              if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}

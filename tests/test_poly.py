@@ -28,10 +28,12 @@ def reg():
 
 
 def test_basic_arithmetic(reg):
+    # == compares numerator dicts: a term that cancels must not stay behind as 0
     x, y = reg.var("x"), reg.var("y")
     f = (x + y) * (x - y)
     assert f == x * x - y * y
     assert (f - f).is_zero()
+    assert poly_sum(reg, [f.scale(Fraction(1, 3)), f.scale(Fraction(-1, 3))]) == reg.zero
     assert (x + 1) * (x - 1) == x ** 2 - 1
 
 
@@ -93,6 +95,8 @@ def test_substitute_is_homomorphism(reg):
     assert f.substitute({"x": reg.zero, "y": t.scale(Fraction(2, 5)), "t": y + 1}) == \
         t.scale(Fraction(6, 5)) * (y + 1) + 2
     assert (x * y).substitute({"x": reg.zero, "y": y + t}) == reg.zero
+    # products of two-term images that cancel in full
+    assert (x - y).substitute({"x": y + t, "y": y + t}) == reg.zero
 
 
 def test_exact_divide(reg):
@@ -144,6 +148,7 @@ def test_derivation_leibniz(reg):
     g = x + y ** 2
     assert D(f * g) == D(f) * g + f * D(g)
     assert D(reg.const(5)).is_zero()
+    assert Derivation(reg, {"x": x, "y": -y})(x * y) == reg.zero
 
 
 def test_format(reg):
@@ -340,12 +345,28 @@ def test_sparse_last_variable_products_take_the_dict_loop(monkeypatch):
     assert elapsed < 0.05
 
 
-def test_dense_operands_in_four_variables_pack(monkeypatch):
+def _benchmark_operands():
     # the benchmark's 210 x 210-term product: every monomial of degree <= 6
     rng = random.Random(210)
     f, g = (_dense(REG_XYZW, 6, lambda: Fraction(rng.randint(1, 9), rng.randint(1, 4)))
             for _ in range(2))
-    assert len(f.terms) == len(g.terms) == 210 and _packs(f, g)
+    assert len(f.terms) == len(g.terms) == 210
+    return f, g
+
+
+def _cancelling_operands():
+    # (1 + w)h * (1 - w)h = (1 - w^2)h^2: every term pair of degree 7 or 8
+    # whose monomial is not w^2 times one of h^2 cancels
+    rng = random.Random(26)
+    h = _dense(REG_XYZW, 3, lambda: Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+    w = REG_XYZW.var("w")
+    return (1 + w) * h, (1 - w) * h
+
+
+@pytest.mark.parametrize("operands", [_benchmark_operands, _cancelling_operands])
+def test_dense_operands_in_four_variables_pack(monkeypatch, operands):
+    f, g = operands()
+    assert _packs(f, g)
     calls = _count_packed(monkeypatch)
     assert f * g == _by_single_terms(f, g)
     assert len(calls) == 1

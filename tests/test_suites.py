@@ -249,6 +249,16 @@ def test_cli_bad_param(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --param v: numeral longer than {limit} digits\n"
+    # a short numeral whose value str() cannot print is refused the same way
+    for spec in ("v=1e5000", "v=1e-5000", f"v=1e{limit}"):
+        assert main(["stabilizers", "--param", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --param v: value longer than {limit} digits\n"
+    # a value of exactly `limit` digits still prints
+    for spec in (f"v=1e{limit - 1}", f"v=-1e-{limit - 1}"):
+        assert main(["stabilizers", "--param", spec]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_cli_mutate_takes_exactly_n_and_seed(capsys):
@@ -271,6 +281,21 @@ def _fresh_cli(*argv: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(Path(suites.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "fano22.cli", *argv], env=env,
                           capture_output=True, text=True, check=True).stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_cli_mutate_into_a_closed_pipe_ends_quietly(tmp_path, unbuffered):
+    # the output passes Python's buffer, so the reader closes the pipe mid-run
+    env = dict(os.environ, PYTHONPATH=str(Path(suites.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen([sys.executable, "-m", "fano22.cli", "mutate", "120", "3"],
+                            cwd=tmp_path, env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith("#00 ")
+    proc.stdout.close()
+    assert proc.stderr.read() == ""
+    proc.stderr.close()
+    assert proc.wait() == 1
 
 
 def test_cli_all_does_not_import_hashlib():
