@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -98,12 +99,28 @@ def _run_eval(argv: list[str]) -> int:
     return 0
 
 
+#: a numeral with a decimal exponent: (the rest, the exponent as Fraction reads it)
+_EXPONENT = re.compile(r"(.*)[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
 def _rational(spec: str, text: str) -> Fraction:
-    """The value of `--param spec`, or a ValueError that names the flag."""
+    """The value of `--param spec`, or a ValueError that names the flag.
+
+    The exponent of a decimal numeral m e k is read before Fraction builds
+    10**|k|: if m is not 0 and has at most n characters, the numerator
+    (k >= 0) or the denominator (k < 0) is above 10**(|k| - n), so when
+    |k| - n reaches the digit limit the value is refused from its text
+    (1e400000000 at once), and 0 e k is 0.
+    """
     kind = "numeral"
     try:
-        value = Fraction(text)
+        match = _EXPONENT.fullmatch(text)
+        big = match and abs(int(match[2])) - len(text) >= sys.get_int_max_str_digits()
+        # when big, only m is parsed; "e0" keeps Fraction's grammar (1/3e5 is no numeral)
+        value = Fraction(match[1] + "e0" if big else text)
         kind = "value"  # the stabilizers suite prints v: refuse what str() cannot print (1e5000)
+        if big and value:
+            raise ValueError("past the digit limit")
         str(value)
         return value
     except ZeroDivisionError:  # Fraction("1/0") says "Fraction(1, 0)"

@@ -4,17 +4,26 @@ Every reader is served by one fraction-free elimination loop over `int`s,
 `ExactMatrix._reduce` (Bareiss 1968; Nakos–Turner–Williams 1997).  A
 pivot step replaces rows by (pivot * row - head * pivot row) // previous
 pivot; by Sylvester's identity every entry it produces is, up to sign, a
-minor of the matrix, so the division is exact.  The readers differ only
-in which rows a pivot step clears:
+minor of the matrix, so the division is exact.  The paper's matrices are
+near-monomial, about one nonzero per row, so a step touches only the
+rows whose head is nonzero.  A row left alone stands for itself times
+(current pivot) / (the pivot it was last brought to), which has the same
+zeros, and it catches up in its next update, whose divisor is that last
+pivot.  Dense matrices touch every row at every step, as before.  The
+readers differ only in which rows a pivot step clears, and in which rows
+they read:
 
 - `rank` and `det` read the pivot columns and the last pivot, which is
   the determinant of the pivot block, so for them a step clears only the
   rows below its pivot (Bareiss's forward elimination);
 - `kernel` and `_solve` read the other entries of the pivot rows, so for
   them a step clears the rows above as well (Gauss–Jordan).  At the end
-  every pivot equals the last one and every other entry of a pivot row
-  is a maximal minor, which gives the kernel by Cramer's rule and the
-  solutions of linear systems.
+  the pivot rows, and only they, are brought to the last pivot: every
+  pivot equals it and every other entry of a pivot row is a maximal
+  minor, which gives the kernel by Cramer's rule and the solutions of
+  linear systems.  The other rows are only tested for zero (`_solve`'s
+  consistency rows, and so `sections.monomial_basis`), which a missing
+  positive or negative factor does not change.
 
 A matrix keeps its entries in integral form: each row times its scale,
 the lcm of its denominators, which changes neither rank nor kernel.  An
@@ -129,13 +138,25 @@ class ExactMatrix:
         pivot; with `back` the rows above too (Gauss–Jordan).  `augment`
         is for matrices of constants only.
 
+        A step skips every row whose head is 0.  Row i remembers the
+        pivot level[i] it was last brought to (1 at the start); its true
+        value at pivot q is row * q / level[i], with the same zeros.  A
+        row with head h != 0 becomes (p * row - h * top) // level[i],
+        Bareiss's step from its own last pivot, exact for the same reason
+        (the packing is a ring homomorphism), and then sits at p.  A
+        stale pivot row is brought to the previous pivot before it is
+        used, and sits at p after its step.
+
         Returns (reduced rows of ints, pivot columns in row order, last
         pivot d, sign of the row permutation, unpack).  d is the
-        determinant of the pivot block of S A up to that sign, which is
-        all that `rank` and `det` read.  With `back`, which `kernel` and
-        `_augmented` take, every pivot entry also equals d and every
-        other entry of a pivot row is a maximal minor.  `unpack` turns
-        any reduced entry into its numerator dict.
+        determinant of the pivot block of S A up to that sign, which,
+        with the pivot columns, is all that `rank` and `det` read; rows
+        are left at their own levels.  With `back`, which `kernel` and
+        `_augmented` take, the pivot rows are brought to d at the end:
+        every pivot entry equals d and every other entry of a pivot row
+        is a maximal minor.  Every other row is only zero-tested by its
+        readers and stays at its own level.  `unpack` turns any reduced
+        entry into its numerator dict.
         """
         m, unpack = _pack_matrix(self.registry, self._nums, self._seen)
         nrows = self.nrows
@@ -143,8 +164,10 @@ class ExactMatrix:
             m = [row + [0] * i + [s] + [0] * (nrows - 1 - i)
                  for i, (row, s) in enumerate(zip(m, self._scales))]
         pivots: list[int] = []
-        prev = 1
-        sign = 1
+        # level[i]: the pivot row i was last brought to; its entries at a later
+        # level q are row * q / level[i]
+        level = [1] * nrows
+        prev = sign = 1
         for c in range(self.ncols):
             r = len(pivots)
             if r == nrows:
@@ -154,17 +177,25 @@ class ExactMatrix:
                 continue
             if pivot_row != r:
                 m[r], m[pivot_row] = m[pivot_row], m[r]
+                level[r], level[pivot_row] = level[pivot_row], level[r]
                 sign = -sign
             top = m[r]
+            if level[r] != prev:
+                top = m[r] = [x * prev // level[r] for x in top]
             p = top[c]
             for i in range(0 if back else r + 1, nrows):
                 row = m[i]
                 head = row[c]
-                if i == r or (head == 0 and p == prev):
+                if head == 0 or i == r:
                     continue
-                m[i] = [(p * x - head * y) // prev for x, y in zip(row, top)]
-            prev = p
+                low = level[i]
+                m[i] = [(p * x - head * y) // low for x, y in zip(row, top)]
+                level[i] = p
+            level[r] = prev = p
             pivots.append(c)
+        if back:
+            m[:len(pivots)] = [row if low == prev else [x * prev // low for x in row]
+                               for row, low in zip(m, level[:len(pivots)])]
         return m, pivots, prev, sign, unpack
 
     def rank(self) -> int:
@@ -277,9 +308,8 @@ def coefficient_matrix(
     no term has a variable outside `variables` (always, by default), and
     no entry becomes a Polynomial before `rows` is read.
     """
-    shifts = {registry._shifts[registry.index(n)]
-              for n in (registry.names if variables is None else variables)}
-    mask = sum(_MASK << s for s in shifts)
+    mask = sum({_MASK << registry._shifts[registry.index(n)]
+                for n in (registry.names if variables is None else variables)})
     groups: dict[int, list[tuple[int, int, int]]] = {}
     occurring = 0
     for j, p in enumerate(polys):
@@ -293,7 +323,9 @@ def coefficient_matrix(
     keys, nums, scales = [], [], []
     seen = 0
     for part in sorted(groups):
-        mono = part + (sum((part >> s) & _MASK for s in shifts) << registry._top)
+        # 2**FIELD_BITS = 1 mod _MASK, so part % _MASK is the sum of its fields,
+        # a degree below 2**(FIELD_BITS - 1)
+        mono = part + (part % _MASK << registry._top)
         cells = groups[part]
         scale = lcm(*[dens[j] for j, _, _ in cells])
         if constant:
@@ -323,10 +355,9 @@ def _normalize_vector(vec: list[Polynomial]) -> list[Polynomial]:
     still share no factor with the entry's denominator, so each nonzero
     entry is divided exactly and stays canonical; zero entries are kept.
     """
-    nonzero = [p for p in vec if not p.is_zero()]
-    content = gcd(*[p.content().numerator for p in nonzero])
-    _, lead = nonzero[0].leading()
-    if lead < 0:
+    lead = next(p._terms for p in vec if p._terms)
+    content = gcd(*[v for p in vec for v in p._terms.values()])
+    if lead[max(lead)] < 0:
         content = -content
     return [_make(p.registry, {k: v // content for k, v in p._terms.items()}, p._den)
             if p._terms else p for p in vec]

@@ -161,18 +161,11 @@ class ParamCurve:
             raise MapError("components must be binary forms of a common degree")
 
     def degree(self) -> int | None:
-        t0, t1 = self.param_vars
         reg = self.registry
-        i0, i1 = reg.index(t0), reg.index(t1)
-        degree = None
-        for c in self.components:
-            for e in c.exponents():
-                d = e[i0] + e[i1]
-                if degree is None:
-                    degree = d
-                elif degree != d:
-                    return None
-        return degree
+        s0, s1 = (reg._shifts[reg.index(t)] for t in self.param_vars)
+        degrees = {((k >> s0) & _MASK) + ((k >> s1) & _MASK)
+                   for c in self.components for k in c._terms}
+        return degrees.pop() if len(degrees) == 1 else None
 
     def substitution(self, targets: Sequence[str]) -> dict[str, Polynomial]:
         return dict(zip(targets, self.components))

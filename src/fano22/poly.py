@@ -64,6 +64,13 @@ class RegistryMismatch(ValueError):
     """Two operands live over different variable registries."""
 
 
+class _Index(dict):
+    """Variable name -> position; an unknown name raises KeyError naming it."""
+
+    def __missing__(self, name):
+        raise KeyError(f"unknown variable {name!r}")
+
+
 class Registry:
     """An ordered, immutable list of named variables with role tags.
 
@@ -88,7 +95,7 @@ class Registry:
             raise ValueError("variable names must be unique")
         self.names: tuple[str, ...] = tuple(names)
         self.roles: tuple[str, ...] = tuple(roles)
-        self._index = {n: i for i, n in enumerate(names)}
+        self._index = _Index((n, i) for i, n in enumerate(names))
         n = len(names)
         #: bit offset of the total-degree field
         self._top = n * FIELD_BITS
@@ -108,10 +115,7 @@ class Registry:
         return len(self.names)
 
     def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise KeyError(f"unknown variable {name!r}") from None
+        return self._index[name]
 
     def role(self, name: str) -> str:
         return self.roles[self.index(name)]
@@ -223,18 +227,6 @@ class Polynomial:
             return -1
         s = self.registry._shifts[self.registry.index(name)]
         return max((k >> s) & _MASK for k in self._terms)
-
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
-        """Leading (exponent, coefficient) under graded lex order."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        k = max(self._terms)
-        return self.registry._expo(k), Fraction(self._terms[k], self._den)
-
-    def exponents(self) -> list[tuple[int, ...]]:
-        """Exponent tuples of the terms, in no particular order."""
-        expo = self.registry._expo
-        return [expo(k) for k in self._terms]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -356,7 +348,7 @@ class Polynomial:
                 img = reg.const(img)
             elif img.registry is not reg:
                 raise RegistryMismatch("substitution image uses a different registry")
-            i = reg.index(name)
+            i = reg._index[name]
             s = shifts[i]
             if not (seen >> s) & _MASK:
                 continue
@@ -375,7 +367,8 @@ class Polynomial:
             else:
                 ((ik, n),) = it.items()
                 single.append((s, ik - units[i], n, d, top))
-            degree = max(degree, ik >> top_bit)
+            if ik >> top_bit > degree:
+                degree = ik >> top_bit
         if not (multi or single or kill):
             return self
         limit = reg._limit
@@ -493,7 +486,7 @@ class Polynomial:
     def coefficient_of(self, name: str, k: int) -> "Polynomial":
         """The coefficient of name**k, as a polynomial not involving name."""
         reg = self.registry
-        i = reg.index(name)
+        i = reg._index[name]
         s, drop = reg._shifts[i], k * reg._units[i]
         terms = {key - drop: v for key, v in self._terms.items() if (key >> s) & _MASK == k}
         return _canon(reg, terms, self._den)
@@ -841,7 +834,7 @@ class Derivation:
         den = lcm(*[img._den for _, img in active])
         acc: dict[int, int] = {}
         for name, img in active:
-            i = reg.index(name)
+            i = reg._index[name]
             s, unit = reg._shifts[i], reg._units[i]
             # df/dx lowers the total degree by one
             if max(t) + max(img._terms) - (1 << reg._top) >= reg._limit:

@@ -293,14 +293,15 @@ def restricted_order_subspace(
     """
     reg = space.registry
     t0, t1 = binary_vars
-    i0, i1 = reg.index(t0), reg.index(t1)
+    s0, s1 = reg._shifts[reg.index(t0)], reg._shifts[reg.index(t1)]
     restrictions = [b.substitute(curve) for b in space.basis]
     degrees = {r.total_degree() for r in restrictions if not r.is_zero()}
     if len(degrees) > 1:
         raise ValueError(f"inconsistent restricted degrees {sorted(degrees)}")
     # checked once: the coordinate changes below keep binary forms of the degree,
     # so every coefficient matrix holds int rows
-    if any(e[i0] + e[i1] not in degrees for r in restrictions for e in r.exponents()):
+    if any(((k >> s0) & _MASK) + ((k >> s1) & _MASK) not in degrees
+           for r in restrictions for k in r._terms):
         raise ValueError("restriction is not a binary form of the common degree")
 
     nums, scales = [], []
@@ -309,11 +310,11 @@ def restricted_order_subspace(
         if alpha == 0 and beta == 0:
             raise ValueError("point must be nonzero")
         if alpha == 0:
-            moved, shift = restrictions, reg._shifts[i0]
+            moved, shift = restrictions, s0
         else:
             change = {t0: reg.var(t0).scale(alpha),
                       t1: reg.var(t0).scale(beta) + reg.var(t1)}
-            moved, shift = [r.substitute(change) for r in restrictions], reg._shifts[i1]
+            moved, shift = [r.substitute(change) for r in restrictions], s1
         keys, matrix = coefficient_matrix(reg, moved, binary_vars)
         kept = [i for i, k in enumerate(keys) if (k >> shift) & _MASK < order]
         nums += [matrix._nums[i] for i in kept]

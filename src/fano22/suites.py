@@ -695,9 +695,9 @@ def _suite_reparam(cfg: SuiteConfig, rec: _Recorder):
         points = set()
         while len(points) < 10:
             points.add(Fraction(rng.randint(-50, 50), rng.randint(1, 20)))
-        images = [mobius_projective(num, den, "v", (p, Fraction(1)))
-                  for p in sorted(points)]
-        return len(set(images)) == 10, f"{len(set(images))} distinct images"
+        distinct = len({mobius_projective(num, den, "v", (p, Fraction(1)))
+                        for p in sorted(points)})
+        return distinct == 10, f"{distinct} distinct images"
 
     rec.run("s10.injective-sample",
             "the reparametrization is injective on 10 random rational points",

@@ -300,3 +300,127 @@ def test_a_section_space_of_rational_combinations_in_shuffled_order():
     f = combine(REG_F3, coeffs, basis)
     assert coords_in_space(f, space) == coeffs
     assert coords_in_space(f + REG_F3.var("x0"), space) is None
+
+
+def near_monomial_shapes(rng, entry, zero):
+    """Near-monomial matrices of `entry()`s, about one nonzero per row: the
+    shapes where a pivot step of the elimination skips most rows, and rows
+    wait at an earlier pivot until they are updated or become pivot rows."""
+    def dense(nrows, ncols):
+        return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+    def permutation_diagonal(n):
+        perm = rng.sample(range(n), n)
+        return [[entry() if j == perm[i] else zero for j in range(n)] for i in range(n)]
+
+    def one_per_column(nrows, ncols):
+        rows = [[zero] * ncols for _ in range(nrows)]
+        for j in range(ncols):
+            rows[rng.randrange(nrows)][j] = entry()
+        return rows
+
+    def block_diagonal(*blocks):
+        ncols = sum(len(b[0]) for b in blocks)
+        rows, left = [], 0
+        for b in blocks:
+            width = len(b[0])
+            rows += [[zero] * left + row + [zero] * (ncols - left - width) for row in b]
+            left += width
+        return rows
+
+    def staircase(n, offsets):
+        """Row i nonzero in column i + o for each o: a row waits between its nonzeros."""
+        return [[entry() if j - i in offsets else zero for j in range(n)] for i in range(n)]
+
+    cases = [permutation_diagonal(n) for n in (1, 4, 6, 7)]
+    # tall, one nonzero per column, in the paper's shapes: 12 x 7, 7 x 6, 5 x 7
+    cases += [one_per_column(12, 7), one_per_column(7, 6), one_per_column(5, 7),
+              one_per_column(6, 3)]
+    # the rows of the later blocks keep zero heads through the earlier blocks' steps
+    cases.append(block_diagonal(dense(3, 3), permutation_diagonal(3)))
+    cases.append(block_diagonal(permutation_diagonal(2), dense(3, 4), one_per_column(3, 2)))
+    cases.append(block_diagonal(dense(2, 3), dense(3, 2), dense(2, 2)))
+    cases += [staircase(6, (0, 2)), staircase(6, (-2, 0)), staircase(7, (-3, 0, 1, 3))]
+    # rank-deficient: a zero row, a repeated row, a repeated and a zero column
+    square = permutation_diagonal(5)
+    cases.append([square[0], [zero] * 5, square[2], square[0], square[4]])
+    cases.append([row[:2] + [row[1]] + [zero] + row[3:] for row in staircase(5, (0, 1))])
+    cases.append(block_diagonal(dense(2, 3), [[zero, zero]], permutation_diagonal(2)))
+    # sparse random: one or two nonzeros per row
+    for _ in range(12):
+        nrows, ncols = rng.randint(2, 9), rng.randint(2, 9)
+        rows = [[zero] * ncols for _ in range(nrows)]
+        for row in rows:
+            for j in rng.sample(range(ncols), rng.randint(1, min(2, ncols))):
+                row[j] = entry()
+        cases.append(rows)
+    return cases
+
+
+def check_reduced_pivot_rows(matrix):
+    """After the Gauss–Jordan reduction every pivot row's pivot entry is the last
+    pivot d and its other pivot columns are 0; so for the augmented one."""
+    for augment in (False, True) if matrix._seen == 0 else (False,):
+        m, pivots, d, _, _ = matrix._reduce(back=True, augment=augment)
+        assert pivots == matrix._reduce(back=False)[1]
+        for k, c in enumerate(pivots):
+            assert [m[k][j] for j in pivots] == [d if j == c else 0 for j in pivots]
+
+
+def _fraction_gauss_jordan(rows):
+    """(reduced row echelon form, pivot columns) over Fractions, pivots 1."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def test_near_monomial_matrices_match_fraction_gauss_jordan(reg):
+    """rank, det, kernel and `_solve` on near-monomial matrices over Q against
+    plain Gauss–Jordan over Fractions."""
+    rng = random.Random(2701)
+
+    def entry():
+        return Fraction(rng.choice([-7, -3, -2, -1, 1, 2, 5, 9]), rng.randint(1, 6))
+
+    for rows in near_monomial_shapes(rng, entry, Fraction(0)):
+        matrix = ExactMatrix(reg, rows)
+        ncols = matrix.ncols
+        reduced, pivots = _fraction_gauss_jordan(rows)
+        assert matrix.rank() == len(pivots)
+        if matrix.nrows == ncols:
+            assert matrix.det() == reg.const(_fraction_det(rows))
+        free = [j for j in range(ncols) if j not in pivots]
+        expected = []
+        for j in free:
+            vec = [Fraction(0)] * ncols
+            vec[j] = Fraction(1)
+            for row, c in zip(reduced, pivots):
+                vec[c] = -row[j]
+            expected.append(vec)
+        kernel = [[e.constant_value() for e in vec] for vec in matrix.kernel()]
+        assert [[x / vec[j] for x in vec] for vec, j in zip(kernel, free)] == expected
+        check_reduced_pivot_rows(matrix)
+        x0 = [entry() if rng.random() < 0.7 else Fraction(0) for _ in range(ncols)]
+        consistent = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows]
+        for rhs in (consistent, [entry() for _ in rows]):
+            augmented, pivots_b = _fraction_gauss_jordan([row + [b] for row, b in zip(rows, rhs)])
+            if ncols in pivots_b:
+                assert solution(matrix, rhs) is None
+                continue
+            x = [Fraction(0)] * ncols
+            for row, c in zip(augmented, pivots_b):
+                x[c] = row[ncols]
+            assert solution(matrix, rhs) == [reg.const(c) for c in x]
+        assert solution(matrix, consistent) is not None

