@@ -268,10 +268,10 @@ def test_cli_bad_param(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --param v: value longer than {limit} digits\n"
-    # a zero mantissa is 0 whatever its exponent
+    # a zero mantissa is 0 whatever its exponent (the suite runs, with v = 0)
     start = time.perf_counter()
     assert main(["stabilizers", "--param", "v=0.0e400000000"]) == 0
-    assert time.perf_counter() - start < 0.1
+    assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == ""
 
 
