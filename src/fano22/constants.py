@@ -16,7 +16,7 @@ from fractions import Fraction
 from .actions import GroupLaw, ParametricAction
 from .maps import ParamCurve, RationalMap
 from .parsing import parse
-from .poly import _MASK, Derivation, Polynomial, Registry, _scalar
+from .poly import Derivation, Polynomial, Registry
 from .sections import Grading, SectionSpace, monomial_basis
 
 #: default polynomial constants; keys are stable identifiers
@@ -330,53 +330,21 @@ class PaperConstants:
             (self.poly("iota_c.u0"), self.poly("iota_c.u1")),
         )
 
-    def mobius(self) -> tuple[Polynomial, Polynomial]:
-        return self.poly("mobius.num"), self.poly("mobius.den")
+    def mobius(self) -> list[list[Fraction]] | str:
+        """The matrix [[a, b], [c, d]] of num/den = (a*v + b)/(c*v + d), or why there is none.
 
-
-def mobius_projective(
-    num: Polynomial, den: Polynomial, var: str, point: tuple[Fraction, Fraction]
-) -> tuple[Fraction, Fraction]:
-    """Evaluate the affine fractional map projectively at [p : q].
-
-    Homogenizes num/den to the common degree d in `var` and evaluates both
-    at [p : q] = [P : Q], with integers P, Q, as the integer sums
-    sum_k n_k * P^k * Q^(d-k) over their numerators n_k; q = 0 is the
-    point at infinity, where only the coefficients of var^d remain.  A
-    term in another variable that survives raises as `constant_value`
-    does.  The result is (a/b, 1) for a finite image and (1, 0) for the
-    point at infinity.
-    """
-    p, q = _scalar(point[0]), _scalar(point[1])
-    if p == 0 and q == 0:
-        raise ValueError("not a projective point")
-    P, Q = p.numerator * q.denominator, q.numerator * p.denominator
-    d = max(num.degree_in(var), den.degree_in(var))
-    a, b = _homogenized_value(num, var, d, P, Q), _homogenized_value(den, var, d, P, Q)
-    if a == 0 and b == 0:
-        raise ValueError("map is undefined at the point")
-    if b != 0:
-        return (a / b, Fraction(1))
-    return (Fraction(1), Fraction(0))
-
-
-def _homogenized_value(f: Polynomial, var: str, d: int, P: int, Q: int) -> Fraction:
-    """f homogenized to degree d in `var`, at [P : Q]: Q^d * f(P/Q) for Q != 0.
-
-    Terms are summed per monomial in the other variables; raises unless
-    only the constant monomial is left with a nonzero sum.
-    """
-    reg = f.registry
-    i = reg.index(var)
-    s, unit = reg._shifts[i], reg._units[i]
-    sums: dict[int, int] = {}
-    for key, n in f._terms.items():
-        k = (key >> s) & _MASK
-        rest = key - k * unit
-        sums[rest] = sums.get(rest, 0) + n * P ** k * Q ** (d - k)
-    if any(total for rest, total in sums.items() if rest):
-        raise ValueError("polynomial is not constant")
-    return Fraction(sums.get(0, 0), f._den)
+        Both keys are read before either is judged.
+        """
+        pair = self.poly("mobius.num"), self.poly("mobius.den")
+        matrix = []
+        for key, f in zip(("mobius.num", "mobius.den"), pair):
+            others = [n for n in f.variables() if n != "v"]
+            if others:
+                return f"{key} involves {', '.join(others)}, so a coefficient is not rational"
+            if f.degree_in("v") > 1:
+                return f"{key} has degree {f.degree_in('v')} in v, above 1"
+            matrix.append([f.coefficient_of("v", k).constant_value() for k in (1, 0)])
+        return matrix
 
 
 # -- mutation support (tampering detection) --------------------------------

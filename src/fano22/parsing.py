@@ -101,7 +101,14 @@ def _parse_factor(tk: _Tokens, reg: Registry) -> Polynomial:
         m, where = tk.next()
         if m is None or m.group(1) is None:
             raise ParseError("expected a non-negative integer exponent", where)
-        return base ** _integer(m, where)
+        n, limit = _integer(m, where), sys.get_int_max_str_digits()
+        if limit and base.is_constant():
+            # |c|^n >= 2^(n*(bits - 1)) and 2^(10/3) > 10: past 10^limit, so unprintable
+            c = base.constant_value()
+            bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+            if 3 * n * (bits - 1) >= 10 * limit:
+                raise ParseError(f"constant power longer than {limit} digits", where)
+        return base ** n
     return base
 
 

@@ -491,10 +491,6 @@ class Polynomial:
         terms = {key - drop: v for key, v in self._terms.items() if (key >> s) & _MASK == k}
         return _canon(reg, terms, self._den)
 
-    def content(self) -> Fraction:
-        """Positive rational content (gcd of coefficients); 0 for the zero polynomial."""
-        return Fraction(gcd(*self._terms.values()), self._den)
-
     def primitive_normal(self) -> "Polynomial":
         """Divide out rational content and fix the leading sign to +."""
         t = self._terms

@@ -7,22 +7,53 @@ import pytest
 from fano22 import constants
 from fano22.constants import (
     DEFAULT_RAW,
+    REG_F3,
     PaperConstants,
     _family,
     _paper_poly,
-    mobius_projective,
 )
 from fano22.parsing import ParseError, parse
-from fano22.poly import ROLES, Registry
-from fano22.suites import SuiteConfig, run_all
+from fano22.poly import ROLES, Registry, format_poly
+from fano22.suites import SuiteConfig, run_all, run_suite
+
+from helpers import RecordingRaw
 
 REG = Registry([("v", "family-parameter")])
 V = REG.var("v")
 ONE = Fraction(1)
+#: the boundary points of s10 and their images under v / (v + 4), in check order
+BOUNDARY = [((0, 1), (0, 1)), ((1, 1), (Fraction(1, 5), 1)), ((1, 0), (1, 1)), ((-4, 1), (1, 0))]
+
+
+def _table(num, den) -> PaperConstants:
+    """The paper's table with the texts of num and den as mobius.num and mobius.den."""
+    return PaperConstants(raw=dict(DEFAULT_RAW, **{"mobius.num": format_poly(num),
+                                                   "mobius.den": format_poly(den)}))
+
+
+def _image(matrix, point):
+    """[p : q] under the matrix, written as `_substituted_mobius` writes it."""
+    (a, b), (c, d) = matrix
+    p, q = point
+    x, y = a * p + b * q, c * p + d * q
+    if x == 0 and y == 0:
+        raise ValueError("map is undefined at the point")
+    return (x / y, ONE) if y else (ONE, Fraction(0))
 
 
 def _at(num, den, p, q=ONE):
-    return mobius_projective(num, den, "v", (Fraction(p), Fraction(q)))
+    return _image(_table(num, den).mobius(), (Fraction(p), Fraction(q)))
+
+
+def _reparam_rows(table):
+    report = run_suite("reparam", SuiteConfig(constants=table))
+    return {c.id: (c.status, c.witness) for c in report.checks}
+
+
+def test_the_paper_table_reads_as_the_matrix_of_v_over_v_plus_4():
+    assert PaperConstants().mobius() == [[1, 0], [1, 4]]
+    assert _table(2 * V - Fraction(1, 3), REG.const(7)).mobius() == [[2, Fraction(-1, 3)], [0, 7]]
+    assert _table(REG.zero, V).mobius() == [[0, 0], [1, 0]]
 
 
 def test_finite_points():
@@ -31,34 +62,32 @@ def test_finite_points():
     assert _at(num, den, 2, 3) == (Fraction(1, 7), ONE)
     assert _at(num, den, -4) == (ONE, Fraction(0))
     assert _at(num, den, 0) == (Fraction(0), ONE)
-    assert _at(V ** 2 + 1, 2 * V, 3, 2) == (Fraction(13, 12), ONE)
+    assert _at(2 * V + 1, 3 * V, 3, 2) == (Fraction(8, 9), ONE)
 
 
 def test_point_at_infinity():
-    # equal degrees: the ratio of the leading coefficients
+    # the ratio of the coefficients of v; a row without v sends infinity to 0 or to infinity
     assert _at(3 * V - 1, 2 * V + 5, 7, 0) == (Fraction(3, 2), ONE)
-    # numerator of lower degree: 0; of higher degree: infinity
-    assert _at(V + 1, V ** 2, -2, 0) == (Fraction(0), ONE)
-    assert _at(V ** 3, V + 1, 1, 0) == (ONE, Fraction(0))
-    assert _at(REG.const(5), REG.const(2), 1, 0) == (Fraction(5, 2), ONE)
-
-
-def test_not_a_projective_point():
-    with pytest.raises(ValueError, match="not a projective point"):
-        _at(V, V + 4, 0, 0)
+    assert _at(REG.const(1), V, -2, 0) == (Fraction(0), ONE)
+    assert _at(V, REG.const(3), 1, 0) == (ONE, Fraction(0))
 
 
 def test_undefined_at_a_common_zero():
-    # v / v^2 homogenizes to p*q / p^2, which vanishes twice at [0:1]
+    # v / v: both rows vanish at [0 : 1], and the matrix [[1, 0], [1, 0]] is singular
     with pytest.raises(ValueError, match="map is undefined at the point"):
-        _at(V, V ** 2, 0, 1)
+        _at(V, V, 0, 1)
+    rows = _reparam_rows(_table(V, V))
+    assert rows["s10.boundary-0"] == ("fail", "the matrix sends [0 : 1] to (0, 0)")
+    assert rows["s10.injective"] == ("fail", "the matrix [[1, 0], [1, 0]] has determinant 0")
 
 
-def test_a_float_point_is_refused():
-    with pytest.raises(TypeError, match="int or Fraction"):
-        mobius_projective(V, V + 4, "v", (0.1, 1))
-    with pytest.raises(TypeError, match="int or Fraction"):
-        mobius_projective(V, V + 4, "v", (1, 0.0))
+def test_a_table_of_higher_degree_has_no_matrix_and_both_keys_are_read():
+    for num, den, key in [(V ** 2, V + 4, "mobius.num"), (V, V ** 3 + 4, "mobius.den")]:
+        raw = RecordingRaw(_table(num, den).raw)
+        reason = PaperConstants(raw=raw).mobius()
+        degree = max(num.degree_in("v"), den.degree_in("v"))
+        assert reason == f"{key} has degree {degree} in v, above 1"
+        assert raw.read == {"mobius.num", "mobius.den"}
 
 
 def _substituted_mobius(num, den, var, point):
@@ -87,55 +116,65 @@ def _outcome(evaluate, *args):
         return f"ValueError: {exc}"
 
 
-MIXED = Registry([("x0", "coordinate"), ("v", "family-parameter")])
-
-
 def _random_rational(rng, digits):
     """A numerator of up to `digits` digits over a denominator of up to 3."""
     return Fraction(rng.randint(-10 ** digits, 10 ** digits),
                     rng.randint(1, 10 ** rng.randint(0, 3)))
 
 
-def _random_in_v(rng, reg):
-    v = reg.var("v")
-    return sum((v ** k).scale(_random_rational(rng, 3)) for k in range(rng.randint(0, 3))
-               if rng.random() < 0.8) or reg.const(rng.randint(-2, 2))
+def _random_linear(rng):
+    """a*v + b, each coefficient 0 one time in five."""
+    a, b = (_random_rational(rng, 3) if rng.random() < 0.8 else 0 for _ in range(2))
+    return V.scale(a) + b
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_mobius_projective_matches_the_substitution_reference(seed):
+    """The matrix read off a table of degree <= 1 in v, applied to [p : q], against
+    the substitution reference; and each boundary check of s10 on that table."""
     rng = random.Random(seed)
-    num, den = _random_in_v(rng, REG), _random_in_v(rng, REG)
+    num, den = _random_linear(rng), _random_linear(rng)
+    if num.degree_in("v") < 1 and den.degree_in("v") < 1:
+        num += V  # the reference homogenizes to the larger degree, the matrix to 1
+    matrix = _table(num, den).mobius()
     points = [(0, 1), (1, 0), (-1, 1), (0, 5), (-7, 0)]
     points += [(_random_rational(rng, 40), _random_rational(rng, rng.choice([1, 40])))
                for _ in range(8)]
     points += [(_random_rational(rng, 2), 0) for _ in range(2)]
     for point in points:
-        assert _outcome(mobius_projective, num, den, "v", point) == _outcome(
+        assert _outcome(_image, matrix, point) == _outcome(
             _substituted_mobius, num, den, "v", point)
+    # the paper's map times k passes every boundary check, and its numerator over den some
+    k = _random_rational(rng, 3) or ONE
+    for num, den in [(num, den), (V.scale(k), (V + 4).scale(k)), (V.scale(k), den)]:
+        rows = _reparam_rows(_table(num, den))
+        for (point, expected), (status, witness) in zip(BOUNDARY, rows.values()):
+            image = _outcome(_substituted_mobius, num, den, "v", point)
+            if isinstance(image, str):  # the reference finds the map undefined there
+                assert (status, witness) == (
+                    "fail", f"the matrix sends [{point[0]} : {point[1]}] to (0, 0)")
+            else:
+                assert status == ("pass" if image == expected else "fail")
     # the paper's map at negative points and 40-digit numerators
+    matrix = PaperConstants().mobius()
     num, den = REG.var("v"), REG.var("v") + 4
     for _ in range(5):
         point = (-abs(_random_rational(rng, 40)), Fraction(1, rng.randint(1, 9)))
-        assert mobius_projective(num, den, "v", point) == _substituted_mobius(
-            num, den, "v", point)
+        assert _image(matrix, point) == _substituted_mobius(num, den, "v", point)
 
 
-def test_mobius_projective_with_another_variable_raises_like_the_reference():
-    x0, v = MIXED.var("x0"), MIXED.var("v")
-    one, infinity = (Fraction(3, 7), Fraction(1)), (Fraction(2), Fraction(0))
+def test_a_mobius_table_with_another_variable_has_no_matrix():
+    x0, v = REG_F3.var("x0"), REG_F3.var("v")
     cases = [
-        (v + x0, v + 4, one),                # x0 survives at a finite point
-        (v + 1, v * x0 + 4, one),            # in the denominator
-        (v ** 2 * x0 + v, v ** 2 + 1, infinity),  # in the leading coefficient
-        (v + x0, v + 4, infinity),           # below the leading degree: gone at infinity
-        (x0 * v - x0 * v ** 2, v + 4, (Fraction(5), Fraction(5))),  # cancels at v = 1
+        (v + x0, v + 4, "mobius.num"),                # in the constant coefficient
+        (v + 1, v * x0 + 4, "mobius.den"),            # in the denominator
+        (v ** 2 * x0 + v, v ** 2 + 1, "mobius.num"),  # in the coefficient of v^2
+        (x0 * v - x0 * v ** 2, v + 4, "mobius.num"),  # of degree 2, and 0 at v = 1
     ]
-    for num, den, point in cases:
-        expected = _outcome(_substituted_mobius, num, den, "v", point)
-        assert _outcome(mobius_projective, num, den, "v", point) == expected
-    with pytest.raises(ValueError, match="^polynomial is not constant$"):
-        mobius_projective(v + x0, v + 4, "v", one)
+    for num, den, key in cases:
+        reason = f"{key} involves x0, so a coefficient is not rational"
+        assert _table(num, den).mobius() == reason
+        assert set(_reparam_rows(_table(num, den)).values()) == {("fail", reason)}
 
 
 def test_no_registry_has_an_infinitesimal_variable():
@@ -165,18 +204,6 @@ def test_every_key_parses_over_its_family_registry_with_every_mutation_variable(
         PaperConstants(raw={"bogus.k": "1"}).poly("bogus.k")
 
 
-class _RecordingRaw(dict):
-    """A raw table that records every key read from it."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.read: set[str] = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-
 def test_every_table_method_reads_the_table():
     """Objects that read no constant are module constants, not methods."""
     names = [name for name, fn in vars(PaperConstants).items()
@@ -186,7 +213,7 @@ def test_every_table_method_reads_the_table():
     assert "w_basis" in names and "upsilon_t" in names
     unread = []
     for name in names:
-        raw = _RecordingRaw(DEFAULT_RAW)
+        raw = RecordingRaw(DEFAULT_RAW)
         getattr(PaperConstants(raw=raw), name)()
         if not raw.read:
             unread.append(name)
@@ -200,7 +227,7 @@ def test_a_table_copies_the_paper_table_or_keeps_the_given_one():
     table = dict(DEFAULT_RAW)
     assert PaperConstants(table).raw is table and PaperConstants(raw=table).raw is table
     # a recording table given as `raw` sees every read
-    recording = _RecordingRaw(DEFAULT_RAW)
+    recording = RecordingRaw(DEFAULT_RAW)
     PaperConstants(raw=recording).mobius()
     assert recording.read == {"mobius.num", "mobius.den"}
 
@@ -271,12 +298,12 @@ def test_the_paper_table_is_parsed_once_per_process_and_a_mutant_parses_one_key(
 
 
 def test_a_recording_table_records_every_key_it_returns():
-    whole = _RecordingRaw(DEFAULT_RAW)
+    whole = RecordingRaw(DEFAULT_RAW)
     table = PaperConstants(raw=whole)
     for key in DEFAULT_RAW:
         table.poly(key)
     assert whole.read == set(DEFAULT_RAW)
     for key in DEFAULT_RAW:  # every key is now taken from the shared parse
-        raw = _RecordingRaw(DEFAULT_RAW)
+        raw = RecordingRaw(DEFAULT_RAW)
         PaperConstants(raw=raw).poly(key)
         assert raw.read == {key}

@@ -4,8 +4,11 @@ The package and the benchmark are parsed with `ast`.  A definition is
 used when its name occurs in some code of theirs: as a name, an
 attribute, an imported name, or a string that is an identifier or a
 dotted path of identifiers (the benchmark looks layers up with
-`getattr`).  Docstrings are not code, and neither is the definition's own
-name; tests do not count as users.  Dunder names are called by Python.
+`getattr`).  A method, a `def` directly in a class body, is reached
+only through an attribute or such a string, so a local variable of the
+same name does not use it.  Docstrings are not code, and neither is the
+definition's own name; tests do not count as users.  Dunder names are
+called by Python.
 
 Every module of the package also uses each name it imports, so that
 deleted code leaves no import behind.  `__init__.py` re-exports its
@@ -38,46 +41,63 @@ def _docstrings(tree: ast.AST) -> set[int]:
     return out
 
 
-def _references(tree: ast.AST) -> set[str]:
+def _references(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """(every name the code uses, the names it uses as an attribute or a string)."""
     docstrings = _docstrings(tree)
-    names = set()
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in docstrings):
             parts = node.value.split(".")
             if all(part.isidentifier() for part in parts):
-                names.update(parts)
-    return names
+                attributes.update(parts)
+    return names | attributes, attributes
 
 
-def _definitions(tree: ast.AST) -> set[str]:
-    return {node.name for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))}
+def _definitions(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """(the names of the functions and classes that are not methods, the methods')."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    method_ids = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for node in cls.body if isinstance(node, functions)}
+    plain, methods = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (*functions, ast.ClassDef)) and not (
+                node.name.startswith("__") and node.name.endswith("__")):
+            (methods if id(node) in method_ids else plain).add(node.name)
+    return plain, methods
 
 
 def _parse(path: Path) -> ast.AST:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def test_every_definition_has_a_user():
-    used = set()
+def _unused_definitions() -> list[str]:
+    used, attributes = set(), set()
     for directory in USERS:
         for path in directory.rglob("*.py"):
             if "tests" not in path.relative_to(ROOT).parts:
-                used |= _references(_parse(path))
-    defined = set()
+                names, attrs = _references(_parse(path))
+                used |= names
+                attributes |= attrs
+    functions, methods = set(), set()
     for path in PACKAGE.rglob("*.py"):
-        defined |= _definitions(_parse(path))
-    assert sorted(defined - used - set(ALLOWED)) == []
-    # an allowed name that is gone is dropped from the list
-    assert set(ALLOWED) <= defined
+        plain, inside = _definitions(_parse(path))
+        functions |= plain
+        methods |= inside
+    return sorted((functions - used) | (methods - attributes))
+
+
+def test_every_definition_has_a_user():
+    unused = _unused_definitions()
+    assert [name for name in unused if name not in ALLOWED] == []
+    # an allowed name that is gone, or that gained a user, is dropped from the list
+    assert set(ALLOWED) <= set(unused)
 
 
 def _unused_imports(tree: ast.AST) -> list[str]:

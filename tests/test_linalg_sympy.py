@@ -39,7 +39,7 @@ from fano22.linalg import ExactMatrix, coefficient_matrix  # noqa: E402
 from fano22.maps import ParamCurve, is_rational_normal_curve  # noqa: E402
 from fano22.poly import Registry  # noqa: E402
 
-from test_linalg import check_reduced_pivot_rows, near_monomial_shapes, solution  # noqa: E402
+from helpers import check_reduced_pivot_rows, near_monomial_shapes, solution  # noqa: E402
 
 REG = Registry([("v", "family-parameter")])
 V = sympy.Symbol("v")

@@ -1,4 +1,5 @@
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -85,3 +86,24 @@ def test_an_integer_literal_past_the_digit_limit_is_a_parse_error(digit_limit):
         assert exc.value.position == position
         assert str(exc.value) == \
             f"integer literal longer than {digit_limit} digits (at position {position})"
+
+
+def test_a_constant_power_past_the_digit_limit_is_a_parse_error(digit_limit):
+    reg = Registry([("x", "coordinate")])
+    # a power that can be printed evaluates, up to exactly the limit's digits
+    assert parse("2^10", reg) == reg.const(1024)
+    assert parse("(1/3)^5", reg) == reg.const(Fraction(1, 243))
+    assert format_poly(parse(f"10^{digit_limit - 1}*x", reg)) == f"{10 ** (digit_limit - 1)}*x"
+    assert parse("0^100000000 + 1^100000000 - (-1)^100000001", reg) == reg.const(2)
+    assert parse("(x + 1)^2", reg) == reg.var("x") ** 2 + 2 * reg.var("x") + 1
+    for text, position in (("10^10000000", 3), ("x + (2/3)^40000000", 10),
+                           ("(-1/2)^100000*x", 7), (f"2^{4 * digit_limit}", 2)):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse(text, reg)
+        assert time.perf_counter() - start < 0.1
+        assert str(exc.value) == \
+            f"constant power longer than {digit_limit} digits (at position {position})"
+    # without a digit limit every power is built
+    sys.set_int_max_str_digits(0)
+    assert parse(f"2^{4 * digit_limit}", reg) == reg.const(2 ** (4 * digit_limit))

@@ -15,7 +15,16 @@ digests and the seed 7 counts here together, and records the old and the
 new digests in CHANGES.md.
 """
 
+import json
+import time
+
 from fano22.cli import main
+from fano22.constants import REG_F3, REG_Q, REG_W
+from fano22.parsing import ParseError, parse
+from fano22.poly import format_poly
+
+#: the registry each suite's polynomial witnesses are written over
+WITNESS_REGISTRY = {"w-module": REG_W, "borel-line": REG_W, "quadric-involution": REG_Q}
 
 
 def _mutate(monkeypatch, tmp_path, capsys, count: int, seed: int) -> tuple[int, list[str]]:
@@ -27,7 +36,7 @@ def _mutate(monkeypatch, tmp_path, capsys, count: int, seed: int) -> tuple[int, 
 def test_report_signature_is_unchanged(monkeypatch, tmp_path, capsys):
     code, lines = _mutate(monkeypatch, tmp_path, capsys, 120, 3)
     assert lines[-1] == (
-        "97d6dc190ec428fdfb32f4a5ecbec46baeb3afc966f65fb54d7ff364a7c22732"
+        "42deff88a37a69bf4d9e37528cd68e7563106a41128b52ebd4fa3ec40cf59ef2"
         "  report_signature.json")
     assert code == 0
 
@@ -35,9 +44,29 @@ def test_report_signature_is_unchanged(monkeypatch, tmp_path, capsys):
 def test_report_signature_of_the_seed_7_campaign_is_unchanged(monkeypatch, tmp_path, capsys):
     code, lines = _mutate(monkeypatch, tmp_path, capsys, 300, 7)
     assert lines[-1] == (
-        "039887b2edaea11f0fee6aeeef98ff2daf19bb4bb0aaf5463e5978251bc1716e"
+        "43ceb579ad65a18966daaafa2bab0bcc6a67184c0d1a4e73fe506f952ad7ce20"
         "  report_signature.json")
     assert lines[-2].startswith("killed_by_fail 176, error_only 123, missed 1 of 300 ")
     assert "#176 psi.w0: NOT DETECTED" in lines
     assert len(lines) == 302
     assert code == 1
+
+
+def test_every_polynomial_witness_of_a_campaign_reads_back(monkeypatch, tmp_path, capsys):
+    """Each witness that parses over its suite's registry prints back as itself."""
+    start = time.perf_counter()
+    _mutate(monkeypatch, tmp_path, capsys, 120, 3)
+    tables = json.loads((tmp_path / "report_signature.json").read_text())["tables"]
+    read_back = 0
+    for table in tables:
+        for suite, _, _, _, witness in table["checks"]:
+            if witness is None:
+                continue
+            try:
+                p = parse(witness, WITNESS_REGISTRY.get(suite, REG_F3))
+            except ParseError:
+                continue
+            assert format_poly(p) == witness
+            read_back += 1
+    assert read_back > 0
+    assert time.perf_counter() - start < 2

@@ -23,7 +23,7 @@ from fano22.cli import main
 from fano22.constants import DEFAULT_RAW, REG_F3
 from fano22.sections import SectionSpace
 
-from test_constants import _RecordingRaw
+from helpers import RecordingRaw
 
 
 def test_suite_order_is_complete():
@@ -42,10 +42,30 @@ def test_unknown_suite():
 def test_single_suite_passes():
     report = run_suite("reparam")
     assert report.ok
-    assert [c.id for c in report.checks][:4] == [
+    assert [c.id for c in report.checks] == [
         "s10.boundary-0", "s10.boundary-1", "s10.boundary-inf",
-        "s10.boundary--4",
+        "s10.boundary--4", "s10.injective",
     ]
+
+
+def test_reparam_fails_and_never_errs_on_a_table_without_a_bijective_matrix():
+    def rows(key, text):
+        table = PaperConstants(raw=dict(DEFAULT_RAW, **{key: text}))
+        return [(c.id, c.status, c.witness)
+                for c in run_suite("reparam", SuiteConfig(constants=table)).checks]
+
+    ids = [c.id for c in run_suite("reparam").checks]
+    # no matrix: every check fails with the reason, and none errs in setup
+    for key, text, reason in [
+            ("mobius.num", "v^2", "mobius.num has degree 2 in v, above 1"),
+            ("mobius.den", "v^2 + 4", "mobius.den has degree 2 in v, above 1"),
+            ("mobius.num", "v + x0", "mobius.num involves x0, so a coefficient is not rational")]:
+        assert rows(key, text) == [(i, "fail", reason) for i in ids]
+    # a singular matrix: (v + 4) / (v + 4) is 1 off its common zero -4
+    assert [row[1:] for row in rows("mobius.num", "v + 4")] == [
+        ("fail", "condition evaluated false"), ("fail", "condition evaluated false"),
+        ("pass", None), ("fail", "the matrix sends [-4 : 1] to (0, 0)"),
+        ("fail", "the matrix [[1, 4], [1, 4]] has determinant 0")]
 
 
 def test_run_all_default_passes():
@@ -159,7 +179,7 @@ def test_equalizer_kernel_is_built_once_per_process(monkeypatch):
 
 
 def test_normalization_reads_no_key_for_the_kernel():
-    raw = _RecordingRaw(DEFAULT_RAW)
+    raw = RecordingRaw(DEFAULT_RAW)
     run_suite("normalization", SuiteConfig(constants=PaperConstants(raw=raw)))
     assert {key.split(".")[0] for key in raw.read} == {
         "wprime", "psi", "f3_action", "upsilon_p_param"}
@@ -384,8 +404,19 @@ def test_deep_nesting_is_a_parse_error_not_a_crash(capsys):
 
 
 def test_cli_eval_of_an_unprintable_coefficient_is_an_error(capsys):
-    # 2^100000 parses, but has more digits than str(int) prints by default
+    # 2^100000 has more digits than str(int) prints by default: the parser refuses it
+    limit = sys.get_int_max_str_digits()
     assert main(["eval", "2^100000*x"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: constant power longer than {limit} digits (at position 2)\n"
+    for text in ("10^10000000", "10^40000000"):
+        start = time.perf_counter()
+        assert main(["eval", text]) == 2
+        assert time.perf_counter() - start < 0.1
+        assert capsys.readouterr().err == \
+            f"error: constant power longer than {limit} digits (at position 3)\n"
+    # a product of printable powers past the limit is built, and refused when printed
+    assert main(["eval", "2^10000*2^10000*x"]) == 2
     assert capsys.readouterr().err.startswith("error: Exceeds the limit")
     # as a literal of as many digits is refused by the parser, which names the limit
     assert main(["eval", "9" * 5000]) == 2
