@@ -29,6 +29,7 @@ from .suites import (
     render_text,
     reports_to_json,
     run_all,
+    run_suite,
 )
 
 
@@ -171,7 +172,8 @@ def _mutate_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fano22 mutate",
         description="Run every suite on the paper's table and on N seeded mutant tables; "
-        "print how each mutant was caught and the sha256 of all reports.",
+        "print how each mutant was caught and the sha256 of all reports.  A mutant "
+        "re-runs only the suites that read its mutated constant on the paper's table.",
     )
     p.add_argument("count", type=int, metavar="N", help="number of mutants")
     p.add_argument("seed", type=int, metavar="SEED", help="seed of the mutant stream")
@@ -192,12 +194,18 @@ def _run_mutate(argv: list[str]) -> int:
     import json
 
     rng = random.Random(args.seed)
-    tables = [{"key": None, "checks": _signature(run_all())}]
+    paper = run_all()
+    rows = {r.suite: _signature([r]) for r in paper}
+    tables = [{"key": None, "checks": _signature(paper)}]
     outcomes = {"killed_by_fail": 0, "error_only": 0, "missed": 0}
     start = time.perf_counter()
     for i in range(args.count):
         key, raw = random_mutation(rng)
-        checks = _signature(run_all(SuiteConfig(constants=PaperConstants(raw=raw))))
+        config = SuiteConfig(constants=PaperConstants(raw=raw))
+        # a suite that reads no `key` on the paper's table reports on the mutant as on it
+        checks = [row for r in paper
+                  for row in (_signature([run_suite(r.suite, config)]) if key in r.reads
+                              else rows[r.suite])]
         tables.append({"key": key, "checks": checks})
         caught = [(f"{suite}/{id_}[{status}]", status)
                   for suite, id_, status, _, _ in checks if status != "pass"]

@@ -6,6 +6,16 @@ objects (the quadric involution, the family quadric) are derived from
 the stored generators rather than duplicated.  Each text of `DEFAULT_RAW`
 is parsed once per process, and every table that keeps that text shares
 the parsed polynomial; a changed text is parsed once per table.
+
+Derived objects follow the same rule, by the keys they read.
+`PaperConstants.poly` records each key it returns into the reads of the
+running step (a derived object's build, or a suite run), on a cache hit
+too.  A derived object is kept per table with its reads.  When every key
+it read has the paper's text it is also kept per process, so at most one
+shared object exists per builder; a later table takes it only after
+re-reading those keys through its own `raw` and finding the paper's
+text.  A mutant of one key thus rebuilds exactly the derived objects
+whose reads hold that key, and a recording `raw` still sees every read.
 """
 
 from __future__ import annotations
@@ -155,16 +165,32 @@ def _family(key: str) -> tuple[Registry, tuple[str, ...]]:
     raise KeyError(f"no variable pool for constant {key!r}")
 
 
-def _once(build):
-    """Keep a zero-argument method's result per table; a raise is not kept."""
+#: builder name -> (the object built from the paper's text, the keys it read)
+_shared: dict[str, tuple[object, dict[str, None]]] = {}
+
+
+def _derived(build):
+    """Keep a zero-argument builder's result with the keys it read; a raise is not kept.
+
+    The result is kept per table, and also per process when every key it
+    read has the paper's text.  Every call records those keys into the
+    caller's reads.
+    """
 
     name = build.__name__
 
     @functools.wraps(build)
     def method(self):
-        if name not in self._memo:
-            self._memo[name] = build(self)
-        return self._memo[name]
+        kept = self._built.get(name)
+        if kept is None:
+            kept = _shared.get(name)
+            if kept is None or not self._keeps_paper_text(kept[1]):
+                kept = self._reading(lambda: build(self))
+                if name not in _shared and self._keeps_paper_text(kept[1]):
+                    _shared[name] = kept
+            self._built[name] = kept
+        self._reads.update(kept[1])
+        return kept[0]
 
     return method
 
@@ -199,11 +225,13 @@ class PaperConstants:
     rebuilt from it so a single perturbation propagates everywhere.  A
     constant whose text is the paper's is the polynomial parsed once per
     process and shared by every table; a changed text is parsed once per
-    table.  `f3_action`, `w_space` and `psi` are built once per table, in
-    the caches that `__post_init__` sets up.
+    table.  The derived objects (`w_space`, `f3_action`, `psi`,
+    `group_law`, `wprime_space`, `family_quadric`, `quadric_involution`,
+    `reversal`, `gamma4`, `alpha_curve`, `iota_c`) are built once per table,
+    and shared by every table whose text they read is the paper's.
     """
 
-    __slots__ = ("raw", "_parsed", "_memo")
+    __slots__ = ("raw", "_parsed", "_built", "_reads")
 
     reg_w = REG_W
     reg_f3 = REG_F3
@@ -215,30 +243,57 @@ class PaperConstants:
 
     def __post_init__(self):
         self._parsed: dict[str, Polynomial] = {}
-        self._memo: dict[str, object] = {}
+        # builder name -> (object, keys it read), as in `_shared`
+        self._built: dict[str, tuple[object, dict[str, None]]] = {}
+        # the keys read by the running step, in order of first read
+        self._reads: dict[str, None] = {}
 
     def poly(self, key: str) -> Polynomial:
-        """The constant `key`, parsed over the registry of its key family."""
-        if key not in self._parsed:
+        """The constant `key`, parsed over the registry of its key family.
+
+        The key is recorded into the running step's reads on every call.
+        """
+        self._reads[key] = None
+        p = self._parsed.get(key)
+        if p is None:
             text = self.raw[key]
             if text == DEFAULT_RAW.get(key):
-                self._parsed[key] = _paper_poly(key)
+                p = _paper_poly(key)
             else:
-                self._parsed[key] = parse(text, _family(key)[0])
-        return self._parsed[key]
+                p = parse(text, _family(key)[0])
+            self._parsed[key] = p
+        return p
+
+    def _reading(self, step) -> tuple[object, dict[str, None]]:
+        """(step(), the keys it read), recorded into the caller's reads too, even on a raise."""
+        outer = self._reads
+        self._reads = {}
+        try:
+            return step(), self._reads
+        finally:
+            outer.update(self._reads)
+            self._reads = outer
+
+    def _keeps_paper_text(self, keys) -> bool:
+        """Whether each key, read through `raw` in order up to the first that differs, has
+        the paper's text; a key missing from `raw` is a difference."""
+        try:
+            return all(self.raw[key] == DEFAULT_RAW.get(key) for key in keys)
+        except KeyError:
+            return False
 
     # -- the seven-dimensional module ---------------------------------------
 
     def w_basis(self) -> list[Polynomial]:
         return [self.poly(f"w_basis.e{i}") for i in range(7)]
 
-    @_once
+    @_derived
     def w_space(self) -> SectionSpace:
         return SectionSpace(REG_W, self.w_basis(), (5, 1), W_GRADING)
 
     # -- the Hirzebruch surface side -----------------------------------------
 
-    @_once
+    @_derived
     def f3_action(self) -> ParametricAction:
         """The action on F3; every call raises again if its build fails."""
         return ParametricAction(
@@ -249,6 +304,7 @@ class PaperConstants:
             identity={"a": Fraction(0), "lam": Fraction(1)},
         )
 
+    @_derived
     def group_law(self) -> GroupLaw:
         return GroupLaw(
             rule={"a": self.poly("group_law.a"), "lam": self.poly("group_law.lam")},
@@ -274,7 +330,7 @@ class PaperConstants:
     def upsilon_t_parametrization(self, value: Fraction | None = None) -> dict[str, Polynomial]:
         return {n: _at_v(self.poly(f"upsilon_t_param.{n}"), value) for n in ("y0", "y1")}
 
-    @_once
+    @_derived
     def psi(self) -> RationalMap:
         return RationalMap(
             registry=REG_F3,
@@ -283,6 +339,7 @@ class PaperConstants:
             components=tuple(self.poly(f"psi.w{i}") for i in range(6)),
         )
 
+    @_derived
     def wprime_space(self) -> SectionSpace:
         basis = [self.poly(f"wprime.{i}") for i in range(6)]
         return SectionSpace(REG_F3, basis, (1, 1), F3_GRADING)
@@ -295,11 +352,13 @@ class PaperConstants:
             for k in ("f2", "f3", "f40", "f41", "f5", "f6")
         ]
 
+    @_derived
     def family_quadric(self) -> Polynomial:
         """f_c = c^2 * f40 - f41, the T-stable quadric with c^2 = a/b."""
         c = REG_Q.var("c")
         return c * c * self.poly("quartic_ideal.f40") - self.poly("quartic_ideal.f41")
 
+    @_derived
     def quadric_involution(self) -> RationalMap:
         """j_Q = [f2 : c*f3 : c^2*f40 : c*f5 : f6] on the family quadric."""
         c = REG_Q.var("c")
@@ -313,17 +372,21 @@ class PaperConstants:
         wvars = ("w0", "w1", "w2", "w3", "w4")
         return RationalMap(REG_Q, wvars, wvars, comps, self.family_quadric())
 
+    @_derived
     def reversal(self) -> RationalMap:
         wvars = ("w0", "w1", "w2", "w3", "w4")
         comps = tuple(self.poly(f"reversal.{w}") for w in wvars)
         return RationalMap(REG_Q, wvars, wvars, comps, self.family_quadric())
 
+    @_derived
     def gamma4(self) -> ParamCurve:
         return ParamCurve(REG_Q, ("t0", "t1"), tuple(self.poly(f"gamma4.w{i}") for i in range(5)))
 
+    @_derived
     def alpha_curve(self) -> ParamCurve:
         return ParamCurve(REG_Q, ("u0", "u1"), tuple(self.poly(f"alpha.w{i}") for i in range(5)))
 
+    @_derived
     def iota_c(self) -> RationalMap:
         return RationalMap(
             REG_Q, ("u0", "u1"), ("u0", "u1"),

@@ -102,12 +102,17 @@ def _parse_factor(tk: _Tokens, reg: Registry) -> Polynomial:
         if m is None or m.group(1) is None:
             raise ParseError("expected a non-negative integer exponent", where)
         n, limit = _integer(m, where), sys.get_int_max_str_digits()
-        if limit and base.is_constant():
-            # |c|^n >= 2^(n*(bits - 1)) and 2^(10/3) > 10: past 10^limit, so unprintable
-            c = base.constant_value()
-            bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+        if limit and not base.is_zero():
+            # lex order on exponents is a monomial order, so the greatest and the least
+            # term of base^n are those of base to the n-th: c^n is a coefficient for
+            # either's c; |c|^n >= 2^(n*(bits - 1)) and 2^(10/3) > 10: past 10^limit,
+            # so unprintable
+            terms = base.terms
+            bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                       for c in (terms[max(terms)], terms[min(terms)]))
             if 3 * n * (bits - 1) >= 10 * limit:
-                raise ParseError(f"constant power longer than {limit} digits", where)
+                what = "constant power" if base.is_constant() else "coefficient of a power"
+                raise ParseError(f"{what} longer than {limit} digits", where)
         return base ** n
     return base
 

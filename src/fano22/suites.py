@@ -9,8 +9,10 @@ suite.  The stabilizer suite computes each family's raw minors once over
 Q[v] and specializes them at every v.  A value that several checks of one
 suite share is a `functools.cache`d local, built by the first check that
 asks; a raise is not kept, so it errs every check that uses the value,
-with the same witness, and never the suite's setup.  Reports serialize
-to JSON as {suite, checks: [{id, status, statement, witness?, ms}]}.
+with the same witness, and never the suite's setup.  A report also holds
+the keys of the constants table its suite read, through the derived
+objects it used too.  Reports serialize to JSON as {suite, checks: [{id,
+status, statement, witness?, ms}]}.
 """
 
 from __future__ import annotations
@@ -87,11 +89,14 @@ class Check:
 
 
 class CheckReport:
-    __slots__ = ("suite", "checks")
+    """A suite's checks, and the keys of the constants table the suite read."""
 
-    def __init__(self, suite: str, checks: list[Check]):
+    __slots__ = ("suite", "checks", "reads")
+
+    def __init__(self, suite: str, checks: list[Check], reads: frozenset[str] = frozenset()):
         self.suite = suite
         self.checks = checks
+        self.reads = reads
 
     @property
     def ok(self) -> bool:
@@ -726,14 +731,19 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> CheckReport:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {', '.join(SUITE_ORDER)}")
     config = config if config is not None else SuiteConfig()
     rec = _Recorder()
-    try:
-        _SUITES[name](config, rec)
-    except Exception as exc:  # a broken constants table may fail suite setup
-        rec.checks.append(Check(
-            f"{name}.setup", "error", "suite inputs construct successfully",
-            f"{type(exc).__name__}: {exc}", 0.0,
-        ))
-    return CheckReport(name, rec.checks)
+
+    def suite():
+        try:
+            _SUITES[name](config, rec)
+        except Exception as exc:  # a broken constants table may fail suite setup
+            rec.checks.append(Check(
+                f"{name}.setup", "error", "suite inputs construct successfully",
+                f"{type(exc).__name__}: {exc}", 0.0,
+            ))
+
+    # the keys the suite read, through the derived objects it used too
+    reads = config.constants._reading(suite)[1]
+    return CheckReport(name, rec.checks, frozenset(reads))
 
 
 def run_all(config: SuiteConfig | None = None,
@@ -741,7 +751,8 @@ def run_all(config: SuiteConfig | None = None,
     """Run the named suites (all of them by default) in fixed order.
 
     Every suite reads one configuration, so each constant of its table is
-    parsed at most once and the table's derived objects are built once.
+    parsed at most once and the table's derived objects are built at most
+    once (see `constants`).
     """
     selected = SUITE_ORDER if names is None else tuple(names)
     config = config if config is not None else SuiteConfig()

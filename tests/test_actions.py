@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fano22 import suites
+from fano22 import constants, suites
 from fano22.actions import (
     ActionError,
     GroupLaw,
@@ -73,19 +73,34 @@ def test_group_law_construction(consts):
         assert law.rule is rule and law.primed is primed
 
 
-def test_f3_action_built_once_per_table_unless_it_fails(consts):
+def test_f3_action_built_once_per_table_unless_it_fails(consts, monkeypatch):
     other = PaperConstants()
     assert other.reg_f3 is consts.reg_f3
     assert other.o11_space() is consts.o11_space()
+    # tables that keep the paper's text share one object
     for name in ("f3_action", "w_space", "psi"):
         built = getattr(consts, name)()
         assert getattr(consts, name)() is built
-        assert getattr(other, name)() is not built
-    raw = dict(consts.raw, **{"f3_action.x0": "lam*x0 + x1"})
-    tampered = PaperConstants(raw=raw)
-    for _ in range(2):
+        assert getattr(other, name)() is built
+    shared = consts.f3_action()
+    builds = []
+    monkeypatch.setattr(constants, "ParametricAction",
+                        lambda **fields: builds.append(fields) or ParametricAction(**fields))
+    # a mutant of one key gets its own object, built once per table
+    raw = dict(consts.raw, **{"f3_action.x1": "x1 + a*x0 + a^2*x0"})
+    for n in (1, 2):
+        mutant = PaperConstants(raw=dict(raw))
+        own = mutant.f3_action()
+        assert own is not shared and mutant.f3_action() is own and len(builds) == n
+        assert own.images["x1"] != shared.images["x1"]
+        assert mutant.w_space() is consts.w_space()
+    # a failing build raises on every call and is never shared
+    tampered = PaperConstants(raw=dict(consts.raw, **{"f3_action.x0": "lam*x0 + x1"}))
+    for n in (3, 4):
         with pytest.raises(ActionError):
             tampered.f3_action()
+        assert len(builds) == n
+    assert PaperConstants().f3_action() is shared and len(builds) == 4
 
 
 def test_act_on_section(consts):

@@ -287,6 +287,7 @@ def test_the_paper_table_is_parsed_once_per_process_and_a_mutant_parses_one_key(
 
     monkeypatch.setattr(constants, "parse", spy)
     _paper_poly.cache_clear()
+    constants._shared.clear()
     run_all()
     assert sorted(texts) == sorted(DEFAULT_RAW.values())
     texts.clear()
@@ -307,3 +308,46 @@ def test_a_recording_table_records_every_key_it_returns():
         raw = RecordingRaw(DEFAULT_RAW)
         PaperConstants(raw=raw).poly(key)
         assert raw.read == {key}
+
+
+#: every builder kept per table and, on the paper's text, per process
+DERIVED = ("w_space", "f3_action", "psi", "group_law", "wprime_space", "family_quadric",
+           "quadric_involution", "reversal", "gamma4", "alpha_curve", "iota_c")
+
+
+def test_a_mutant_rebuilds_exactly_the_derived_objects_that_read_its_key():
+    shared, reads = {}, {}
+    for name in DERIVED:
+        raw = RecordingRaw(DEFAULT_RAW)
+        shared[name] = getattr(PaperConstants(raw=raw), name)()
+        reads[name] = raw.read
+        assert getattr(PaperConstants(), name)() is shared[name]
+    assert set().union(*reads.values()) < set(DEFAULT_RAW)
+    for key in DEFAULT_RAW:
+        table = PaperConstants(raw=_mutant(key))
+        for name in DERIVED:
+            try:
+                built = getattr(table, name)()
+            except Exception:  # a mutant may refuse a build, which the shared one passed
+                assert key in reads[name], (key, name)
+                continue
+            assert (built is shared[name]) == (key not in reads[name]), (key, name)
+            assert getattr(table, name)() is built
+        # the mutant's own objects are never shared
+        for name in DERIVED:
+            assert getattr(PaperConstants(), name)() is shared[name], (key, name)
+
+
+def test_a_table_records_the_reads_of_each_derived_object_on_every_call():
+    expected = {}
+    for name in DERIVED:
+        raw = RecordingRaw(DEFAULT_RAW)
+        getattr(PaperConstants(raw=raw), name)()
+        expected[name] = raw.read
+    constants._shared.clear()
+    # the first table builds each object, the second takes the shared one; both keep it
+    for table in (PaperConstants(), PaperConstants()):
+        for name in DERIVED:
+            for _ in range(2):
+                reads = table._reading(getattr(table, name))[1]
+                assert set(reads) == expected[name], name

@@ -10,10 +10,10 @@ same name does not use it.  Docstrings are not code, and neither is the
 definition's own name; tests do not count as users.  Dunder names are
 called by Python.
 
-Every module of the package also uses each name it imports, so that
-deleted code leaves no import behind.  `__init__.py` re-exports its
-imports, and `from __future__` imports act on the compiler; both are
-exempt.
+Every module of the package, of the tests and of the benchmark also uses
+each name it imports, so that deleted code leaves no import behind.
+`__init__.py` re-exports its imports, and `from __future__` imports act
+on the compiler; both are exempt.
 """
 
 import ast
@@ -113,6 +113,8 @@ def _unused_imports(tree: ast.AST) -> list[str]:
 
 
 def test_every_import_is_used():
-    unused = {path.name: _unused_imports(_parse(path)) for path in PACKAGE.rglob("*.py")
+    modules = [*PACKAGE.rglob("*.py"), *(ROOT / "tests").glob("*.py"),
+               *(ROOT / "bench").rglob("*.py")]
+    unused = {str(path.relative_to(ROOT)): _unused_imports(_parse(path)) for path in modules
               if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}

@@ -7,7 +7,7 @@ each of those checks, with the same witness, and no suite setup.
 
 import pytest
 
-from fano22 import actions, suites
+from fano22 import actions, constants, suites
 from fano22.constants import SL2_RAISING, W_TORUS, PaperConstants
 from fano22.maps import compose, cross_differences
 from fano22.poly import Derivation, Polynomial, Registry
@@ -46,9 +46,14 @@ def test_g_action_builds_the_self_composition_once(monkeypatch):
         return substitute(self, assignment)
 
     monkeypatch.setattr(Polynomial, "substitute", spy)
+    constants._shared.clear()
     report = run_suite("g-action")
     assert report.ok and len(report.checks) == 6
     assert len(renamings) == 4
+    # a fresh paper table shares the action, and with it the self-composition
+    renamings.clear()
+    assert run_suite("g-action").ok
+    assert renamings == []
 
 
 def test_semi_invariant_lines_of_w_build_no_matrix(monkeypatch):

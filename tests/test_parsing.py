@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fano22.cli import main
 from fano22.parsing import MAX_NESTING, ParseError, parse
 from fano22.poly import Registry, format_poly
 
@@ -107,3 +108,27 @@ def test_a_constant_power_past_the_digit_limit_is_a_parse_error(digit_limit):
     # without a digit limit every power is built
     sys.set_int_max_str_digits(0)
     assert parse(f"2^{4 * digit_limit}", reg) == reg.const(2 ** (4 * digit_limit))
+
+
+def test_a_power_with_a_coefficient_past_the_digit_limit_is_refused_at_once(capsys):
+    limit = sys.get_int_max_str_digits()
+    # 2^14000 prints, but its square does not, and its 3000th power would be a
+    # 42-million-bit coefficient; the squares come first, so that a broken bound
+    # fails the test before it builds the larger powers.  The last square's
+    # large coefficient sits on its least term: y comes first in its registry
+    for text, position in (("(x*2^14000)^2", 12), ("(x*2^14000 + y)^2", 16),
+                           ("(y + x*2^14000)^2", 16),
+                           ("(x*2^14000)^3000", 12), ("(x*2^14000 + y)^3000", 16)):
+        start = time.perf_counter()
+        assert main(["eval", text]) == 2
+        assert time.perf_counter() - start < 0.1
+        assert capsys.readouterr().err == \
+            f"error: coefficient of a power longer than {limit} digits (at position {position})\n"
+    reg = Registry([("x", "coordinate"), ("y", "coordinate")])
+    x, y = reg.var("x"), reg.var("y")
+    assert parse("(2*x)^3", reg) == 8 * x ** 3
+    assert parse("(1/2*x - 3*y)^2", reg) == (x ** 2).scale(Fraction(1, 4)) - 3 * x * y + 9 * y ** 2
+    # the greatest term of (x + y*2^1400)^3 has coefficient 1, the least 2^4200
+    assert parse("(x + y*2^1400)^3", reg).terms[(0, 3)] == 2 ** 4200
+    with pytest.raises(ParseError, match="coefficient of a power longer than"):
+        parse("(x + y*2^14000)^3", reg)

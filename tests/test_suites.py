@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,14 +15,15 @@ from fano22 import (
     SUITE_ORDER,
     SuiteConfig,
     UnknownSuite,
+    random_mutation,
     render_text,
     reports_to_json,
     run_all,
     run_suite,
 )
-from fano22 import suites
+from fano22 import constants, suites
 from fano22.cli import main
-from fano22.constants import DEFAULT_RAW, REG_F3
+from fano22.constants import DEFAULT_RAW, REG_F3, _family
 from fano22.sections import SectionSpace
 
 from helpers import RecordingRaw
@@ -178,6 +181,34 @@ def test_equalizer_kernel_is_built_once_per_process(monkeypatch):
     assert [space is kernel for space in checked] == [True, False, True, False]
 
 
+def test_each_suite_records_the_keys_a_recording_table_sees_cold_and_warm():
+    recorded = {}
+    for warm in (False, True):
+        for name in SUITE_ORDER:
+            if not warm:
+                constants._shared.clear()
+            raw = RecordingRaw(DEFAULT_RAW)
+            report = run_suite(name, SuiteConfig(constants=PaperConstants(raw=raw)))
+            assert report.ok and report.reads == raw.read, (name, warm)
+            assert recorded.setdefault(name, report.reads) == report.reads, name
+    # one table for every suite: a key read by an earlier suite is recorded again
+    assert {r.suite: r.reads for r in run_all()} == recorded
+    assert set().union(*recorded.values()) == set(DEFAULT_RAW)
+
+
+def test_on_every_one_key_mutant_each_suite_records_what_its_recording_table_sees():
+    setup_errors = 0
+    for key in DEFAULT_RAW:
+        name = _family(key)[1][0]
+        for suite in SUITE_ORDER:
+            raw = RecordingRaw(dict(DEFAULT_RAW, **{key: f"({DEFAULT_RAW[key]}) + 2/3*{name}^2"}))
+            report = run_suite(suite, SuiteConfig(constants=PaperConstants(raw=raw)))
+            assert report.reads == raw.read, (key, suite)
+            setup_errors += report.checks[-1].id.endswith(".setup")
+    # among them, derived objects whose build raised: their reads are recorded too
+    assert setup_errors > 0
+
+
 def test_normalization_reads_no_key_for_the_kernel():
     raw = RecordingRaw(DEFAULT_RAW)
     run_suite("normalization", SuiteConfig(constants=PaperConstants(raw=raw)))
@@ -315,6 +346,39 @@ def _fresh_cli(*argv: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(Path(suites.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "fano22.cli", *argv], env=env,
                           capture_output=True, text=True, check=True).stdout
+
+
+def test_selective_mutate_prints_what_a_full_loop_prints(capsys, tmp_path, monkeypatch):
+    """Every suite on every mutant, as the campaign ran before it skipped suites."""
+    def signature(reports):
+        return [[r.suite, c.id, c.status, c.statement, c.witness]
+                for r in reports for c in r.checks]
+
+    count, seed = 40, 11
+    rng = random.Random(seed)
+    tables, lines = [{"key": None, "checks": signature(run_all())}], []
+    for i in range(count):
+        key, raw = random_mutation(rng)
+        checks = signature(run_all(SuiteConfig(constants=PaperConstants(raw=raw))))
+        tables.append({"key": key, "checks": checks})
+        caught = [(f"{suite}/{id_}[{status}]", status)
+                  for suite, id_, status, _, _ in checks if status != "pass"]
+        fails = [name for name, status in caught if status == "fail"]
+        if fails:
+            line = f"killed by fail in {len(fails)} of {len(caught)} checks, first: {fails[0]}"
+        elif caught:
+            line = f"killed only by error in {len(caught)} checks, first: {caught[0][0]}"
+        else:
+            line = "NOT DETECTED"
+        lines.append(f"#{i:02d} {key}: {line}")
+    data = json.dumps({"count": count, "seed": seed, "tables": tables},
+                      indent=1, sort_keys=True).encode()
+    monkeypatch.chdir(tmp_path)
+    main(["mutate", str(count), str(seed)])
+    out = capsys.readouterr().out.splitlines()
+    assert out[:count] == lines
+    assert out[-1] == f"{hashlib.sha256(data).hexdigest()}  report_signature.json"
+    assert (tmp_path / "report_signature.json").read_bytes() == data
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
