@@ -7,15 +7,17 @@ the stored generators rather than duplicated.  Each text of `DEFAULT_RAW`
 is parsed once per process, and every table that keeps that text shares
 the parsed polynomial; a changed text is parsed once per table.
 
-Derived objects follow the same rule, by the keys they read.
-`PaperConstants.poly` records each key it returns into the reads of the
-running step (a derived object's build, or a suite run), on a cache hit
-too.  A derived object is kept per table with its reads.  When every key
-it read has the paper's text it is also kept per process, so at most one
-shared object exists per builder; a later table takes it only after
-re-reading those keys through its own `raw` and finding the paper's
-text.  A mutant of one key thus rebuilds exactly the derived objects
-whose reads hold that key, and a recording `raw` still sees every read.
+Derived objects follow the same rule, by the keys they read.  They are
+the results of `_derived` builders: the table's own, and the set-up
+values the suites of `suites` build from it.  `PaperConstants.poly`
+records each key it returns into the reads of the running step (a
+derived object's build, or a suite run), on a cache hit too.  A derived
+object is kept per table with its reads.  When every key it read has
+the paper's text it is also kept per process, so at most one shared
+object exists per builder; a later table takes it only after re-reading
+those keys through its own `raw` and finding the paper's text.  A mutant
+of one key thus rebuilds exactly the derived objects whose reads hold
+that key, and a recording `raw` still sees every read.
 """
 
 from __future__ import annotations
@@ -165,30 +167,30 @@ def _family(key: str) -> tuple[Registry, tuple[str, ...]]:
     raise KeyError(f"no variable pool for constant {key!r}")
 
 
-#: builder name -> (the object built from the paper's text, the keys it read)
-_shared: dict[str, tuple[object, dict[str, None]]] = {}
+#: builder -> (the object built from the paper's text, the keys it read)
+_shared: dict[object, tuple[object, dict[str, None]]] = {}
 
 
 def _derived(build):
-    """Keep a zero-argument builder's result with the keys it read; a raise is not kept.
+    """Keep a builder's result with the keys it read; a raise is not kept.
 
+    `build` is a function of the table alone, a method of `PaperConstants`
+    or a suite's set-up value in `suites`, whose result no caller mutates.
     The result is kept per table, and also per process when every key it
-    read has the paper's text.  Every call records those keys into the
-    caller's reads.
+    read has the paper's text.  Both memos are keyed by the builder itself.
+    Every call records those keys into the caller's reads.
     """
-
-    name = build.__name__
 
     @functools.wraps(build)
     def method(self):
-        kept = self._built.get(name)
+        kept = self._built.get(build)
         if kept is None:
-            kept = _shared.get(name)
+            kept = _shared.get(build)
             if kept is None or not self._keeps_paper_text(kept[1]):
                 kept = self._reading(lambda: build(self))
-                if name not in _shared and self._keeps_paper_text(kept[1]):
-                    _shared[name] = kept
-            self._built[name] = kept
+                if build not in _shared and self._keeps_paper_text(kept[1]):
+                    _shared[build] = kept
+            self._built[build] = kept
         self._reads.update(kept[1])
         return kept[0]
 
@@ -227,8 +229,9 @@ class PaperConstants:
     process and shared by every table; a changed text is parsed once per
     table.  The derived objects (`w_space`, `f3_action`, `psi`,
     `group_law`, `wprime_space`, `family_quadric`, `quadric_involution`,
-    `reversal`, `gamma4`, `alpha_curve`, `iota_c`) are built once per table,
-    and shared by every table whose text they read is the paper's.
+    `reversal`, `gamma4`, `alpha_curve`, `iota_c`, and the suites' set-up
+    values in `suites`) are built once per table, and shared by every table
+    whose text they read is the paper's.
     """
 
     __slots__ = ("raw", "_parsed", "_built", "_reads")
@@ -243,7 +246,7 @@ class PaperConstants:
 
     def __post_init__(self):
         self._parsed: dict[str, Polynomial] = {}
-        # builder name -> (object, keys it read), as in `_shared`
+        # builder -> (object, keys it read), as in `_shared`
         self._built: dict[str, tuple[object, dict[str, None]]] = {}
         # the keys read by the running step, in order of first read
         self._reads: dict[str, None] = {}

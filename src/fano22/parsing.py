@@ -12,6 +12,7 @@ Whitespace-insensitive.  `parse(format(f)) == f` for normalized f.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -105,12 +106,18 @@ def _parse_factor(tk: _Tokens, reg: Registry) -> Polynomial:
         if limit and not base.is_zero():
             # lex order on exponents is a monomial order, so the greatest and the least
             # term of base^n are those of base to the n-th: c^n is a coefficient for
-            # either's c; |c|^n >= 2^(n*(bits - 1)) and 2^(10/3) > 10: past 10^limit,
-            # so unprintable
+            # either's c, and |c|^n >= 2^(n*(bits - 1))
             terms = base.terms
             bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
                        for c in (terms[max(terms)], terms[min(terms)]))
-            if 3 * n * (bits - 1) >= 10 * limit:
+            # base(1, ..., 1)^n = s^n is the sum of the at most m coefficients of base^n,
+            # so one is at least |s|^n / m >= 2^(n*e/16 - bits(m)), e = floor(16*log2|s|)
+            s = abs(sum(terms.values()))
+            e = (s.numerator ** 16 // s.denominator ** 16).bit_length() - 1
+            k = len(base.variables())
+            m = math.comb(n * base.total_degree() + k, k)
+            # 2^(10/3) > 10: either coefficient passes 10^limit, so it is unprintable
+            if 3 * max(n * (bits - 1), n * e // 16 - m.bit_length()) >= 10 * limit:
                 what = "constant power" if base.is_constant() else "coefficient of a power"
                 raise ParseError(f"{what} longer than {limit} digits", where)
         return base ** n

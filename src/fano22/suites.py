@@ -1,15 +1,19 @@
 """Named verification suites producing structured check reports.
 
-Each suite rebuilds its inputs from the constants table, runs a fixed
+Each suite takes its inputs from the constants table, runs a fixed
 ordered list of exact checks, and records pass/fail/error with an
 optional polynomial witness and per-check timing.  Inputs that read no
 constant are built once per process: the O(1,1) space on F3
 (`constants.o11_space`) and the equalizer kernel of the normalization
-suite.  The stabilizer suite computes each family's raw minors once over
-Q[v] and specializes them at every v.  A value that several checks of one
-suite share is a `functools.cache`d local, built by the first check that
-asks; a raise is not kept, so it errs every check that uses the value,
-with the same witness, and never the suite's setup.  A report also holds
+suite.  The set-up values that read the table (the Borel and the O(1,1)
+semi-invariant lines, each stabilizer family's raw minors over Q[v], the
+distinguished tangent, the two contact pencils and iota) are
+`constants._derived` builders next to their suite: built once per table,
+and shared across tables by the keys they read.  Each is asked for where
+the suite first needs it, so a raise lands on the same report row: in
+the setup, or, for a value that checks share, in every check that uses
+it, with the same witness, since a raise is not kept.  The stabilizer
+suite specializes each family's minors at every v.  A report also holds
 the keys of the constants table its suite read, through the derived
 objects it used too.  Reports serialize to JSON as {suite, checks: [{id,
 status, statement, witness?, ms}]}.
@@ -42,6 +46,7 @@ from .constants import (
     W_TORUS,
     WRONG_GROUP_LAW,
     PaperConstants,
+    _derived,
     _o11_space,
 )
 from .linalg import ExactMatrix, coefficient_matrix, combine
@@ -218,10 +223,15 @@ def _suite_w_module(cfg: SuiteConfig, rec: _Recorder):
 # -- S2: the unique Borel-stable line ---------------------------------------
 
 
+@_derived
+def _borel_lines(c: PaperConstants) -> list[Polynomial]:
+    """The Borel-semi-invariant lines of the seven-dimensional module."""
+    return semi_invariant_lines(c.w_space(), W_TORUS, SL2_RAISING)
+
+
 def _suite_borel_line(cfg: SuiteConfig, rec: _Recorder):
     c = cfg.constants
-    space = c.w_space()
-    lines = semi_invariant_lines(space, W_TORUS, SL2_RAISING)
+    lines = _borel_lines(c)
     rec.run("s2.unique-line",
             "the module has exactly one Borel-semi-invariant line",
             lambda: (len(lines) == 1, f"found {len(lines)} lines"))
@@ -282,18 +292,28 @@ def _suite_g_action(cfg: SuiteConfig, rec: _Recorder):
 # -- S4: semi-invariant lines in H^0(O(1,1)) ---------------------------------
 
 
+@_derived
+def _o11_lines(c: PaperConstants) -> list[Polynomial]:
+    """The semi-invariant lines of H^0(O(1,1)) under the torus and unipotent directions.
+
+    Once the action is built, its Lie derivations along its own parameters
+    cannot raise, so only the lines can.
+    """
+    action = c.f3_action()
+    return semi_invariant_lines(c.o11_space(), lie_derivation(action, "lam"),
+                                lie_derivation(action, "a"))
+
+
 def _suite_semi_invariants(cfg: SuiteConfig, rec: _Recorder):
     c = cfg.constants
-    action = c.f3_action()
+    c.f3_action()  # a table whose action fails errs the setup before any check
     space = c.o11_space()
-    d_torus = lie_derivation(action, "lam")
-    d_unipotent = lie_derivation(action, "a")
 
     rec.run("s4.space-dimension",
             "the bidegree-(1,1) section space has dimension 7",
             lambda: (space.dim == 7, f"dim = {space.dim}"))
 
-    lines = semi_invariant_lines(space, d_torus, d_unipotent)
+    lines = _o11_lines(c)
     expected = [c.reg_f3.var("x0") ** 4 * c.reg_f3.var("y0"), c.upsilon_p()]
 
     rec.run("s4.two-lines",
@@ -306,6 +326,21 @@ def _suite_semi_invariants(cfg: SuiteConfig, rec: _Recorder):
 
 
 # -- S5: stabilizer condition ideals -----------------------------------------
+
+
+@_derived
+def _torus_minors(c: PaperConstants) -> list[Polynomial]:
+    """The raw stabilizer minors of the torus family over Q[v]."""
+    return _minors(c.upsilon_t(), c.f3_action(), c.o11_space())
+
+
+@_derived
+def _additive_minors(c: PaperConstants) -> list[Polynomial]:
+    """The raw stabilizer minors of the additive family over Q[v]."""
+    return _minors(c.upsilon_a(), c.f3_action(), c.o11_space())
+
+
+_GENERIC_MINORS = {"torus": _torus_minors, "additive": _additive_minors}
 
 
 def _suite_stabilizers(cfg: SuiteConfig, rec: _Recorder):
@@ -335,8 +370,8 @@ def _suite_stabilizers(cfg: SuiteConfig, rec: _Recorder):
     minors: dict[str, list[Polynomial]] = {}
     v_free = all(img.degree_in("v") == 0 for img in action.images.values())
 
-    def generic_ideal_is(name, curve, generator):
-        raw = _minors(curve(), action, space)
+    def generic_ideal_is(name, generator):
+        raw = _GENERIC_MINORS[name](c)
         if v_free:
             minors[name] = raw
         return ideal_is(_conditions(raw, action, unit), generator)
@@ -347,10 +382,10 @@ def _suite_stabilizers(cfg: SuiteConfig, rec: _Recorder):
         point = {"v": reg.const(val)}
         return _conditions([m.substitute(point) for m in minors[name]], action, unit)
 
-    for name, curve, (generic, text), _, _ in families:
+    for name, _, (generic, text), _, _ in families:
         rec.run(f"s5.{name}-family-generic",
                 f"stabilizer ideal of the {name} family is principal with generator {text}",
-                lambda: generic_ideal_is(name, curve, generic))
+                lambda: generic_ideal_is(name, generic))
     # a value given twice would repeat its check ids
     for val in dict.fromkeys(cfg.v_specializations):
         for name, curve, _, stable_at, (generator, text) in families:
@@ -450,19 +485,20 @@ def _suite_normalization(cfg: SuiteConfig, rec: _Recorder):
 # -- S7: tangent directions at the fixed point ---------------------------------
 
 
+@_derived
+def _distinguished_tangent(c: PaperConstants) -> TangentDirection:
+    """The tangent parameter of the distinguished curve."""
+    return tangent_parameter(c.upsilon_p())
+
+
 def _suite_tangent_directions(cfg: SuiteConfig, rec: _Recorder):
     c = cfg.constants
     reg = c.reg_f3
     v = reg.var("v")
 
-    @functools.cache
-    def distinguished_tangent():
-        """The tangent parameter of the distinguished curve."""
-        return tangent_parameter(c.upsilon_p())
-
     rec.run("s7.distinguished-curve",
             "the distinguished curve has tangent parameter -4",
-            lambda: distinguished_tangent() == -4)
+            lambda: _distinguished_tangent(c) == -4)
     rec.run("s7.torus-family",
             "the torus family has tangent parameter v",
             lambda: tangent_parameter(c.upsilon_t()) == v)
@@ -493,7 +529,7 @@ def _suite_tangent_directions(cfg: SuiteConfig, rec: _Recorder):
         q_section = tangent_parameter(reg.var("y0"))
         q_fiber = tangent_parameter(reg.var("x0"))
         delta = blow_down_kernel()
-        gamma = distinguished_tangent()
+        gamma = _distinguished_tangent(c)
         ok = (q_section == 0 and q_fiber == INFINITY
               and delta is not None and delta == 1 and gamma == -4)
         return ok, None if ok else f"({q_section}, {q_fiber}, {delta}, {gamma})"
@@ -520,18 +556,31 @@ def _suite_tangent_directions(cfg: SuiteConfig, rec: _Recorder):
 # -- S8: the two pencils and divisor-class bookkeeping -------------------------
 
 
+@_derived
+def _total_contact(c: PaperConstants) -> SectionSpace:
+    """The pencil of O(1,1) sections with contact order 5 at the fixed point."""
+    return restricted_order_subspace(
+        c.o11_space(), c.upsilon_p_parametrization(), [((Fraction(0), Fraction(1)), 5)],
+        ("x0", "x1"))
+
+
+@_derived
+def _split_contact(c: PaperConstants) -> SectionSpace:
+    """The pencil of O(1,1) sections with contact orders 4 at [1:0] and 1 at [0:1]."""
+    return restricted_order_subspace(
+        c.o11_space(), c.upsilon_p_parametrization(),
+        [((Fraction(1), Fraction(0)), 4), ((Fraction(0), Fraction(1)), 1)], ("x0", "x1"))
+
+
 def _suite_pencils(cfg: SuiteConfig, rec: _Recorder):
     c = cfg.constants
     reg = c.reg_f3
-    space = c.o11_space()
-    curve = c.upsilon_p_parametrization()
+    c.upsilon_p_parametrization()  # the setup reads the curve before the section
     upsilon = c.upsilon_p()
     fiber_power = reg.var("x0") ** 4 * reg.var("y0")
     cross = reg.var("x0") * reg.var("y1")
 
-    total_contact = restricted_order_subspace(
-        space, curve, [((Fraction(0), Fraction(1)), 5)], ("x0", "x1")
-    )
+    total_contact = _total_contact(c)
     rec.run("s8.total-contact-dimension",
             "the pencil with full contact at the fixed point is 2-dimensional",
             lambda: (total_contact.dim == 2, f"dim = {total_contact.dim}"))
@@ -540,11 +589,7 @@ def _suite_pencils(cfg: SuiteConfig, rec: _Recorder):
             lambda: total_contact.contains(upsilon)
             and total_contact.contains(fiber_power))
 
-    split_contact = restricted_order_subspace(
-        space, curve,
-        [((Fraction(1), Fraction(0)), 4), ((Fraction(0), Fraction(1)), 1)],
-        ("x0", "x1"),
-    )
+    split_contact = _split_contact(c)
     rec.run("s8.split-contact-dimension",
             "the pencil with contact orders (4,1) is 2-dimensional",
             lambda: (split_contact.dim == 2, f"dim = {split_contact.dim}"))
@@ -571,6 +616,12 @@ def _suite_pencils(cfg: SuiteConfig, rec: _Recorder):
 
 
 # -- S9: the quadric involution -------------------------------------------------
+
+
+@_derived
+def _iota(c: PaperConstants) -> RationalMap:
+    """The composed involution, reversal after j_Q."""
+    return compose(c.reversal(), c.quadric_involution())
 
 
 def _suite_quadric_involution(cfg: SuiteConfig, rec: _Recorder):
@@ -604,11 +655,6 @@ def _suite_quadric_involution(cfg: SuiteConfig, rec: _Recorder):
             "the involution maps the family quadric into itself",
             lambda: image_in_hypersurface(jq, f_c))
 
-    @functools.cache
-    def iota():
-        """The composed involution, reversal after j_Q."""
-        return compose(rev, jq)
-
     identity_tuple = [reg.var(n) for n in wnames]
     rec.run("s9.involution",
             "the map squares to the identity modulo the family quadric",
@@ -617,7 +663,7 @@ def _suite_quadric_involution(cfg: SuiteConfig, rec: _Recorder):
     rec.run("s9.commutes-with-reversal",
             "the map commutes with coordinate reversal modulo the family quadric",
             lambda: proportional_mod(
-                iota().components, compose(jq, rev).components, f_c))
+                _iota(c).components, compose(jq, rev).components, f_c))
 
     def torus_scalar():
         ok, scalar = equivariance_up_to_scalar(jq, torus, torus)
@@ -630,7 +676,7 @@ def _suite_quadric_involution(cfg: SuiteConfig, rec: _Recorder):
             torus_scalar)
 
     def semi_commutation():
-        ok, scalar = equivariance_up_to_scalar(iota(), torus, inverse)
+        ok, scalar = equivariance_up_to_scalar(_iota(c), torus, inverse)
         if not ok:
             return False, scalar
         return scalar is not None and not scalar.is_zero(), scalar
@@ -647,7 +693,7 @@ def _suite_quadric_involution(cfg: SuiteConfig, rec: _Recorder):
 
     def alpha_intertwines():
         through_quadric = [comp.substitute(alpha.substitution(wnames))
-                           for comp in iota().components]
+                           for comp in _iota(c).components]
         iota_c = c.iota_c()
         through_line = [comp.substitute(
             dict(zip(("u0", "u1"), iota_c.components)))

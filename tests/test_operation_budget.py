@@ -2,13 +2,15 @@
 
 Spies count the calls one suite run makes.  A value that several checks
 share is built by the first check that asks; a failure to build it errs
-each of those checks, with the same witness, and no suite setup.
+each of those checks, with the same witness, and no suite setup.  A
+suite's set-up values are shared across tables by the keys they read, so
+a test that counts their builds first clears `constants._shared`.
 """
 
 import pytest
 
 from fano22 import actions, constants, suites
-from fano22.constants import SL2_RAISING, W_TORUS, PaperConstants
+from fano22.constants import DEFAULT_RAW, SL2_RAISING, W_TORUS, PaperConstants
 from fano22.maps import compose, cross_differences
 from fano22.poly import Derivation, Polynomial, Registry
 from fano22.suites import SuiteConfig, run_all, run_suite
@@ -30,6 +32,7 @@ def _counting(monkeypatch, owner, name, calls):
 def test_quadric_involution_composes_three_times(monkeypatch):
     calls = []
     _counting(monkeypatch, suites, "compose", calls)
+    constants._shared.clear()
     report = run_suite("quadric-involution")
     assert report.ok
     assert len(calls) == 3
@@ -56,6 +59,33 @@ def test_g_action_builds_the_self_composition_once(monkeypatch):
     assert renamings == []
 
 
+#: the calls that build the suites' set-up values, counted where `suites` looks them up
+SETUP_CALLS = ("semi_invariant_lines", "lie_derivation", "_minors",
+               "restricted_order_subspace", "compose")
+
+
+def _setup_calls(monkeypatch, table) -> dict[str, int]:
+    calls = {name: [] for name in SETUP_CALLS}
+    for name, seen in calls.items():
+        _counting(monkeypatch, suites, name, seen)
+    run_all(SuiteConfig(constants=table))
+    monkeypatch.undo()
+    return {name: len(seen) for name, seen in calls.items()}
+
+
+def test_a_table_rebuilds_only_the_set_up_values_that_read_a_changed_key(monkeypatch):
+    run_all()
+    # the two compositions left are the checks' own, j_Q after j_Q and j_Q after reversal
+    assert _setup_calls(monkeypatch, PaperConstants()) == {
+        "semi_invariant_lines": 0, "lie_derivation": 0, "_minors": 0,
+        "restricted_order_subspace": 0, "compose": 2}
+    # only the two pencils read the distinguished curve's parametrization
+    raw = dict(DEFAULT_RAW, **{"upsilon_p_param.y1": "x1^4 + x0^4"})
+    assert _setup_calls(monkeypatch, PaperConstants(raw=raw)) == {
+        "semi_invariant_lines": 0, "lie_derivation": 0, "_minors": 0,
+        "restricted_order_subspace": 2, "compose": 2}
+
+
 def test_semi_invariant_lines_of_w_build_no_matrix(monkeypatch):
     space = PaperConstants().w_space()
     calls = []
@@ -78,6 +108,7 @@ def test_a_failed_shared_composition_errs_each_check_that_uses_it(monkeypatch):
         return compose(g, f)
 
     monkeypatch.setattr(suites, "compose", failing_compose)
+    constants._shared.clear()
     report = run_suite("quadric-involution", SuiteConfig(constants=table))
     rows = {c.id: (c.status, c.witness) for c in report.checks}
     assert "quadric-involution.setup" not in rows

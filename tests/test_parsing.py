@@ -110,6 +110,30 @@ def test_a_constant_power_past_the_digit_limit_is_a_parse_error(digit_limit):
     assert parse(f"2^{4 * digit_limit}", reg) == reg.const(2 ** (4 * digit_limit))
 
 
+def test_the_sum_of_a_powers_coefficients_bounds_it_closely(digit_limit):
+    reg = Registry([("x", "coordinate"), ("y", "coordinate")])
+    # the central coefficient of (x+y)^3000 has 902 digits, that of (x+y)^3400 1022; a
+    # bound that is not kept fails here, before the next test builds far larger powers
+    central = parse("(x+y)^3000", reg).terms[(1500, 1500)]
+    assert len(str(central)) == 902
+    with pytest.raises(ParseError, match="coefficient of a power longer than 1000 digits"):
+        parse("(x+y)^3400", reg)
+
+
+def test_a_power_with_a_middle_coefficient_past_the_digit_limit_is_refused_at_once(capsys):
+    limit = sys.get_int_max_str_digits()
+    # every extreme coefficient is 1; the largest of the two powers have 6019 and 5722 digits
+    for text, position in (("(x+y)^20000", 6), ("(x+y+1)^12000", 8)):
+        start = time.perf_counter()
+        assert main(["eval", text]) == 2
+        assert time.perf_counter() - start < 0.1
+        assert capsys.readouterr().err == \
+            f"error: coefficient of a power longer than {limit} digits (at position {position})\n"
+    reg = Registry([("x", "coordinate"), ("y", "coordinate")])
+    assert parse("(x+y)^100", reg).terms[(50, 50)] == 100891344545564193334812497256
+    assert parse("10^4299", reg) == reg.const(10 ** 4299)
+
+
 def test_a_power_with_a_coefficient_past_the_digit_limit_is_refused_at_once(capsys):
     limit = sys.get_int_max_str_digits()
     # 2^14000 prints, but its square does not, and its 3000th power would be a

@@ -16,8 +16,13 @@ new digests in CHANGES.md.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import fano22
 from fano22.cli import main
 from fano22.constants import REG_F3, REG_Q, REG_W
 from fano22.parsing import ParseError, parse
@@ -70,3 +75,14 @@ def test_every_polynomial_witness_of_a_campaign_reads_back(monkeypatch, tmp_path
             read_back += 1
     assert read_back > 0
     assert time.perf_counter() - start < 2
+
+
+def test_the_digest_does_not_depend_on_the_hash_seed(tmp_path):
+    lines = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONPATH=str(Path(fano22.__file__).parents[1]),
+                   PYTHONHASHSEED=seed)
+        out = subprocess.run([sys.executable, "-m", "fano22.cli", "mutate", "40", "3"],
+                             cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+        lines.append(out.stdout.splitlines()[-1])
+    assert lines[0].endswith("  report_signature.json") and lines[0] == lines[1]

@@ -209,6 +209,29 @@ def test_on_every_one_key_mutant_each_suite_records_what_its_recording_table_see
     assert setup_errors > 0
 
 
+def test_sharing_never_changes_a_report():
+    # the first mutant of every key in a seeded stream, each run with the paper's
+    # objects shared and with nothing shared
+    rng, mutants = random.Random(30), {}
+    while len(mutants) < len(DEFAULT_RAW):
+        key, raw = random_mutation(rng)
+        mutants.setdefault(key, raw)
+
+    def outcome(raw):
+        reports = run_all(SuiteConfig(constants=PaperConstants(raw=dict(raw))))
+        return ([(r.suite, c.id, c.status, c.statement, c.witness)
+                 for r in reports for c in r.checks], [r.reads for r in reports])
+
+    statuses = set()
+    for key, raw in sorted(mutants.items()):
+        run_all()
+        warm = outcome(raw)
+        constants._shared.clear()
+        assert outcome(raw) == warm, key
+        statuses.update(status for _, _, status, _, _ in warm[0])
+    assert statuses == {"pass", "fail", "error"}
+
+
 def test_normalization_reads_no_key_for_the_kernel():
     raw = RecordingRaw(DEFAULT_RAW)
     run_suite("normalization", SuiteConfig(constants=PaperConstants(raw=raw)))
@@ -386,7 +409,9 @@ def test_cli_mutate_into_a_closed_pipe_ends_quietly(tmp_path, unbuffered):
     # the output passes Python's buffer, so the reader closes the pipe mid-run
     env = dict(os.environ, PYTHONPATH=str(Path(suites.__file__).parents[1]),
                PYTHONUNBUFFERED=unbuffered)
-    proc = subprocess.Popen([sys.executable, "-m", "fano22.cli", "mutate", "120", "3"],
+    # about 100 KB, more than the writer's 8 KiB buffer, the 64 KiB pipe and the reader's
+    # 8 KiB buffer hold: the writer is still writing when the reader closes, however late
+    proc = subprocess.Popen([sys.executable, "-m", "fano22.cli", "mutate", "1000", "3"],
                             cwd=tmp_path, env=env, text=True,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.readline().startswith("#00 ")
@@ -394,6 +419,8 @@ def test_cli_mutate_into_a_closed_pipe_ends_quietly(tmp_path, unbuffered):
     assert proc.stderr.read() == ""
     proc.stderr.close()
     assert proc.wait() == 1
+    # the campaign misses mutants, so it exits 1 when it ends too; it never ended
+    assert not (tmp_path / "report_signature.json").exists()
 
 
 def test_cli_all_does_not_import_hashlib():
