@@ -247,7 +247,7 @@ class PaperConstants:
     def __post_init__(self):
         self._parsed: dict[str, Polynomial] = {}
         # builder -> (object, keys it read), as in `_shared`
-        self._built: dict[str, tuple[object, dict[str, None]]] = {}
+        self._built: dict[object, tuple[object, dict[str, None]]] = {}
         # the keys read by the running step, in order of first read
         self._reads: dict[str, None] = {}
 

@@ -79,7 +79,7 @@ def test_a_table_rebuilds_only_the_set_up_values_that_read_a_changed_key(monkeyp
     assert _setup_calls(monkeypatch, PaperConstants()) == {
         "semi_invariant_lines": 0, "lie_derivation": 0, "_minors": 0,
         "restricted_order_subspace": 0, "compose": 2}
-    # only the two pencils read the distinguished curve's parametrization
+    # of the set-up values, only the two pencils read the curve's parametrization
     raw = dict(DEFAULT_RAW, **{"upsilon_p_param.y1": "x1^4 + x0^4"})
     assert _setup_calls(monkeypatch, PaperConstants(raw=raw)) == {
         "semi_invariant_lines": 0, "lie_derivation": 0, "_minors": 0,
