@@ -3,21 +3,16 @@
 Every polynomial constant is stored as parseable text so that suites can
 be re-run against perturbed tables (mutation robustness).  Composite
 objects (the quadric involution, the family quadric) are derived from
-the stored generators rather than duplicated.  Each text of `DEFAULT_RAW`
-is parsed once per process, and every table that keeps that text shares
-the parsed polynomial; a changed text is parsed once per table.
+the stored generators rather than duplicated.
 
-Derived objects follow the same rule, by the keys they read.  They are
-the results of `_derived` builders: the table's own, and the set-up
-values the suites of `suites` build from it.  `PaperConstants.poly`
-records each key it returns into the reads of the running step (a
-derived object's build, or a suite run), on a cache hit too.  A derived
-object is kept per table with its reads.  When every key it read has
-the paper's text it is also kept per process, so at most one shared
-object exists per builder; a later table takes it only after re-reading
-those keys through its own `raw` and finding the paper's text.  A mutant
-of one key thus rebuilds exactly the derived objects whose reads hold
-that key, and a recording `raw` still sees every read.
+Everything built from a table goes through one memo, `_derived`: a key's
+parse, the table's derived objects and the suites' set-up values.  Each
+build is kept per table with the keys it read, and also per process when
+every one of those keys has the paper's text; a later table takes the
+shared result only after re-reading those keys through its own `raw`.
+Every call records the keys into the reads of the running step (a
+build, or a suite run), so a recording `raw` still sees every read and a
+mutant of one key rebuilds exactly what read that key.
 """
 
 from __future__ import annotations
@@ -167,46 +162,33 @@ def _family(key: str) -> tuple[Registry, tuple[str, ...]]:
     raise KeyError(f"no variable pool for constant {key!r}")
 
 
-#: builder -> (the object built from the paper's text, the keys it read)
+#: (builder, *args) -> (the object built from the paper's text, the keys it read)
 _shared: dict[object, tuple[object, dict[str, None]]] = {}
 
 
 def _derived(build):
-    """Keep a builder's result with the keys it read; a raise is not kept.
+    """Keep `build(table, *args)` with the keys it read; a raise is not kept.
 
-    `build` is a function of the table alone, a method of `PaperConstants`
-    or a suite's set-up value in `suites`, whose result no caller mutates.
-    The result is kept per table, and also per process when every key it
-    read has the paper's text.  Both memos are keyed by the builder itself.
-    Every call records those keys into the caller's reads.
+    `build` is a method of `PaperConstants` or a suite's set-up value in
+    `suites`, whose result no caller mutates.  Both memos are keyed by
+    (build, *args).  Every call records the keys into the caller's reads.
     """
 
     @functools.wraps(build)
-    def method(self):
-        kept = self._built.get(build)
+    def method(self, *args):
+        task = (build, *args)
+        kept = self._built.get(task)
         if kept is None:
-            kept = _shared.get(build)
+            kept = _shared.get(task)
             if kept is None or not self._keeps_paper_text(kept[1]):
-                kept = self._reading(lambda: build(self))
-                if build not in _shared and self._keeps_paper_text(kept[1]):
-                    _shared[build] = kept
-            self._built[build] = kept
+                kept = self._reading(lambda: build(self, *args))
+                if task not in _shared and self._keeps_paper_text(kept[1]):
+                    _shared[task] = kept
+            self._built[task] = kept
         self._reads.update(kept[1])
         return kept[0]
 
     return method
-
-
-@functools.cache
-def _paper_poly(key: str) -> Polynomial:
-    """The paper's constant `key`, parsed once per process."""
-    return parse(DEFAULT_RAW[key], _family(key)[0])
-
-
-@functools.cache
-def _o11_space() -> SectionSpace:
-    basis = monomial_basis(REG_F3, F3_GRADING, (1, 1), ["x0", "x1", "y0", "y1"])
-    return SectionSpace(REG_F3, basis, (1, 1), F3_GRADING)
 
 
 def _at_v(p: Polynomial, value: Fraction | None) -> Polynomial:
@@ -217,24 +199,16 @@ def _at_v(p: Polynomial, value: Fraction | None) -> Polynomial:
 class PaperConstants:
     """All constants of one table, each parsed over its key family's registry.
 
-    Every method reads the table, except `o11_space`, which reads no
-    constant and is built once per process.  Objects that read no
-    constant are module constants shared by every table: the registries
-    (also readable as `reg_w`, `reg_f3`, `reg_q`), the gradings, the sl2
-    and torus derivations, the wrong group law and, in `suites`, the
-    equalizer kernel.  `raw` is a copy of `DEFAULT_RAW` by default; a given
-    `raw`, such as a perturbed copy, is kept itself, and derived objects are
-    rebuilt from it so a single perturbation propagates everywhere.  A
-    constant whose text is the paper's is the polynomial parsed once per
-    process and shared by every table; a changed text is parsed once per
-    table.  The derived objects (`w_space`, `f3_action`, `psi`,
-    `group_law`, `wprime_space`, `family_quadric`, `quadric_involution`,
-    `reversal`, `gamma4`, `alpha_curve`, `iota_c`, and the suites' set-up
-    values in `suites`) are built once per table, and shared by every table
-    whose text they read is the paper's.
+    `raw` is a copy of `DEFAULT_RAW` by default; a given `raw`, such as a
+    perturbed copy, is kept itself.  The `_derived` methods, a key's parse
+    (`poly`) among them, are kept per table and per process by the keys
+    they read, so a single perturbation propagates everywhere.  Objects
+    that read no constant are module constants: the registries (also
+    readable as `reg_w`, `reg_f3`, `reg_q`), the gradings, the sl2 and
+    torus derivations and the wrong group law.
     """
 
-    __slots__ = ("raw", "_parsed", "_built", "_reads")
+    __slots__ = ("raw", "_built", "_reads")
 
     reg_w = REG_W
     reg_f3 = REG_F3
@@ -245,27 +219,16 @@ class PaperConstants:
         self.__post_init__()
 
     def __post_init__(self):
-        self._parsed: dict[str, Polynomial] = {}
-        # builder -> (object, keys it read), as in `_shared`
+        # (builder, *args) -> (object, keys it read), as in `_shared`
         self._built: dict[object, tuple[object, dict[str, None]]] = {}
         # the keys read by the running step, in order of first read
         self._reads: dict[str, None] = {}
 
+    @_derived
     def poly(self, key: str) -> Polynomial:
-        """The constant `key`, parsed over the registry of its key family.
-
-        The key is recorded into the running step's reads on every call.
-        """
+        """The constant `key`, parsed over the registry of its key family."""
         self._reads[key] = None
-        p = self._parsed.get(key)
-        if p is None:
-            text = self.raw[key]
-            if text == DEFAULT_RAW.get(key):
-                p = _paper_poly(key)
-            else:
-                p = parse(text, _family(key)[0])
-            self._parsed[key] = p
-        return p
+        return parse(self.raw[key], _family(key)[0])
 
     def _reading(self, step) -> tuple[object, dict[str, None]]:
         """(step(), the keys it read), recorded into the caller's reads too, even on a raise."""
@@ -314,9 +277,11 @@ class PaperConstants:
             primed={"a": "a2", "lam": "lam2"},
         )
 
+    @_derived
     def o11_space(self) -> SectionSpace:
         """H^0(O(1,1)) on F3, shared by every table: it reads no constant."""
-        return _o11_space()
+        basis = monomial_basis(REG_F3, F3_GRADING, (1, 1), ["x0", "x1", "y0", "y1"])
+        return SectionSpace(REG_F3, basis, (1, 1), F3_GRADING)
 
     def upsilon_p(self) -> Polynomial:
         return self.poly("upsilon_p")

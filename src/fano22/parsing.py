@@ -110,11 +110,15 @@ def _parse_factor(tk: _Tokens, reg: Registry) -> Polynomial:
             terms = base.terms
             bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
                        for c in (terms[max(terms)], terms[min(terms)]))
-            # base(1, ..., 1)^n = s^n is the sum of the at most m coefficients of base^n,
-            # so one is at least |s|^n / m >= 2^(n*e/16 - bits(m)), e = floor(16*log2|s|)
-            s = abs(sum(terms.values()))
+            # for sigma in {1, -1}^k, base(sigma)^n is a signed sum of the at most m
+            # coefficients of base^n, so one is at least |s|^n / m >= 2^(n*e/16 - bits(m)),
+            # e = floor(16*log2|s|); |s| is the largest |base(sigma)| at (1, ..., 1) and at
+            # the points with one coordinate -1
+            names = base.variables()
+            s = max(abs(sum(-c if i is not None and ex[i] % 2 else c for ex, c in terms.items()))
+                    for i in (None, *map(reg.index, names)))
             e = (s.numerator ** 16 // s.denominator ** 16).bit_length() - 1
-            k = len(base.variables())
+            k = len(names)
             m = math.comb(n * base.total_degree() + k, k)
             # 2^(10/3) > 10: either coefficient passes 10^limit, so it is unprintable
             if 3 * max(n * (bits - 1), n * e // 16 - m.bit_length()) >= 10 * limit:

@@ -2,21 +2,18 @@
 
 Each suite takes its inputs from the constants table, runs a fixed
 ordered list of exact checks, and records pass/fail/error with an
-optional polynomial witness and per-check timing.  Inputs that read no
-constant are built once per process: the O(1,1) space on F3
-(`constants.o11_space`) and the equalizer kernel of the normalization
-suite.  The set-up values that read the table (the Borel and the O(1,1)
+optional polynomial witness and per-check timing.  Every set-up value
+(the O(1,1) space and its equalizer kernel, the Borel and the O(1,1)
 semi-invariant lines, each stabilizer family's raw minors over Q[v], the
-distinguished tangent, the two contact pencils and iota) are
-`constants._derived` builders next to their suite: built once per table,
-and shared across tables by the keys they read.  Each is asked for where
-the suite first needs it, so a raise lands on the same report row: in
-the setup, or, for a value that checks share, in every check that uses
-it, with the same witness, since a raise is not kept.  The stabilizer
-suite specializes each family's minors at every v.  A report also holds
-the keys of the constants table its suite read, through the derived
-objects it used too.  Reports serialize to JSON as {suite, checks: [{id,
-status, statement, witness?, ms}]}.
+distinguished tangent, the two contact pencils and iota) is a
+`constants._derived` builder: kept per table and per process by the keys
+it reads.  Each is asked for where the suite first needs it, so a raise
+lands on the same report row: in the setup, or, for a value that checks
+share, in every check that uses it, with the same witness, since a raise
+is not kept.  The stabilizer suite specializes each family's minors at
+every v.  A report also holds the keys of the constants table its suite
+read, through the derived objects it used too.  Reports serialize to
+JSON as {suite, checks: [{id, status, statement, witness?, ms}]}.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ from .constants import (
     WRONG_GROUP_LAW,
     PaperConstants,
     _derived,
-    _o11_space,
 )
 from .linalg import ExactMatrix, coefficient_matrix, combine
 from .maps import (
@@ -408,15 +404,15 @@ _TO_FIBER = {"x0": REG_F3.zero, "x1": REG_F3.one,
              "y0": REG_F3.var("w0"), "y1": REG_F3.var("w1")}
 
 
-@functools.cache
-def _equalizer_kernel() -> SectionSpace:
+@_derived
+def _equalizer_kernel(c: PaperConstants) -> SectionSpace:
     """Sections of O(1,1) restricting equally to the two glued lines.
 
     The kernel of the difference of the two restrictions is the subspace
-    descending to the glued surface.  It reads no constant, so it is built
-    once per process.
+    descending to the glued surface.  It reads no constant, so every table
+    shares it.
     """
-    basis = _o11_space().basis
+    basis = c.o11_space().basis
     diffs = [b.substitute(_TO_SECTION) - b.substitute(_TO_FIBER) for b in basis]
     kernel = coefficient_matrix(REG_F3, diffs)[1].kernel()
     combos = [combine(REG_F3, vec, basis) for vec in kernel]
@@ -432,7 +428,7 @@ def _psi_image(psi: RationalMap, sub: dict[str, Polynomial]) -> ParamCurve:
 def _suite_normalization(cfg: SuiteConfig, rec: _Recorder):
     c = cfg.constants
     reg = c.reg_f3
-    kernel_space = _equalizer_kernel()
+    kernel_space = _equalizer_kernel(c)
     wprime = c.wprime_space()
     psi = c.psi()
 

@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from fano22 import constants
+from fano22 import constants, suites
 from fano22.constants import (
     DEFAULT_RAW,
     REG_F3,
     PaperConstants,
     _family,
-    _paper_poly,
 )
 from fano22.parsing import ParseError, parse
 from fano22.poly import ROLES, Registry, format_poly
@@ -239,7 +238,7 @@ def test_post_init_sets_up_every_table(monkeypatch):
                         lambda self: built.append(self) or post_init(self))
     tables = [PaperConstants(), PaperConstants(raw=dict(DEFAULT_RAW))]
     assert len(built) == 2 and all(b is t for b, t in zip(built, tables))
-    assert tables[1].upsilon_p() is _paper_poly("upsilon_p")
+    assert tables[1].upsilon_p() is tables[0].upsilon_p() is PaperConstants().poly("upsilon_p")
 
 
 def _mutant(key: str) -> dict[str, str]:
@@ -265,34 +264,47 @@ def test_tables_share_the_constants_whose_text_they_keep():
                 assert table.poly(other) is shared[other], (key, other)
 
 
+def _shared_parses() -> dict[str, object]:
+    """Key -> the parse kept per process."""
+    build = PaperConstants.poly.__wrapped__
+    return {task[1]: kept[0] for task, kept in constants._shared.items() if task[0] is build}
+
+
 def test_an_unparsable_mutant_raises_every_time_and_leaves_the_paper_cache():
     paper = PaperConstants()
     shared = {key: paper.poly(key) for key in DEFAULT_RAW}
-    cached = _paper_poly.cache_info().currsize
+    assert _shared_parses() == shared
     table = PaperConstants(raw=dict(DEFAULT_RAW, **{"psi.w1": "(x0*y1 +"}))
     for _ in range(2):
         with pytest.raises(ParseError):
             table.poly("psi.w1")
-    assert _paper_poly.cache_info().currsize == cached == len(DEFAULT_RAW)
+    cached = _shared_parses()
+    assert cached.keys() == shared.keys() == DEFAULT_RAW.keys()
+    assert all(cached[key] is shared[key] for key in DEFAULT_RAW)
     assert PaperConstants().poly("psi.w1") is shared["psi.w1"]
     assert table.poly("psi.w0") is shared["psi.w0"]
 
 
 def test_the_paper_table_is_parsed_once_per_process_and_a_mutant_parses_one_key(monkeypatch):
-    texts = []
+    texts, bases, combinations = [], [], []
 
-    def spy(text, registry=None):
-        texts.append(text)
-        return parse(text, registry)
+    def spy(calls, original):
+        return lambda *args: calls.append(args[0]) or original(*args)
 
-    monkeypatch.setattr(constants, "parse", spy)
-    _paper_poly.cache_clear()
+    run_all()
+    # clearing the one per-process memo makes the next run build everything again
     constants._shared.clear()
+    monkeypatch.setattr(constants, "parse", spy(texts, parse))
+    monkeypatch.setattr(constants, "monomial_basis", spy(bases, constants.monomial_basis))
+    # the six combinations of the equalizer kernel's basis are its one build
+    monkeypatch.setattr(suites, "combine", spy(combinations, suites.combine))
     run_all()
     assert sorted(texts) == sorted(DEFAULT_RAW.values())
-    texts.clear()
+    assert len(bases) == 1 and len(combinations) == 6
+    for calls in (texts, bases, combinations):
+        calls.clear()
     run_all()
-    assert texts == []
+    assert texts == bases == combinations == []
     raw = _mutant("upsilon_p")
     run_all(SuiteConfig(constants=PaperConstants(raw=raw)))
     assert texts == [raw["upsilon_p"]]

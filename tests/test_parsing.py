@@ -70,10 +70,10 @@ def test_round_trip():
 
 @pytest.fixture
 def digit_limit():
-    """A lower int-from-str digit limit for the test's duration."""
+    """Python's lowest int-from-str digit limit for the test's duration."""
     old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(1000)
-    yield 1000
+    sys.set_int_max_str_digits(640)
+    yield 640
     sys.set_int_max_str_digits(old)
 
 
@@ -112,18 +112,19 @@ def test_a_constant_power_past_the_digit_limit_is_a_parse_error(digit_limit):
 
 def test_the_sum_of_a_powers_coefficients_bounds_it_closely(digit_limit):
     reg = Registry([("x", "coordinate"), ("y", "coordinate")])
-    # the central coefficient of (x+y)^3000 has 902 digits, that of (x+y)^3400 1022; a
+    # the central coefficient of (x+y)^2000 has 601 digits, that of (x+y)^2160 649; a
     # bound that is not kept fails here, before the next test builds far larger powers
-    central = parse("(x+y)^3000", reg).terms[(1500, 1500)]
-    assert len(str(central)) == 902
-    with pytest.raises(ParseError, match="coefficient of a power longer than 1000 digits"):
-        parse("(x+y)^3400", reg)
+    central = parse("(x+y)^2000", reg).terms[(1000, 1000)]
+    assert len(str(central)) == 601
+    with pytest.raises(ParseError, match=f"coefficient of a power longer than {digit_limit} digits"):
+        parse("(x+y)^2160", reg)
 
 
 def test_a_power_with_a_middle_coefficient_past_the_digit_limit_is_refused_at_once(capsys):
     limit = sys.get_int_max_str_digits()
-    # every extreme coefficient is 1; the largest of the two powers have 6019 and 5722 digits
-    for text, position in (("(x+y)^20000", 6), ("(x+y+1)^12000", 8)):
+    # every extreme coefficient is 1, and the coefficients of x - y sum to 0; the largest
+    # coefficients of the three powers have 6019, 5722 and 6019 digits
+    for text, position in (("(x+y)^20000", 6), ("(x+y+1)^12000", 8), ("(x-y)^20000", 6)):
         start = time.perf_counter()
         assert main(["eval", text]) == 2
         assert time.perf_counter() - start < 0.1

@@ -164,17 +164,18 @@ def _kernel_rows(cfg) -> dict[str, str]:
 
 def test_equalizer_kernel_is_built_once_per_process(monkeypatch):
     # it reads no constant: nothing of any table is parsed to build it
+    constants._shared.clear()
     monkeypatch.setattr(PaperConstants, "poly", lambda self, key: pytest.fail(f"read {key}"))
-    fresh = suites._equalizer_kernel.__wrapped__()
+    table = PaperConstants()
+    kernel, reads = table._reading(lambda: suites._equalizer_kernel(table))
     monkeypatch.undo()
-    kernel = suites._equalizer_kernel()
-    assert fresh is not kernel and fresh.dim == kernel.dim == 6 and fresh.same_span(kernel)
+    assert reads == {} and kernel.dim == 6
     # two fresh tables check against the one kernel, built before them
     checked = []
     same_span = SectionSpace.same_span
     monkeypatch.setattr(SectionSpace, "same_span",
                         lambda self, other: checked.append(self) or same_span(self, other))
-    monkeypatch.setattr(suites, "_o11_space", lambda: pytest.fail("kernel rebuilt"))
+    monkeypatch.setattr(suites, "combine", lambda *args: pytest.fail("kernel rebuilt"))
     for _ in range(2):
         assert _kernel_rows(SuiteConfig(constants=PaperConstants())) == {
             "s6.kernel-dimension": "pass", "s6.kernel-identified": "pass"}
