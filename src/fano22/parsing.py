@@ -103,7 +103,11 @@ def _parse_factor(tk: _Tokens, reg: Registry) -> Polynomial:
         if m is None or m.group(1) is None:
             raise ParseError("expected a non-negative integer exponent", where)
         n, limit = _integer(m, where), sys.get_int_max_str_digits()
-        if limit and not base.is_zero():
+        nums, den = base._terms.values(), base._den
+        # every coefficient of base^n is a fraction of two integers at most M^n,
+        # M = max(sum of |numerators|, denominator); while 3 * n * bits(M) < 10 * limit,
+        # neither lower bound below can reach the refusal test
+        if limit and nums and 3 * n * max(sum(map(abs, nums)), den).bit_length() >= 10 * limit:
             # lex order on exponents is a monomial order, so the greatest and the least
             # term of base^n are those of base to the n-th: c^n is a coefficient for
             # either's c, and |c|^n >= 2^(n*(bits - 1))
@@ -112,13 +116,19 @@ def _parse_factor(tk: _Tokens, reg: Registry) -> Polynomial:
                        for c in (terms[max(terms)], terms[min(terms)]))
             # for sigma in {1, -1}^k, base(sigma)^n is a signed sum of the at most m
             # coefficients of base^n, so one is at least |s|^n / m >= 2^(n*e/16 - bits(m)),
-            # e = floor(16*log2|s|); |s| is the largest |base(sigma)| at (1, ..., 1) and at
-            # the points with one coordinate -1
-            names = base.variables()
-            s = max(abs(sum(-c if i is not None and ex[i] % 2 else c for ex, c in terms.items()))
-                    for i in (None, *map(reg.index, names)))
-            e = (s.numerator ** 16 // s.denominator ** 16).bit_length() - 1
-            k = len(names)
+            # e = floor(16*log2|s|); |s| is the largest |base(sigma)| over all 2^k sign
+            # vectors when 2^k <= n, else over (1, ..., 1) and the points with one
+            # coordinate -1.  Terms are summed by which exponents are odd, as a mask
+            shifts = [reg._shifts[reg.index(name)] for name in base.variables()]
+            k = len(shifts)
+            odd: dict[int, int] = {}
+            for key, c in base._terms.items():
+                mask = sum(((key >> s) & 1) << i for i, s in enumerate(shifts))
+                odd[mask] = odd.get(mask, 0) + c
+            signs = range(1 << k) if 1 << k <= n else (0, *(1 << i for i in range(k)))
+            s = max(abs(sum(-c if (mask & sigma).bit_count() & 1 else c
+                            for mask, c in odd.items())) for sigma in signs)
+            e = (s ** 16 // den ** 16).bit_length() - 1
             m = math.comb(n * base.total_degree() + k, k)
             # 2^(10/3) > 10: either coefficient passes 10^limit, so it is unprintable
             if 3 * max(n * (bits - 1), n * e // 16 - m.bit_length()) >= 10 * limit:

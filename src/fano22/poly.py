@@ -23,13 +23,18 @@ out.  `Polynomial.terms` decodes the keys into a fresh read-only map to
 
 A product of at least `PACK_PAIRS` term pairs, with both operands longer
 than one term and dense in the last variable (`_fills_slices`), is formed
-by `_mul_packed`, a Kronecker substitution in the last variable
-(Kronecker 1882; Fateman 2005).
+by `_mul_packed`, a Kronecker substitution (Kronecker 1882; Fateman 2005)
+in the last variable, or in the last two, a 2-D box, when
+`_two_variables` estimates that fewer, longer ints cost less.  `_unpack`
+reads packed ints back in two levels: each row of the box is one signed
+digit of width * r bits, and the row then gives its signed coefficient
+digits.
 
 `_pack_matrix` packs a matrix of integral polynomials into `int`s by
 Kronecker substitution in every occurring variable, so that `linalg`
 reduces polynomial and constant matrices in one integer loop; each
-distinct monomial's shift is computed once per matrix.
+distinct monomial's shift is computed once per matrix, and `_unpack`
+reads the results back.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -58,6 +63,9 @@ _MASK = (1 << FIELD_BITS) - 1
 PACK_PAIRS = 2025
 #: a packed operand fills at least 1 / PACK_DENSITY of its slices' digits
 PACK_DENSITY = 4
+#: one pair of packed ints multiplied and accumulated costs the interpreter
+#: about as much as this many products of 30-bit digits (`_two_variables`)
+PAIR_DIGITS = 150
 
 
 class RegistryMismatch(ValueError):
@@ -553,8 +561,8 @@ def _mul_terms(reg: Registry, a: dict[int, int], b: dict[int, int]) -> dict[int,
     reaches the limit.  A single-term operand shifts the other's keys.
     From `PACK_PAIRS` term pairs on, when both operands fill their slices
     (`_fills_slices`), `_mul_packed` multiplies by Kronecker substitution
-    in the last variable; otherwise `_addmul` accumulates every term pair
-    into one dict.
+    in the last one or two variables; otherwise `_addmul` accumulates every
+    term pair into one dict.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -562,9 +570,10 @@ def _mul_terms(reg: Registry, a: dict[int, int], b: dict[int, int]) -> dict[int,
         ((ka, ca),) = a.items()
         return {ka + kb: ca * cb for kb, cb in b.items()}
     if len(a) * len(b) >= PACK_PAIRS:
-        unit = reg._units[-1]
-        if _fills_slices(unit, a) and _fills_slices(unit, b):
-            return _mul_packed(unit, a, b)
+        fa = _fills_slices(reg, a)
+        fb = fa and _fills_slices(reg, b)
+        if fb:
+            return _mul_packed(reg, a, b, fa, fb)
     return _nonzero(_addmul({}, a.items(), list(b.items())))
 
 
@@ -588,22 +597,28 @@ def _nonzero(acc: dict[int, int]) -> dict[int, int]:
     return {k: v for k, v in acc.items() if v} if 0 in acc.values() else acc
 
 
-def _fills_slices(unit: int, terms: dict[int, int]) -> bool:
-    """Whether the terms fill at least 1 / PACK_DENSITY of the digits `_pack` makes.
+def _fills_slices(reg: Registry, terms: dict[int, int]) -> tuple[int, int, int, int] | None:
+    """The shape of the slices `_pack` makes of `terms`, or None if they fill under 1/PACK_DENSITY.
 
     `_pack` makes one int per slice, of 1 + e digits, where e is the
-    largest exponent of the last variable (key `unit`), so the terms fill
-    len(terms) of slices * (1 + e) digits.  The big-int products cost
-    with the digits, the dict loop with the terms, so a sparse operand
-    makes packing slower: two 46-term operands in x, y, z, w with
-    w-exponents from {0, 1, 16000} fill under 0.001 and took 0.44 s packed
-    against 0.5 ms in the dict loop, and random 60-term operands with
-    exponents up to 6 fill 0.16 and took 3x the dict loop (2-vCPU VM,
-    Python 3.11).  A polynomial with every monomial of total degree <= d
-    in n variables fills (d + n) / (n * (d + 1)) > 1/n, so dense operands
-    in up to four variables still pack (the benchmark's 210-term operands
-    fill 0.36).
+    largest exponent of the last variable, so the terms fill len(terms)
+    of slices * (1 + e) digits.  The big-int products cost with the
+    digits, the dict loop with the terms, so a sparse operand makes
+    packing slower: two 46-term operands in x, y, z, w with w-exponents
+    from {0, 1, 16000} fill under 0.001 and took 0.44 s packed against
+    0.5 ms in the dict loop, and random 60-term operands with exponents up
+    to 6 fill 0.16 and took 3x the dict loop (2-vCPU VM, Python 3.11).  A
+    polynomial with every monomial of total degree <= d in n variables
+    fills (d + n) / (n * (d + 1)) > 1/n, so dense operands in up to four
+    variables still pack (the benchmark's 210-term operands fill 0.36).
+
+    The shape, (e, slices, rows, z), is what `_two_variables` weighs: e,
+    the number of slices, the number of rows of the two-variable box
+    (slices that differ only in the second-to-last variable share one),
+    and z, the sum over rows of the row's largest exponent of that
+    variable.  It takes one pass over the slices, not the terms.
     """
+    unit = reg._units[-1]
     top = 0
     slices = set()
     for k in terms:
@@ -611,67 +626,131 @@ def _fills_slices(unit: int, terms: dict[int, int]) -> bool:
         if e > top:
             top = e
         slices.add(k - e * unit)
-    return PACK_DENSITY * len(terms) >= len(slices) * (1 + top)
+    if PACK_DENSITY * len(terms) < len(slices) * (1 + top):
+        return None
+    # over one variable every slice key is 0, and so is its z field
+    zunit = reg._units[-2] if len(reg) > 1 else 0
+    rows: dict[int, int] = {}
+    get = rows.get
+    for s in slices:
+        z = (s >> FIELD_BITS) & _MASK
+        row = s - z * zunit
+        if z >= get(row, 0):
+            rows[row] = z
+    return top, len(slices), len(rows), sum(rows.values())
 
 
-def _mul_packed(unit: int, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Product of two numerator dicts by Kronecker substitution in the last variable.
+def _two_variables(fa: tuple[int, int, int, int], fb: tuple[int, int, int, int],
+                   width: int) -> bool:
+    """Whether the two-variable box is estimated cheaper than one-variable slices.
 
-    `unit` is the key of the last variable.  Each operand becomes a dict
-    slice key -> one int: a slice key is a term's key less e * unit,
-    where e is the term's exponent in the last variable, and the slice
-    holds sum c * 2**(width * e) over its terms.  The slices are
-    multiplied pairwise by CPython's big-int product and accumulated by
-    slice-key sum, and each sum is read back as signed width-bit digits.
-    Slices accumulate, so `width` bounds a whole output coefficient: no
-    more than min(len(a), len(b)) term pairs meet in one monomial, each
-    at most max|a| * max|b| in absolute value.
+    `fa` and `fb` are the operands' `_fills_slices` shapes.  A packed
+    product costs `PAIR_DIGITS` digit products per pair of ints it
+    multiplies, the interpreter's work, and (width / 30)**2 per pair of
+    packed positions, CPython's schoolbook work on 30-bit digits.  A slice
+    of an operand holds 1 + e positions, e its largest exponent of the
+    last variable, and a row z * r + 1 + e, z the row's largest exponent
+    of the second-to-last variable and r one more than the product's
+    degree in the last variable.  Karatsuba makes long ints cheaper than
+    that, so the estimate leans to the one-variable slices.
+    """
+    (ea, sa, ra, za), (eb, sb, rb, zb) = fa, fb
+    r = ea + eb + 1
+    one = sa * (1 + ea) * sb * (1 + eb)
+    two = (za * r + ra * (1 + ea)) * (zb * r + rb * (1 + eb))
+    return (sa * sb - ra * rb) * PAIR_DIGITS * 900 > (two - one) * width * width
+
+
+def _mul_packed(reg: Registry, a: dict[int, int], b: dict[int, int],
+                fa: tuple[int, int, int, int], fb: tuple[int, int, int, int]) -> dict[int, int]:
+    """Product of two numerator dicts by Kronecker substitution in one or two variables.
+
+    `fa` and `fb` are the operands' `_fills_slices` shapes.  With one
+    variable, the last, each operand becomes a dict slice key -> one int:
+    a slice key is a term's key less e * (key of the last variable), e the
+    term's exponent of it, and the slice holds sum c * 2**(width * e) over
+    its terms.  With two, when `_two_variables` finds that cheaper, each
+    row of a 2-D box, the slice key less z * (key of the second-to-last
+    variable), holds sum c * 2**(width * (z * r + e)), z the exponent of
+    that variable and r one more than the product's degree in the last.
+    The ints are multiplied pairwise by CPython's big-int product and
+    accumulated by key sum, and `_unpack` reads each sum back.  Ints
+    accumulate, so `width` bounds a whole output coefficient: no more than
+    min(len(a), len(b)) term pairs meet in one monomial, each at most
+    max|a| * max|b| in absolute value.
     """
     bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
     width = bound.bit_length() + 2
-    acc = _addmul({}, _pack(unit, width, a).items(), list(_pack(unit, width, b).items()))
-    out: dict[int, int] = {}
-    for key, v in acc.items():
-        for e, d in _signed_digits(v, width):
-            out[key + e * unit] = d
-    return out
+    r = fa[0] + fb[0] + 1
+    unit = reg._units[-1]
+    zunit = reg._units[-2] if len(reg) > 1 and _two_variables(fa, fb, width) else 0
+    pa, pb = (_pack(t, width, r, unit, zunit) for t in (a, b))
+    return _unpack(_addmul({}, pa.items(), list(pb.items())).items(), width, r, zunit, unit)
 
 
-def _signed_digits(v: int, width: int) -> Iterator[tuple[int, int]]:
-    """The nonzero digits of v in base 2**width, lowest first, as (position, digit).
+def _pack(terms: dict[int, int], width: int, r: int, unit: int, zunit: int) -> dict[int, int]:
+    """The ints of `terms` for `_mul_packed`: key -> sum c * 2**(width * (z * r + e)).
 
-    Digits are signed, in [-2**(width - 1), 2**(width - 1)), so every
-    sum of d * 2**(width * position) with such digits is read back
-    exactly.  A run of zero digits is jumped at once: a gap in the
-    exponents must not cost one big shift per digit.
+    e is a term's exponent of the last variable (key `unit`), and z its
+    exponent of the second-to-last (key `zunit`), or 0 when `zunit` is 0.
     """
-    full = 1 << width
-    half, low = full >> 1, full - 1
-    pos = 0
-    while v:
-        d = v & low
-        if not d:
-            z = ((v & -v).bit_length() - 1) // width
-            v >>= z * width
-            pos += z
-            continue
-        v >>= width
-        if d >= half:
-            d -= full
-            v += 1
-        yield pos, d
-        pos += 1
-
-
-def _pack(unit: int, width: int, terms: dict[int, int]) -> dict[int, int]:
-    """Slices of `terms` for `_mul_packed`: slice key -> sum c * 2**(width * e)."""
-    slices: dict[int, int] = {}
-    get = slices.get
+    zmask = _MASK if zunit else 0
+    ints: dict[int, int] = {}
+    get = ints.get
     for k, c in terms.items():
         e = k & _MASK
-        s = k - e * unit
-        slices[s] = get(s, 0) + (c << width * e)
-    return slices
+        z = (k >> FIELD_BITS) & zmask
+        s = k - e * unit - z * zunit
+        ints[s] = get(s, 0) + (c << width * (z * r + e))
+    return ints
+
+
+def _unpack(packed: Iterable[tuple[int, int]], width: int, r: int, zunit: int,
+            unit: int) -> dict[int, int]:
+    """The signed digits of packed ints, read in two levels: key -> nonzero digit.
+
+    `packed` holds (key, v) pairs, v = sum d * 2**(width * (z * r + e))
+    with every |d| < 2**(width - 2); d is read back at key + z * zunit +
+    e * unit.  Each row (z fixed) of v is first taken as one signed digit
+    of width * r bits, in [-2**(width * r - 1), 2**(width * r - 1)), which
+    holds the row exactly; the row then gives its signed width-bit digits,
+    in [-2**(width - 1), 2**(width - 1)).  So every big shift is of one
+    row, not of all of v.  A run of zero rows or zero digits is jumped at
+    once: a gap in the exponents must not cost one shift per digit.
+    """
+    rw = width * r
+    full, rfull = 1 << width, 1 << rw
+    half, rhalf = full >> 1, rfull >> 1
+    low, rlow = full - 1, rfull - 1
+    out: dict[int, int] = {}
+    for key, v in packed:
+        while v:
+            row = v & rlow
+            if not row:
+                z = ((v & -v).bit_length() - 1) // rw
+                v >>= z * rw
+                key += z * zunit
+                continue
+            v >>= rw
+            if row >= rhalf:
+                row -= rfull
+                v += 1
+            k = key
+            while row:
+                d = row & low
+                if not d:
+                    e = ((row & -row).bit_length() - 1) // width
+                    row >>= e * width
+                    k += e * unit
+                    continue
+                row >>= width
+                if d >= half:
+                    d -= full
+                    row += 1
+                out[k] = d
+                k += unit
+            key += zunit
+    return out
 
 
 def _pack_matrix(reg: Registry, nums: Sequence[list], seen: int
@@ -721,15 +800,19 @@ def _pack_matrix(reg: Registry, nums: Sequence[list], seen: int
         weight *= radix
     shift = {k: sum(((k >> s) & _MASK) * w for s, w in places) for k in monomials}
     packed = [[sum([v << shift[k] for k, v in t.items()]) for t in row] for row in nums]
-    steps = [(u, radix) for (_, u), radix in zip(fields, radices)]
+    (_, unit), *rest = fields
+    steps = [(u, radix) for (_, u), radix in zip(rest, radices[1:])]
+    limit = reg._limit
 
     def unpack(v: int) -> dict[int, int]:
+        # a row is the first field's radix of places; z, its index, is the place
+        # of the other fields in mixed radix, read above every key
         out = {}
-        for pos, d in _signed_digits(v, width):
-            key = 0
-            for unit, radix in steps:
-                pos, e = divmod(pos, radix)
-                key += e * unit
+        for key, d in _unpack(((0, v),), width, radices[0], limit, unit).items():
+            z, key = divmod(key, limit)
+            for u, radix in steps:
+                z, e = divmod(z, radix)
+                key += e * u
             out[key] = d
         return out
 
@@ -844,44 +927,35 @@ class Derivation:
 # -- text form -----------------------------------------------------------
 
 
-def _format_coeff(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def format_poly(f: Polynomial) -> str:
     """Canonical text form: monomials in descending graded lex order.
 
     Emits "p/q" rationals, "^" powers and "*" products; round-trips
-    through `parse` for normalized polynomials.
+    through `parse` for normalized polynomials.  Each coefficient is its
+    numerator over the denominator, reduced by one gcd.
     """
-    if f.is_zero():
+    t, den = f._terms, f._den
+    if not t:
         return "0"
     reg = f.registry
-    parts = []
-    for key in sorted(f._terms, reverse=True):
-        c = Fraction(f._terms[key], f._den)
-        factors = []
-        for name, k in zip(reg.names, reg._expo(key)):
-            if k == 1:
-                factors.append(name)
-            elif k > 1:
-                factors.append(f"{name}^{k}")
-        mono = "*".join(factors)
-        mag = abs(c)
+    fields = list(zip(reg.names, reg._shifts))
+    parts: list[str] = []
+    for key in sorted(t, reverse=True):
+        v = t[key]
+        g = gcd(v, den)
+        num, d = abs(v) // g, den // g
+        mono = "*".join([name if e == 1 else f"{name}^{e}"
+                         for name, s in fields if (e := (key >> s) & _MASK)])
+        coeff = str(num) if d == 1 else f"{num}/{d}"
         if not mono:
-            body = _format_coeff(mag)
-        elif mag == 1:
+            body = coeff
+        elif num == d:
             body = mono
         else:
-            coeff = _format_coeff(mag)
-            if mag.denominator != 1:
-                coeff = f"({coeff})"
-            body = f"{coeff}*{mono}"
-        parts.append(("-" if c < 0 else "+", body))
-    sign0, body0 = parts[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+            body = f"{coeff}*{mono}" if d == 1 else f"({coeff})*{mono}"
+        if parts:
+            parts.append("-" if v < 0 else "+")
+        elif v < 0:
+            body = "-" + body
+        parts.append(body)
+    return " ".join(parts)

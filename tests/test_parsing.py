@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from fano22 import parsing
 from fano22.cli import main
+from fano22.constants import DEFAULT_RAW, _family
 from fano22.parsing import MAX_NESTING, ParseError, parse
 from fano22.poly import Registry, format_poly
 
@@ -120,11 +122,37 @@ def test_the_sum_of_a_powers_coefficients_bounds_it_closely(digit_limit):
         parse("(x+y)^2160", reg)
 
 
+def _count_comb(monkeypatch) -> list:
+    calls = []
+    real = parsing.math.comb
+    monkeypatch.setattr(parsing.math, "comb", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_the_paper_table_never_reaches_the_power_bound(monkeypatch, digit_limit):
+    # each power's coefficients are at most M^n over at most M^n, M the larger of the
+    # base's numerator sum and denominator, far below 10^640: no bound is computed
+    calls = _count_comb(monkeypatch)
+    powers = 0
+    for key, text in DEFAULT_RAW.items():
+        parse(text, _family(key)[0])
+        powers += text.count("^")
+    assert powers >= 50 and not calls
+    # a power that passes the pre-test still meets the bound and is refused
+    reg = Registry([("x", "coordinate"), ("y", "coordinate")])
+    with pytest.raises(ParseError, match=f"coefficient of a power longer than {digit_limit}"):
+        parse("(x+y)^2160", reg)
+    assert len(calls) == 1
+
+
 def test_a_power_with_a_middle_coefficient_past_the_digit_limit_is_refused_at_once(capsys):
     limit = sys.get_int_max_str_digits()
     # every extreme coefficient is 1, and the coefficients of x - y sum to 0; the largest
     # coefficients of the three powers have 6019, 5722 and 6019 digits
-    for text, position in (("(x+y)^20000", 6), ("(x+y+1)^12000", 8), ("(x-y)^20000", 6)):
+    # ((x-y)*(z-w))^7200 is 0 at (1, ..., 1) and at every point with one coordinate -1,
+    # but 4 at (1, -1, 1, -1): its 16 sign vectors are fewer than its exponent
+    for text, position in (("(x+y)^20000", 6), ("(x+y+1)^12000", 8), ("(x-y)^20000", 6),
+                           ("((x-y)*(z-w))^7200", 14)):
         start = time.perf_counter()
         assert main(["eval", text]) == 2
         assert time.perf_counter() - start < 0.1
@@ -132,6 +160,7 @@ def test_a_power_with_a_middle_coefficient_past_the_digit_limit_is_refused_at_on
             f"error: coefficient of a power longer than {limit} digits (at position {position})\n"
     reg = Registry([("x", "coordinate"), ("y", "coordinate")])
     assert parse("(x+y)^100", reg).terms[(50, 50)] == 100891344545564193334812497256
+    assert parse("((x-y)*(x+y))^20", reg) == parse("(x^2-y^2)^20", reg)
     assert parse("10^4299", reg) == reg.const(10 ** 4299)
 
 

@@ -159,6 +159,43 @@ def test_format(reg):
     assert format_poly(3 * x * y) == "3*x*y"
 
 
+def _format_by_fractions(f):
+    """The canonical text form, built term by term from `Fraction` coefficients."""
+    if f.is_zero():
+        return "0"
+    out = ""
+    key = f.registry._key
+    for expo, c in sorted(f.terms.items(), key=lambda item: key(item[0]), reverse=True):
+        mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(f.registry.names, expo) if e)
+        mag = abs(c)
+        coeff = str(mag) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+        if not mono:
+            body = coeff
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{coeff}*{mono}" if mag.denominator == 1 else f"({coeff})*{mono}"
+        out += ("-" if c < 0 else "") + body if not out else f" {'-' if c < 0 else '+'} {body}"
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_format_matches_a_fraction_reference(reg, seed):
+    rng = random.Random(seed)
+    x, t = reg.var("x"), reg.var("t")
+    cases = [reg.zero, reg.const(Fraction(-7, 3)), reg.const(5), -x, x.scale(Fraction(-3, 4)),
+             t ** 12, (x - 1) * (t + Fraction(1, 2))]
+    for _ in range(20):
+        cases.append(Polynomial(reg, {
+            tuple(rng.choice([0, 0, 1, 2, 11]) for _ in reg.names):
+            Fraction(rng.randint(-40, 40), rng.choice([1, 1, 2, 6, 35]))
+            for _ in range(rng.randint(1, 9))}))
+    for f in cases:
+        assert format_poly(f) == _format_by_fractions(f)
+    assert [format_poly(f) for f in cases[:7]] == [
+        "0", "-7/3", "5", "-x", "-(3/4)*x", "t^12", "x*t + (1/2)*x - t - 1/2"]
+
+
 def test_degree_reaching_field_width_raises(reg):
     x, y = reg.var("x"), reg.var("y")
     top = y ** (LIMIT - 1)
@@ -244,9 +281,9 @@ def _dense(reg, degree, coeff):
 
 
 def _packs(f, g):
-    unit = f.registry._units[-1]
     return (min(len(f.terms), len(g.terms)) > 1 and len(f.terms) * len(g.terms) >= PACK_PAIRS
-            and poly._fills_slices(unit, f._terms) and poly._fills_slices(unit, g._terms))
+            and poly._fills_slices(f.registry, f._terms)
+            and poly._fills_slices(g.registry, g._terms))
 
 
 def _count_packed(monkeypatch) -> list:
@@ -374,7 +411,7 @@ def test_packing_starts_at_the_threshold(reg, monkeypatch, shape):
             for n in shape)
     calls = _count_packed(monkeypatch)
     assert (len(f.terms), len(g.terms)) == shape
-    assert all(poly._fills_slices(reg._units[-1], p._terms) for p in (f, g))
+    assert all(poly._fills_slices(reg, p._terms) for p in (f, g))
     assert f * g == _by_single_terms(f, g)
     assert bool(calls) == (shape[0] * shape[1] >= PACK_PAIRS)
 
@@ -387,6 +424,133 @@ def test_packed_product_reaching_field_width_raises(reg):
     with pytest.raises(OverflowError):
         f * g
     assert (f - y ** (LIMIT - 5)) * g == _by_single_terms(f - y ** (LIMIT - 5), g)
+
+
+def _count_boxes(monkeypatch) -> list:
+    """Per packed operand, 2 when it is packed over the last two variables, else 1."""
+    boxes = []
+    real = poly._pack
+    monkeypatch.setattr(poly, "_pack",
+                        lambda *args: boxes.append(1 + bool(args[-1])) or real(*args))
+    return boxes
+
+
+#: the last two variables of `reg` are y, then t: a row of the two-variable box is
+#: one x-exponent, and its positions z * r + e come from y^z * t^e
+
+
+def _dense_yt(reg, degree, coeff, x_degree=0):
+    """Every x^i * y^j * t^k with i <= x_degree and j + k <= degree, coefficient coeff()."""
+    x, y, t = reg.var("x"), reg.var("y"), reg.var("t")
+    return poly_sum(reg, [coeff() * x ** i * y ** j * t ** k for i in range(x_degree + 1)
+                          for j in range(degree + 1) for k in range(degree + 1 - j)])
+
+
+def test_two_variable_box_borrows_across_a_row(reg, monkeypatch):
+    # the highest digit of row y^0 is the coefficient of t^16, 1 * -1: a negative row
+    # borrows one from row y^1, whose lowest digit is positive
+    rng = random.Random(16)
+    t = reg.var("t")
+    f = _dense_yt(reg, 8, lambda: rng.randint(1, 99), 1)
+    g = _dense_yt(reg, 8, lambda: rng.randint(1, 99), 1)
+    f, g = f - f.coefficient_of("t", 8) * t ** 8 + t ** 8, g - g.coefficient_of("t", 8) * t ** 8 - t ** 8
+    boxes = _count_boxes(monkeypatch)
+    product = f * g
+    assert boxes == [2, 2]
+    assert product == _by_single_terms(f, g)
+    assert product.terms[(0, 0, 16)] == -1 and product.terms[(0, 1, 0)] > 0
+
+
+@pytest.mark.parametrize("m", [2 ** 14 - 1, 10 ** 4])
+@pytest.mark.parametrize("signs", [(1, 1), (-1, -1), (1, -1)])
+def test_two_variable_box_holds_same_sign_maxima(reg, monkeypatch, m, signs):
+    # every coefficient at +-m: up to 28 term pairs, from several rows, meet in one
+    # output coefficient, so a digit must be sized for the whole product
+    f = _dense(reg, 5, lambda: signs[0] * m)
+    g = _dense(reg, 5, lambda: signs[1] * m)
+    boxes = _count_boxes(monkeypatch)
+    product = f * g
+    assert boxes == [2, 2]
+    assert product == _by_single_terms(f, g)
+    assert max(abs(c) for c in product.terms.values()) == 28 * m * m
+
+
+def test_two_variable_box_with_operands_without_the_second_to_last_variable(reg, monkeypatch):
+    rng = random.Random(9)
+    x, y, t = reg.var("x"), reg.var("y"), reg.var("t")
+    f = poly_sum(reg, [rng.randint(-99, 99) * x ** i * t ** k for i in range(7) for k in range(9)])
+    g = _dense_yt(reg, 8, lambda: rng.randint(-99, 99), 1)
+    g2 = poly_sum(reg, [rng.randint(-99, 99) * x ** i * t ** k for i in range(4) for k in range(9)])
+    assert "y" not in f.variables() + g2.variables()
+    boxes = _count_boxes(monkeypatch)
+    # one operand without y still gains from the box; with both, it has nothing to offer
+    assert f * g == _by_single_terms(f, g)
+    assert f * g2 == _by_single_terms(f, g2)
+    assert boxes == [2, 2, 1, 1]
+
+
+def test_two_variable_box_jumps_gaps_in_the_second_to_last_variable(reg, monkeypatch):
+    # y-exponents {0, 1, 2, 3, 7} and {0, 1, 2}: row y^6 of the product is empty
+    rng = random.Random(53)
+    x, y, t = reg.var("x"), reg.var("y"), reg.var("t")
+    f, g = (poly_sum(reg, [(rng.randint(-9, 9) or 1) * x ** i * y ** j * t ** k
+                           for i in range(4) for j in ys for k in range(9)])
+            for ys in ((0, 1, 2, 3, 7), (0, 1, 2)))
+    boxes = _count_boxes(monkeypatch)
+    product = f * g
+    assert boxes == [2, 2]
+    assert product == _by_single_terms(f, g)
+    assert product.degree_in("y") == 9
+    assert not any(e[1] == 6 for e in product.terms)
+
+
+def test_two_variable_box_over_one_and_two_variable_registries(monkeypatch):
+    rng = random.Random(12)
+    reg_v = Registry([("v", "family-parameter")])
+    reg_yt = Registry([("y", "coordinate"), ("t", "coordinate")])
+    boxes = _count_boxes(monkeypatch)
+    # over one variable there is no second-to-last variable: every product packs in v
+    f, g = (_dense(reg_v, 59, lambda: rng.randint(-99, 99) or 1) for _ in range(2))
+    assert f * g == _by_single_terms(f, g)
+    assert boxes == [1, 1]
+    # over y, t the box has one row
+    f, g = (_dense(reg_yt, 8, lambda: rng.randint(-99, 99) or 1) for _ in range(2))
+    assert f * g == _by_single_terms(f, g)
+    assert boxes == [1, 1, 2, 2]
+
+
+def test_two_variable_box_reaching_field_width_raises(reg, monkeypatch):
+    # the row of x^(LIMIT - 9) sits at the top of the key's degree field
+    rng = random.Random(33)
+    x = reg.var("x")
+    f = _dense_yt(reg, 8, lambda: rng.randint(1, 99), 1)
+    g = _dense_yt(reg, 8, lambda: rng.randint(1, 99), 1) + x ** (LIMIT - 9)
+    h = _dense_yt(reg, 8, lambda: rng.randint(1, 99), 1) + x ** (LIMIT - 10)
+    boxes = _count_boxes(monkeypatch)
+    with pytest.raises(OverflowError):
+        f * g
+    product = f * h
+    assert product == _by_single_terms(f, h)
+    assert product.total_degree() == LIMIT - 1
+    assert boxes == [2, 2]
+
+
+def test_box_choice_follows_the_estimate(monkeypatch):
+    # the benchmark's dense 210 x 210 product gains from the box; twelve-digit
+    # coefficients and the 1001 x 1001 pair of powers make its ints too long
+    rng = random.Random(210)
+    narrow = [_dense(REG_XYZW, 6, lambda: Fraction(rng.choice([-9, -5, 1, 7]), rng.randint(1, 4)))
+              for _ in range(2)]
+    wide = [_dense(REG_XYZW, 6, lambda: rng.randint(10 ** 11, 10 ** 12)) for _ in range(2)]
+    x, y, z, w = (REG_XYZW.var(n) for n in "xyzw")
+    powers = [(x + y + z + 2 * w - 3) ** 10, (x - y + z - w + 1) ** 10]
+    assert len(powers[0].terms) == len(powers[1].terms) == 1001
+    boxes = _count_boxes(monkeypatch)
+    for f, g in (narrow, wide, powers):
+        boxes.clear()
+        product = f * g
+        assert boxes == ([2, 2] if f is narrow[0] else [1, 1])
+    assert product == _by_single_terms(*powers)
 
 
 # -- cross-differences ----------------------------------------------------------

@@ -141,12 +141,16 @@ def _evaluate(f: Polynomial, point) -> Fraction:
     return total
 
 
-#: operands of at least 45 terms each, so that their product is packed
-_large_polys = st.dictionaries(
+#: operands of at least 45 terms each, so that their product is packed: with
+#: coefficients below 10 over the last two variables (dense ones pack y, z in a
+#: two-variable box), up to 10**12 over the last one
+_large_polys = st.sampled_from([9, 10 ** 12]).flatmap(lambda m: st.dictionaries(
     st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
-    st.integers(-10 ** 12, 10 ** 12).filter(bool),
+    st.integers(-m, m).filter(bool),
     min_size=45, max_size=70,
-).map(lambda terms: Polynomial(REG, terms))
+)).map(lambda terms: Polynomial(REG, terms))
+#: the 56 monomials of degree <= 5, the support of one example per box
+_DENSE = [e for e in itertools.product(range(6), repeat=3) if sum(e) <= 5]
 _points = st.tuples(_fractions, _fractions, _fractions)
 
 #: substitution images of every kind: zero, a constant, one term, 2 to 3 terms
@@ -170,6 +174,12 @@ def test_substitution_commutes_with_evaluation(f, sub, point):
 
 @settings(max_examples=20, deadline=None)
 @given(_large_polys, _large_polys, st.lists(_points, min_size=2, max_size=2))
+@example(f=Polynomial(REG, {e: 9 - i % 19 for i, e in enumerate(_DENSE)}),
+         g=Polynomial(REG, {e: i % 7 - 3 or 5 for i, e in enumerate(_DENSE)}),
+         points=[(Fraction(1, 2), Fraction(-3), Fraction(2, 5))] * 2)
+@example(f=Polynomial(REG, {e: 10 ** 12 - i for i, e in enumerate(_DENSE)}),
+         g=Polynomial(REG, {e: i - 10 ** 11 for i, e in enumerate(_DENSE)}),
+         points=[(Fraction(-1), Fraction(1, 3), Fraction(7))] * 2)
 def test_large_product_evaluates_to_product_of_values(f, g, points):
     assert len(f.terms) * len(g.terms) >= PACK_PAIRS
     product = f * g
