@@ -116,22 +116,27 @@ def _parse_factor(tk: _Tokens, reg: Registry) -> Polynomial:
                        for c in (terms[max(terms)], terms[min(terms)]))
             # for sigma in {1, -1}^k, base(sigma)^n is a signed sum of the at most m
             # coefficients of base^n, so one is at least |s|^n / m >= 2^(n*e/16 - bits(m)),
-            # e = floor(16*log2|s|); |s| is the largest |base(sigma)| over all 2^k sign
-            # vectors when 2^k <= n, else over (1, ..., 1) and the points with one
-            # coordinate -1.  Terms are summed by which exponents are odd, as a mask
+            # e = floor(16*log2|s|), |s| the largest |base(sigma)| over some sign vectors.
+            # Terms are summed by which exponents are odd, as a mask
             shifts = [reg._shifts[reg.index(name)] for name in base.variables()]
             k = len(shifts)
             odd: dict[int, int] = {}
             for key, c in base._terms.items():
                 mask = sum(((key >> s) & 1) << i for i, s in enumerate(shifts))
                 odd[mask] = odd.get(mask, 0) + c
-            signs = range(1 << k) if 1 << k <= n else (0, *(1 << i for i in range(k)))
-            s = max(abs(sum(-c if (mask & sigma).bit_count() & 1 else c
-                            for mask, c in odd.items())) for sigma in signs)
-            e = (s ** 16 // den ** 16).bit_length() - 1
             m = math.comb(n * base.total_degree() + k, k)
-            # 2^(10/3) > 10: either coefficient passes 10^limit, so it is unprintable
-            if 3 * max(n * (bits - 1), n * e // 16 - m.bit_length()) >= 10 * limit:
+
+            def refused(signs: Iterable[int]) -> bool:
+                s = max(abs(sum(-c if (mask & sigma).bit_count() & 1 else c
+                                for mask, c in odd.items())) for sigma in signs)
+                e = (s ** 16 // den ** 16).bit_length() - 1
+                # 2^(10/3) > 10: either coefficient passes 10^limit, so it is unprintable
+                return 3 * max(n * (bits - 1), n * e // 16 - m.bit_length()) >= 10 * limit
+
+            # first (1, ..., 1) and the k points with one coordinate -1, then, only if
+            # those do not refuse and 2^k <= n, all 2^k sign vectors
+            if refused((0, *(1 << i for i in range(k)))) or (
+                    1 << k <= n and refused(range(1 << k))):
                 what = "constant power" if base.is_constant() else "coefficient of a power"
                 raise ParseError(f"{what} longer than {limit} digits", where)
         return base ** n

@@ -24,11 +24,10 @@ out.  `Polynomial.terms` decodes the keys into a fresh read-only map to
 A product of at least `PACK_PAIRS` term pairs, with both operands longer
 than one term and dense in the last variable (`_fills_slices`), is formed
 by `_mul_packed`, a Kronecker substitution (Kronecker 1882; Fateman 2005)
-in the last variable, or in the last two, a 2-D box, when
-`_two_variables` estimates that fewer, longer ints cost less.  `_unpack`
-reads packed ints back in two levels: each row of the box is one signed
-digit of width * r bits, and the row then gives its signed coefficient
-digits.
+in the last two variables, a 2-D box, or in the one variable of a
+one-variable registry.  `_unpack` reads packed ints back in two levels:
+each row of the box is one signed digit of width * r bits, and the row
+then gives its signed coefficient digits.
 
 `_pack_matrix` packs a matrix of integral polynomials into `int`s by
 Kronecker substitution in every occurring variable, so that `linalg`
@@ -63,9 +62,6 @@ _MASK = (1 << FIELD_BITS) - 1
 PACK_PAIRS = 2025
 #: a packed operand fills at least 1 / PACK_DENSITY of its slices' digits
 PACK_DENSITY = 4
-#: one pair of packed ints multiplied and accumulated costs the interpreter
-#: about as much as this many products of 30-bit digits (`_two_variables`)
-PAIR_DIGITS = 150
 
 
 class RegistryMismatch(ValueError):
@@ -561,7 +557,7 @@ def _mul_terms(reg: Registry, a: dict[int, int], b: dict[int, int]) -> dict[int,
     reaches the limit.  A single-term operand shifts the other's keys.
     From `PACK_PAIRS` term pairs on, when both operands fill their slices
     (`_fills_slices`), `_mul_packed` multiplies by Kronecker substitution
-    in the last one or two variables; otherwise `_addmul` accumulates every
+    in the last two variables; otherwise `_addmul` accumulates every
     term pair into one dict.
     """
     if len(a) > len(b):
@@ -570,10 +566,11 @@ def _mul_terms(reg: Registry, a: dict[int, int], b: dict[int, int]) -> dict[int,
         ((ka, ca),) = a.items()
         return {ka + kb: ca * cb for kb, cb in b.items()}
     if len(a) * len(b) >= PACK_PAIRS:
-        fa = _fills_slices(reg, a)
-        fb = fa and _fills_slices(reg, b)
-        if fb:
-            return _mul_packed(reg, a, b, fa, fb)
+        unit = reg._units[-1]
+        da = _fills_slices(unit, a)
+        db = da and _fills_slices(unit, b)
+        if db:
+            return _mul_packed(reg, a, b, da, db)
     return _nonzero(_addmul({}, a.items(), list(b.items())))
 
 
@@ -597,28 +594,22 @@ def _nonzero(acc: dict[int, int]) -> dict[int, int]:
     return {k: v for k, v in acc.items() if v} if 0 in acc.values() else acc
 
 
-def _fills_slices(reg: Registry, terms: dict[int, int]) -> tuple[int, int, int, int] | None:
-    """The shape of the slices `_pack` makes of `terms`, or None if they fill under 1/PACK_DENSITY.
+def _fills_slices(unit: int, terms: dict[int, int]) -> int:
+    """1 + e if the terms fill at least 1 / PACK_DENSITY of their slices' digits, else 0.
 
-    `_pack` makes one int per slice, of 1 + e digits, where e is the
-    largest exponent of the last variable, so the terms fill len(terms)
-    of slices * (1 + e) digits.  The big-int products cost with the
-    digits, the dict loop with the terms, so a sparse operand makes
-    packing slower: two 46-term operands in x, y, z, w with w-exponents
-    from {0, 1, 16000} fill under 0.001 and took 0.44 s packed against
-    0.5 ms in the dict loop, and random 60-term operands with exponents up
-    to 6 fill 0.16 and took 3x the dict loop (2-vCPU VM, Python 3.11).  A
-    polynomial with every monomial of total degree <= d in n variables
-    fills (d + n) / (n * (d + 1)) > 1/n, so dense operands in up to four
-    variables still pack (the benchmark's 210-term operands fill 0.36).
-
-    The shape, (e, slices, rows, z), is what `_two_variables` weighs: e,
-    the number of slices, the number of rows of the two-variable box
-    (slices that differ only in the second-to-last variable share one),
-    and z, the sum over rows of the row's largest exponent of that
-    variable.  It takes one pass over the slices, not the terms.
+    Packed in the last variable alone, the terms make one int per slice,
+    of 1 + e digits, where e is the largest exponent of the last variable
+    (key `unit`), so the terms fill len(terms) of slices * (1 + e) digits.
+    The big-int products cost with the digits, the dict loop with the
+    terms, so a sparse operand makes packing slower: two 46-term operands
+    in x, y, z, w with w-exponents from {0, 1, 16000} fill under 0.001 and
+    took 0.44 s packed against 0.5 ms in the dict loop, and random 60-term
+    operands with exponents up to 6 fill 0.16 and took 3x the dict loop
+    (2-vCPU VM, Python 3.11).  A polynomial with every monomial of total
+    degree <= d in n variables fills (d + n) / (n * (d + 1)) > 1/n, so
+    dense operands in up to four variables still pack (the benchmark's
+    210-term operands fill 0.36).
     """
-    unit = reg._units[-1]
     top = 0
     slices = set()
     for k in terms:
@@ -626,64 +617,38 @@ def _fills_slices(reg: Registry, terms: dict[int, int]) -> tuple[int, int, int, 
         if e > top:
             top = e
         slices.add(k - e * unit)
-    if PACK_DENSITY * len(terms) < len(slices) * (1 + top):
-        return None
-    # over one variable every slice key is 0, and so is its z field
-    zunit = reg._units[-2] if len(reg) > 1 else 0
-    rows: dict[int, int] = {}
-    get = rows.get
-    for s in slices:
-        z = (s >> FIELD_BITS) & _MASK
-        row = s - z * zunit
-        if z >= get(row, 0):
-            rows[row] = z
-    return top, len(slices), len(rows), sum(rows.values())
-
-
-def _two_variables(fa: tuple[int, int, int, int], fb: tuple[int, int, int, int],
-                   width: int) -> bool:
-    """Whether the two-variable box is estimated cheaper than one-variable slices.
-
-    `fa` and `fb` are the operands' `_fills_slices` shapes.  A packed
-    product costs `PAIR_DIGITS` digit products per pair of ints it
-    multiplies, the interpreter's work, and (width / 30)**2 per pair of
-    packed positions, CPython's schoolbook work on 30-bit digits.  A slice
-    of an operand holds 1 + e positions, e its largest exponent of the
-    last variable, and a row z * r + 1 + e, z the row's largest exponent
-    of the second-to-last variable and r one more than the product's
-    degree in the last variable.  Karatsuba makes long ints cheaper than
-    that, so the estimate leans to the one-variable slices.
-    """
-    (ea, sa, ra, za), (eb, sb, rb, zb) = fa, fb
-    r = ea + eb + 1
-    one = sa * (1 + ea) * sb * (1 + eb)
-    two = (za * r + ra * (1 + ea)) * (zb * r + rb * (1 + eb))
-    return (sa * sb - ra * rb) * PAIR_DIGITS * 900 > (two - one) * width * width
+    return 1 + top if PACK_DENSITY * len(terms) >= len(slices) * (1 + top) else 0
 
 
 def _mul_packed(reg: Registry, a: dict[int, int], b: dict[int, int],
-                fa: tuple[int, int, int, int], fb: tuple[int, int, int, int]) -> dict[int, int]:
-    """Product of two numerator dicts by Kronecker substitution in one or two variables.
+                da: int, db: int) -> dict[int, int]:
+    """Product of two numerator dicts by Kronecker substitution in the last two variables.
 
-    `fa` and `fb` are the operands' `_fills_slices` shapes.  With one
-    variable, the last, each operand becomes a dict slice key -> one int:
-    a slice key is a term's key less e * (key of the last variable), e the
-    term's exponent of it, and the slice holds sum c * 2**(width * e) over
-    its terms.  With two, when `_two_variables` finds that cheaper, each
-    row of a 2-D box, the slice key less z * (key of the second-to-last
-    variable), holds sum c * 2**(width * (z * r + e)), z the exponent of
-    that variable and r one more than the product's degree in the last.
-    The ints are multiplied pairwise by CPython's big-int product and
-    accumulated by key sum, and `_unpack` reads each sum back.  Ints
-    accumulate, so `width` bounds a whole output coefficient: no more than
+    `da` and `db` are the operands' `_fills_slices` digits per slice, so
+    r = da + db - 1 is one more than the product's degree in the last
+    variable.  Each operand becomes a dict row key -> one int: a row of
+    the 2-D box is a term's key less z * (key of the second-to-last
+    variable) and e * (key of the last), z and e the term's exponents of
+    them, and it holds sum c * 2**(width * (z * r + e)) over its terms.
+    Over a one-variable registry z is 0, and a row is a slice.  The ints
+    are multiplied pairwise by CPython's big-int product and accumulated
+    by key sum, and `_unpack` reads each sum back.  Ints accumulate, so
+    `width` bounds a whole output coefficient: no more than
     min(len(a), len(b)) term pairs meet in one monomial, each at most
     max|a| * max|b| in absolute value.
+
+    Against slices of the last variable alone, the box takes 0.53 of the
+    time of core-scale's dense 210 x 210 product.  Long rows make it
+    slower: with twelve-digit coefficients the same shape takes 1.6x, and
+    the 1001 x 1001 product (x+y+z+2*w-3)^10 * (x-y+z-w+1)^10 2.0x, once
+    its rows pass CPython's Karatsuba cutoff (one pinned vCPU, Python
+    3.11).  No benchmark workload multiplies such operands.
     """
     bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
     width = bound.bit_length() + 2
-    r = fa[0] + fb[0] + 1
+    r = da + db - 1
     unit = reg._units[-1]
-    zunit = reg._units[-2] if len(reg) > 1 and _two_variables(fa, fb, width) else 0
+    zunit = reg._units[-2] if len(reg) > 1 else 0
     pa, pb = (_pack(t, width, r, unit, zunit) for t in (a, b))
     return _unpack(_addmul({}, pa.items(), list(pb.items())).items(), width, r, zunit, unit)
 

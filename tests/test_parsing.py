@@ -150,9 +150,11 @@ def test_a_power_with_a_middle_coefficient_past_the_digit_limit_is_refused_at_on
     # every extreme coefficient is 1, and the coefficients of x - y sum to 0; the largest
     # coefficients of the three powers have 6019, 5722 and 6019 digits
     # ((x-y)*(z-w))^7200 is 0 at (1, ..., 1) and at every point with one coordinate -1,
-    # but 4 at (1, -1, 1, -1): its 16 sign vectors are fewer than its exponent
+    # but 4 at (1, -1, 1, -1): its 16 sign vectors are fewer than its exponent.  The sum
+    # of 20 variables is 20 at (1, ..., 1), so its 2^20 sign vectors are never taken
+    many = "(" + "+".join("abcdefghijklmnopqrst") + ")^" + str(2 ** 20)
     for text, position in (("(x+y)^20000", 6), ("(x+y+1)^12000", 8), ("(x-y)^20000", 6),
-                           ("((x-y)*(z-w))^7200", 14)):
+                           ("((x-y)*(z-w))^7200", 14), (many, 42)):
         start = time.perf_counter()
         assert main(["eval", text]) == 2
         assert time.perf_counter() - start < 0.1

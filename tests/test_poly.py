@@ -281,9 +281,9 @@ def _dense(reg, degree, coeff):
 
 
 def _packs(f, g):
+    unit = f.registry._units[-1]
     return (min(len(f.terms), len(g.terms)) > 1 and len(f.terms) * len(g.terms) >= PACK_PAIRS
-            and poly._fills_slices(f.registry, f._terms)
-            and poly._fills_slices(g.registry, g._terms))
+            and poly._fills_slices(unit, f._terms) and poly._fills_slices(unit, g._terms))
 
 
 def _count_packed(monkeypatch) -> list:
@@ -411,7 +411,7 @@ def test_packing_starts_at_the_threshold(reg, monkeypatch, shape):
             for n in shape)
     calls = _count_packed(monkeypatch)
     assert (len(f.terms), len(g.terms)) == shape
-    assert all(poly._fills_slices(reg, p._terms) for p in (f, g))
+    assert all(poly._fills_slices(reg._units[-1], p._terms) for p in (f, g))
     assert f * g == _by_single_terms(f, g)
     assert bool(calls) == (shape[0] * shape[1] >= PACK_PAIRS)
 
@@ -483,10 +483,10 @@ def test_two_variable_box_with_operands_without_the_second_to_last_variable(reg,
     g2 = poly_sum(reg, [rng.randint(-99, 99) * x ** i * t ** k for i in range(4) for k in range(9)])
     assert "y" not in f.variables() + g2.variables()
     boxes = _count_boxes(monkeypatch)
-    # one operand without y still gains from the box; with both, it has nothing to offer
+    # without y in either operand every row of the box is one slice of t
     assert f * g == _by_single_terms(f, g)
     assert f * g2 == _by_single_terms(f, g2)
-    assert boxes == [2, 2, 1, 1]
+    assert boxes == [2, 2, 2, 2]
 
 
 def test_two_variable_box_jumps_gaps_in_the_second_to_last_variable(reg, monkeypatch):
@@ -535,22 +535,18 @@ def test_two_variable_box_reaching_field_width_raises(reg, monkeypatch):
     assert boxes == [2, 2]
 
 
-def test_box_choice_follows_the_estimate(monkeypatch):
-    # the benchmark's dense 210 x 210 product gains from the box; twelve-digit
-    # coefficients and the 1001 x 1001 pair of powers make its ints too long
+def test_wide_coefficients_take_the_box(monkeypatch):
+    # twelve-digit coefficients and the 1001 x 1001 pair of powers make rows of the
+    # box longer than CPython's Karatsuba cutoff of 70 digits
     rng = random.Random(210)
-    narrow = [_dense(REG_XYZW, 6, lambda: Fraction(rng.choice([-9, -5, 1, 7]), rng.randint(1, 4)))
-              for _ in range(2)]
     wide = [_dense(REG_XYZW, 6, lambda: rng.randint(10 ** 11, 10 ** 12)) for _ in range(2)]
     x, y, z, w = (REG_XYZW.var(n) for n in "xyzw")
     powers = [(x + y + z + 2 * w - 3) ** 10, (x - y + z - w + 1) ** 10]
     assert len(powers[0].terms) == len(powers[1].terms) == 1001
     boxes = _count_boxes(monkeypatch)
-    for f, g in (narrow, wide, powers):
-        boxes.clear()
-        product = f * g
-        assert boxes == ([2, 2] if f is narrow[0] else [1, 1])
-    assert product == _by_single_terms(*powers)
+    for f, g in (wide, powers):
+        assert f * g == _by_single_terms(f, g)
+    assert boxes == [2, 2, 2, 2]
 
 
 # -- cross-differences ----------------------------------------------------------

@@ -11,8 +11,8 @@ draw adds one, variables and monomials of coefficient 1, and a case past
 of 60 to 120 terms per operand take the packed product where both fill
 their slices and the dict loop otherwise; products of operands dense in
 w, and the cube of a 50-term polynomial, take the packed product.  Dense
-products in 3 and 4 variables take the two-variable box with numerators
-below 1000, and the one-variable slices with twelve-digit ones.
+products in 3 and 4 variables take the two-variable box, with numerators
+below 1000 and with twelve-digit ones.
 """
 
 import itertools
@@ -211,13 +211,13 @@ def test_products_dense_in_the_last_variable_pack_and_match_sympy(seed, monkeypa
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("n_vars, degree, numerator, denominators, box", [
-    (3, 6, 999, (1, 2, 4), 2), (4, 6, 999, (1, 2, 4), 2),
-    (3, 6, 10 ** 12, range(1, 13), 1), (4, 5, 10 ** 12, range(1, 13), 1)])
-def test_dense_products_in_either_box_match_sympy(n_vars, degree, numerator, denominators, box,
-                                                  monkeypatch):
-    # every monomial of degree <= degree in the last n_vars variables; small numerators
-    # take the two-variable box, twelve-digit ones the one-variable slices
+@pytest.mark.parametrize("n_vars, degree, numerator, denominators", [
+    (3, 6, 999, (1, 2, 4)), (4, 6, 999, (1, 2, 4)),
+    (3, 6, 10 ** 12, range(1, 13)), (4, 5, 10 ** 12, range(1, 13))])
+def test_dense_products_in_the_box_match_sympy(n_vars, degree, numerator, denominators,
+                                               monkeypatch):
+    # every monomial of degree <= degree in the last n_vars variables, with short and
+    # with twelve-digit numerators, packed over the last two variables
     rng = random.Random(700 + 10 * n_vars + degree)
     support = [(0,) * (4 - n_vars) + e for e in itertools.product(range(degree + 1), repeat=n_vars)
                if sum(e) <= degree]
@@ -229,7 +229,7 @@ def test_dense_products_in_either_box_match_sympy(n_vars, degree, numerator, den
     monkeypatch.setattr(poly, "_pack",
                         lambda *args: boxes.append(1 + bool(args[-1])) or real(*args))
     assert f * g == _from_sympy(_to_sympy(f) * _to_sympy(g))
-    assert boxes == [box, box]
+    assert boxes == [2, 2]
 
 
 def test_packed_power_matches_sympy():

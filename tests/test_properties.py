@@ -141,15 +141,15 @@ def _evaluate(f: Polynomial, point) -> Fraction:
     return total
 
 
-#: operands of at least 45 terms each, so that their product is packed: with
-#: coefficients below 10 over the last two variables (dense ones pack y, z in a
-#: two-variable box), up to 10**12 over the last one
+#: operands of at least 45 terms each, so that their product is packed in the
+#: box over y, z, with coefficients below 10 (one-word digits) or up to 10**12
+#: (digits of several 30-bit words)
 _large_polys = st.sampled_from([9, 10 ** 12]).flatmap(lambda m: st.dictionaries(
     st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
     st.integers(-m, m).filter(bool),
     min_size=45, max_size=70,
 )).map(lambda terms: Polynomial(REG, terms))
-#: the 56 monomials of degree <= 5, the support of one example per box
+#: the 56 monomials of degree <= 5, the support of one example per digit width
 _DENSE = [e for e in itertools.product(range(6), repeat=3) if sum(e) <= 5]
 _points = st.tuples(_fractions, _fractions, _fractions)
 
